@@ -124,10 +124,15 @@ def evaluate(b: ZeroList, z) -> complex:
     return _evaluate_unchecked(b, w)
 
 
+def _factor(zn: complex, w):
+    """One normalized factor (conj(z_n)/|z_n|) (z_n - w)/(1 - conj(z_n) w)."""
+    return (zn.conjugate() / abs(zn)) * (zn - w) / (1.0 - zn.conjugate() * w)
+
+
 def _evaluate_unchecked(b: ZeroList, w: complex) -> complex:
     out = b.lam * w**b.m
     for zn, k in b.zeros:
-        out *= ((zn.conjugate() / abs(zn)) * (zn - w) / (1.0 - zn.conjugate() * w)) ** k
+        out *= _factor(zn, w) ** k
     return out
 
 
@@ -135,10 +140,13 @@ def evaluate_grid(b: ZeroList, points: np.ndarray) -> np.ndarray:
     """Vectorized product evaluation; callers keep points away from the poles."""
     w = np.asarray(points, dtype=np.complex128)
     out = np.full(w.shape, b.lam, dtype=np.complex128)
+    # A simple zero skips the power, which would be a second full pass over
+    # the array.  The factor is never bound to a name, so it is freed before
+    # the next one is formed and the peak holds one factor at a time.
     if b.m > 0:
-        out *= w**b.m
+        out *= w if b.m == 1 else w**b.m
     for zn, k in b.zeros:
-        out *= ((zn.conjugate() / abs(zn)) * (zn - w) / (1.0 - zn.conjugate() * w)) ** k
+        out *= _factor(zn, w) if k == 1 else _factor(zn, w) ** k
     return out
 
 

@@ -3,7 +3,11 @@
 The segment transform is stored in closed form as
 Log(1 - z0 e^{-i theta}) - Log(1 - z1 e^{-i theta}); every use site applies
 its own explicit factor of 2.  Principal branches suffice because each Log(1-w)
-with w in the disk has imaginary part in (-pi/2, pi/2).
+with w in the disk has imaginary part in (-pi/2, pi/2).  The difference of the
+two Logs therefore lies in (-pi, pi), so it is the principal Log of the single
+ratio (1 - z0 e^{-i theta}) / (1 - z1 e^{-i theta}): the grid kernel takes one
+real log and one angle per node, and ``cauchy_segment_closed_form`` keeps the
+two-Log form as the independent scalar route.
 """
 
 from __future__ import annotations
@@ -107,7 +111,16 @@ def cauchy_segment_closed_form(z0, z1, theta: float) -> complex:
 
 
 def _segment_grid(z0: complex, z1: complex, nodes_conj: np.ndarray) -> np.ndarray:
-    return np.log(1.0 - z0 * nodes_conj) - np.log(1.0 - z1 * nodes_conj)
+    """Log(1 - z0 w) - Log(1 - z1 w) at w = conj(nodes), as the principal Log of
+    r = (1 - z0 w) / (1 - z1 w).
+
+    Each term's imaginary part lies in (-pi/2, pi/2), so the difference lies in
+    (-pi, pi), where Log r = log|r| + i arg r holds; r is never on the negative
+    axis, so no branch choice is left.  A real log and an angle are several
+    times cheaper than a complex log.
+    """
+    r = (1.0 - z0 * nodes_conj) / (1.0 - z1 * nodes_conj)
+    return np.log(np.abs(r)) + 1j * np.angle(r)
 
 
 def cauchy_on_circle(sigma: PathMeasure, n: int) -> BoundaryGridFunction:

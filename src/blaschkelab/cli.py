@@ -30,7 +30,12 @@ from .pathbuild import build_path, certify_path
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
     doc = dict(config.stamp())
     doc.update(payload)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n")
+
+
+def _bound_or_null(value: float) -> float | None:
+    """An unbounded margin (nothing to certify) is written as JSON null."""
+    return value if math.isfinite(value) else None
 
 
 def _load_zeros(path: str) -> ZeroList:
@@ -150,8 +155,8 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
             "functional_sup": path.functional_sup,
             "certification": {
                 "ok": report.ok,
-                "eps_observed": report.eps_observed,
-                "eps_vertices": report.eps_vertices,
+                "eps_observed": _bound_or_null(report.eps_observed),
+                "eps_vertices": _bound_or_null(report.eps_vertices),
                 "failures": list(report.failures),
                 "checks": [
                     {

@@ -704,13 +704,13 @@ def _contour_integrals(atlas: HarmonicMeasureAtlas, z: complex, starts: Sequence
     for i, curve in enumerate(atlas.curves):
         order = np.roll(np.arange(curve.n_edges), -int(starts[i]))
         nu_edges = atlas.nu(i)[order]
-        starts = curve.edge_starts()[order]
+        edge_starts = curve.edge_starts()[order]
         d = (curve.edge_ends() - curve.edge_starts())[order]
         cum0 = np.concatenate([[0.0], np.cumsum(nu_edges)])[:-1]
         # t in (0, 1) along each edge; cumulative mass cum0 + t * nu_edge
         t = 0.5 * (_GL8_NODES + 1.0)
         wts = 0.5 * _GL8_WEIGHTS
-        xi = starts[:, None] + t[None, :] * d[:, None]
+        xi = edge_starts[:, None] + t[None, :] * d[:, None]
         nu_at = cum0[:, None] + t[None, :] * nu_edges[:, None]
         k1 = d[:, None] / (xi - z)
         k2 = np.conj(d)[:, None] / ((1.0 - np.conj(xi) * z) * np.conj(xi))

@@ -94,13 +94,21 @@ class PathStep:
     step_norm: float  # || b_{t_j} - b_{t_{j+1}} g_{j+1} || on the grid
 
     def g_interior(self, z: np.ndarray) -> np.ndarray:
-        """The outer factor g evaluated inside the disk: conj(gamma) exp(-2 G(z))
-        where G is the Hardy-space completion of conj(C(sigma))."""
+        """The outer factor g evaluated inside the disk, in closed form.
+
+        g = conj(gamma) exp(-2 G(w)), where
+        G(w) = sum_k [Log(1 - conj(a_k) w) - Log(1 - conj(b_k) w)] is the
+        Hardy-space completion of conj(C(sigma)).  The exponent is an integer
+        multiple of each Log, so the branch drops out and
+        g = conj(gamma) R^2 with R = prod_k (1 - conj(b_k) w) / (1 - conj(a_k) w),
+        a rational function with no log or exp.  ``correction.h`` keeps the FFT
+        route on the circle, the independent cross-check.
+        """
         w = np.asarray(z, dtype=np.complex128)
-        g_log = np.zeros(w.shape, dtype=np.complex128)
+        r = np.ones(w.shape, dtype=np.complex128)
         for a, b in self.pairs:
-            g_log += np.log(1.0 - a.conjugate() * w) - np.log(1.0 - b.conjugate() * w)
-        return np.conj(self.correction.report.gamma) * np.exp(-2.0 * g_log)
+            r *= (1.0 - b.conjugate() * w) / (1.0 - a.conjugate() * w)
+        return np.conj(self.correction.report.gamma) * r * r
 
 
 @dataclass
@@ -457,11 +465,17 @@ def certify_path(
     eps_vertices = math.inf
 
     if not path.steps:
-        # constant path: verify the single vertex against its own contours
+        # constant path: verify the single vertex against its own contours,
+        # the segment function with A = B at s = 0
         zeros = path.vertices[0].zeros_t
         centers = zeros.expanded_points()
         for gi, group in enumerate(neighborhood_contours(centers, 1.0, pts_per_circle)):
-            margin, count = _group_margin_count(lambda w: evaluate_grid(zeros, w), group, eta, max_pts_per_loop)
+            (result,) = _group_margin_count(
+                lambda w: evaluate_grid(zeros, w), None, group, (0.0,), eta, max_pts_per_loop
+            )
+            if isinstance(result, ContourThroughZeroError):
+                raise result
+            margin, count = result
             eps_observed = min(eps_observed, margin)
             eps_vertices = min(eps_vertices, margin)
             checks.append(SampleCheck(0, 0.0, gi, margin, count, group.expected_count))
@@ -469,79 +483,94 @@ def certify_path(
                 failures.append(f"vertex group {gi}: count {count} != {group.expected_count}")
         return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
 
-    s_values = np.linspace(0.0, 1.0, samples_per_segment)
+    s_values = [float(s) for s in np.linspace(0.0, 1.0, samples_per_segment)]
     for j, step in enumerate(path.steps):
         zeros_from = path.vertices[j].zeros_t
         zeros_to = path.vertices[j + 1].zeros_t
         centers = zeros_from.expanded_points()
         groups = neighborhood_contours(centers, 1.0, pts_per_circle)
 
-        def bracket(w: np.ndarray, s: float) -> np.ndarray:
-            base = evaluate_grid(zeros_from, w)
-            if s == 0.0:
-                return base
-            return base + s * (evaluate_grid(zeros_to, w) * step.g_interior(w) - base)
+        def base(w: np.ndarray) -> np.ndarray:
+            return evaluate_grid(zeros_from, w)
+
+        def target(w: np.ndarray) -> np.ndarray:
+            return evaluate_grid(zeros_to, w) * step.g_interior(w)
 
         for gi, group in enumerate(groups):
-            for s in s_values:
-                try:
-                    margin, count = _group_margin_count(
-                        lambda w: bracket(w, float(s)), group, eta, max_pts_per_loop
-                    )
-                except ContourThroughZeroError as exc:
-                    failures.append(f"segment {j}, s={float(s):.3f}, group {gi}: {exc}")
+            results = _group_margin_count(base, target, group, s_values, eta, max_pts_per_loop)
+            for s, result in zip(s_values, results):
+                if isinstance(result, ContourThroughZeroError):
+                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: {result}")
                     eps_observed = 0.0
                     continue
+                margin, count = result
                 eps_observed = min(eps_observed, margin)
                 if s == 0.0:
                     eps_vertices = min(eps_vertices, margin)
-                checks.append(SampleCheck(j, float(s), gi, margin, count, group.expected_count))
+                checks.append(SampleCheck(j, s, gi, margin, count, group.expected_count))
                 if margin <= 0.0:
-                    failures.append(f"segment {j}, s={float(s):.3f}, group {gi}: margin {margin:.3e} <= 0")
+                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: margin {margin:.3e} <= 0")
                 if count != group.expected_count:
-                    failures.append(
-                        f"segment {j}, s={float(s):.3f}, group {gi}: count {count} != {group.expected_count}"
-                    )
+                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: count {count} != {group.expected_count}")
     return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
 
 
 def _group_margin_count(
-    f: Callable[[np.ndarray], np.ndarray],
+    base: Callable[[np.ndarray], np.ndarray],
+    target: Callable[[np.ndarray], np.ndarray] | None,
     group: ContourGroup,
+    s_values: Sequence[float],
     eta: float,
     max_pts_per_loop: int,
-) -> tuple[float, int]:
-    """Min modulus over the group's loops plus the signed winding total.
+) -> list[tuple[float, int] | ContourThroughZeroError]:
+    """Min modulus over the group's loops plus the signed winding total, for
+    each segment function f_s = A + s (B - A), A = base(w), B = target(w).
 
-    Loops are refined adaptively: an edge is bisected while the relative jump
+    f_s is affine in s, so A and B are evaluated once per loop and every
+    s-sample is formed from them; s = 0 is A itself and never needs the
+    target (None is allowed when s_values is (0.0,)).  Each s refines the loop
+    on its own: an edge is bisected while the relative jump
     |f(p_{k+1}) - f(p_k)| / min(|f|) on it exceeds eta, which caps every phase
-    increment at arcsin(eta) and makes the winding sum unambiguous.
+    increment at arcsin(eta) and makes the winding sum unambiguous; A and B
+    are evaluated at the inserted midpoints only.  An s whose samples hit a
+    zero of f_s gets (0.0, 0); one that needs more than ``max_pts_per_loop``
+    points gets its ContourThroughZeroError instead.  Either ends that s's
+    scan of the remaining loops.
     """
-    margin = math.inf
-    total = 0
+    out: list[tuple[float, int] | ContourThroughZeroError] = [(math.inf, 0)] * len(s_values)
     for lp in group.loops:
-        pts = np.asarray(lp)
-        vals = f(pts)
-        while True:
-            mods = np.abs(vals)
-            if float(mods.min()) == 0.0:
-                return 0.0, 0
-            nxt = np.roll(vals, -1)
-            ratio = np.abs(nxt - vals) / np.minimum(mods, np.abs(nxt))
-            bad = np.nonzero(ratio > eta)[0]
-            if bad.size == 0:
-                break
-            if pts.size + bad.size > max_pts_per_loop:
-                raise ContourThroughZeroError(
-                    f"modulus {mods.min():.3e} needs more than {max_pts_per_loop} points "
-                    "for a safe winding count"
-                )
-            mids = 0.5 * (pts + np.roll(pts, -1))[bad]
-            pts = np.insert(pts, bad + 1, mids)
-            vals = f(pts)
-        margin = min(margin, float(np.abs(vals).min()))
-        total += winding_number(vals)
-    return margin, total
+        loop_pts = np.asarray(lp)
+        loop_a = base(loop_pts)
+        loop_b = None if all(s == 0.0 for s in s_values) else target(loop_pts)
+        for i, s in enumerate(s_values):
+            if isinstance(out[i], ContourThroughZeroError) or out[i][0] == 0.0:
+                continue
+            pts, a, b = loop_pts, loop_a, loop_b
+            while True:
+                vals = a if s == 0.0 else a + s * (b - a)
+                mods = np.abs(vals)
+                low = float(mods.min())
+                if low == 0.0:
+                    out[i] = (0.0, 0)
+                    break
+                nxt = np.roll(vals, -1)
+                ratio = np.abs(nxt - vals) / np.minimum(mods, np.abs(nxt))
+                bad = np.nonzero(ratio > eta)[0]
+                if bad.size == 0:
+                    out[i] = (min(out[i][0], low), out[i][1] + winding_number(vals))
+                    break
+                if pts.size + bad.size > max_pts_per_loop:
+                    out[i] = ContourThroughZeroError(
+                        f"modulus {low:.3e} needs more than {max_pts_per_loop} points "
+                        "for a safe winding count"
+                    )
+                    break
+                mids = 0.5 * (pts + np.roll(pts, -1))[bad]
+                pts = np.insert(pts, bad + 1, mids)
+                a = np.insert(a, bad + 1, base(mids))
+                if s != 0.0:
+                    b = np.insert(b, bad + 1, target(mids))
+    return out
 
 
 def homotopy_family_eval(

@@ -23,7 +23,7 @@ from blaschkelab.cauchy import (
 )
 from blaschkelab.errors import CardinalityError, IllConditionedBoundaryError
 from blaschkelab.fixtures import random_matched_pair, random_point, staged_measure
-from blaschkelab.gridfn import BoundaryGridFunction, harmonic_conjugate, l2_norm
+from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, l2_norm
 
 
 def segment_quadrature_oracle(z0: complex, z1: complex, theta: float) -> complex:
@@ -140,6 +140,49 @@ class TestCauchyOnCircle:
     def test_near_circle_rejected(self):
         with pytest.raises((IllConditionedBoundaryError, ValueError)):
             cauchy_on_circle(PathMeasure(((0.0j, 1.0 - 1e-9 + 0j),)), 16)
+
+
+class TestOneLogSegmentKernel:
+    """The grid kernel takes one Log of a ratio; the scalar closed form keeps
+    the difference of two principal Logs as the independent route."""
+
+    N = 512
+
+    def _segments(self):
+        rng = np.random.default_rng(12)
+        theta = 2 * math.pi * np.arange(self.N) / self.N
+        segs = []
+        for i in range(60):
+            r0, r1 = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, 2)
+            p0, p1 = 2 * math.pi * rng.random(2)
+            if i % 3 == 0:
+                p0 = theta[rng.integers(self.N)]  # endpoint straight below a node
+            z0, z1 = complex(r0 * np.exp(1j * p0)), complex(r1 * np.exp(1j * p1))
+            if i % 4 == 1:
+                z1 = -rng.uniform(0.1, 1.0) * z0  # segment through the origin
+            if i % 5 == 2:
+                z0 = 0j
+            segs.append((z0, z1))
+        return theta, segs
+
+    def test_matches_scalar_two_log_route(self):
+        # the two routes round 1 - z conj(w) differently, which the Log
+        # amplifies by 1/|1 - z conj(w)|; away from that, 1e-13 flat
+        theta, segs = self._segments()
+        nodes_conj = np.conj(circle_nodes(self.N))
+        for z0, z1 in segs:
+            grid = cauchy_on_circle(PathMeasure(((z0, z1),)), self.N).samples
+            scalar = np.array([cauchy_segment_closed_form(z0, z1, t) for t in theta])
+            cond = 1.0 / np.abs(1.0 - z0 * nodes_conj) + 1.0 / np.abs(1.0 - z1 * nodes_conj)
+            assert np.all(np.abs(grid - scalar) <= 1e-13 + 4.0 * np.finfo(float).eps * cond)
+
+    def test_matches_two_logs_on_the_same_nodes(self):
+        _, segs = self._segments()
+        nodes_conj = np.conj(circle_nodes(self.N))
+        for z0, z1 in segs:
+            grid = cauchy_on_circle(PathMeasure(((z0, z1),)), self.N).samples
+            two_logs = np.log(1.0 - z0 * nodes_conj) - np.log(1.0 - z1 * nodes_conj)
+            assert np.abs(grid - two_logs).max() <= 1e-13
 
 
 class TestGammaConstant:

@@ -88,6 +88,20 @@ class TestSubcommands:
         assert (tmp_path / "fixture_geometric.json").exists()
 
 
+    def test_path_without_zeros_writes_standard_json(self, tmp_path):
+        empty = _write(tmp_path / "empty.json", {"zeros": [], "lambda": {"re": 1.0, "im": 0.0}, "m": 0})
+        code = main(["--out", str(tmp_path), "--grid", "256", "path", "--zeros", empty, "--zeros-star", empty])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((tmp_path / "path.json").read_text(), parse_constant=reject)
+        assert doc["certification"]["ok"] is True
+        assert doc["certification"]["eps_observed"] is None
+        assert doc["certification"]["eps_vertices"] is None
+
+
 class TestExitCodes:
     def test_match_size_mismatch_is_input_error(self, tmp_path, zeros_file):
         two = _write(

@@ -1,6 +1,7 @@
 """Tests for level sets, harmonic measure, representatives and the contour log."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from blaschkelab.blaschke import ZeroList, evaluate_grid
 from blaschkelab.carleson import DiscreteMeasure, box_carleson_norm, suggested_box_depth
 from blaschkelab.contours import (
     HarmonicMeasureAtlas,
+    _contour_integrals,
     JordanCurveApprox,
     arclength_carleson_norm,
     build_atlas,
@@ -238,6 +240,26 @@ class TestLogQuotient:
         l0 = log_quotient_via_contour(u, b, atlas, z)
         l1 = log_quotient_via_contour(u, b, atlas, z, start_vertices=[300])
         assert abs(np.exp(l0) - np.exp(l1)) < 1e-8
+
+    def test_two_curve_atlas_uses_documented_starts(self):
+        # the second curve encloses the origin, so its start vertex moves the
+        # raw contour integral; each curve must start where it was told to
+        u = ZeroList.from_points([0.5, 0.1])
+        b = ZeroList.from_points([0.55, -0.05j])
+        curves = [
+            JordanCurveApprox.circle(0.5, 0.2, n=256, component_id=0),
+            JordanCurveApprox.circle(0.0, 0.3, n=256, component_id=1),
+        ]
+        atlas = build_atlas(u, b, curves, method="exact")
+        z, starts = 0.2 + 0.6j, (5, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            both = _contour_integrals(atlas, z, starts)
+        one_by_one = sum(
+            _contour_integrals(HarmonicMeasureAtlas((c,), (atlas.nu_u[i],), (atlas.nu_b[i],)), z, (s,))
+            for i, (c, s) in enumerate(zip(curves, starts))
+        )
+        assert abs(both - one_by_one) < 1e-14
 
     def test_interior_point_rejected(self):
         u = ZeroList(m=1)

@@ -1,14 +1,17 @@
 """Tests for partition choice, path construction and winding certification."""
 
+import math
+
 import numpy as np
 import pytest
 
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
 from blaschkelab.cauchy import PathMeasure, cauchy_on_circle
+from blaschkelab.config import DEFAULT_TOLERANCES
 from blaschkelab.errors import BranchError, ContourThroughZeroError
-from blaschkelab.fixtures import adversarial_pair, random_matched_pair
+from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
 from blaschkelab.geometry import hyper_distance, rho_from_beta
-from blaschkelab.gridfn import BoundaryGridFunction, harmonic_conjugate
+from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 from blaschkelab.matching import bottleneck_match
 from blaschkelab.pathbuild import (
     build_path,
@@ -213,6 +216,121 @@ class TestBuildPath:
         report = certify_path(path)
         assert not report.ok
         assert any("count" in f or "margin" in f or "modulus" in f for f in report.failures)
+
+
+def _log_exp_g(step, w):
+    """The outer factor by the log/exp route, conj(gamma) exp(-2 G(w))."""
+    g_log = np.zeros(w.shape, dtype=np.complex128)
+    for a, b in step.pairs:
+        g_log += np.log(1.0 - a.conjugate() * w) - np.log(1.0 - b.conjugate() * w)
+    return np.conj(step.correction.report.gamma) * np.exp(-2.0 * g_log)
+
+
+def _seeded_paths(count, alpha=0.5, n_grid=1024):
+    for seed in range(count):
+        rng = np.random.default_rng(100 + seed)
+        za, zb = random_matched_pair(rng, int(rng.integers(1, 8)), 0.5, 0.9)
+        pairing = bottleneck_match(za, zb)
+        pts = zb.expanded_points()
+        yield build_path(za, ZeroList.from_points([pts[j] for j in pairing.permutation]), alpha=alpha, n_grid=n_grid)
+
+
+def _reference_certify(path, eta=0.5, samples_per_segment=5, pts_per_circle=256, max_pts_per_loop=1 << 16):
+    """Certification by the first route: every s refines its own copy of each
+    loop and re-evaluates f on the whole loop after each bisection, with g by
+    the log/exp formula.  Returns the report's fields."""
+
+    def margin_count(f, group):
+        margin, total = math.inf, 0
+        for lp in group.loops:
+            pts = np.asarray(lp)
+            vals = f(pts)
+            while True:
+                mods = np.abs(vals)
+                if float(mods.min()) == 0.0:
+                    return 0.0, 0
+                nxt = np.roll(vals, -1)
+                bad = np.nonzero(np.abs(nxt - vals) / np.minimum(mods, np.abs(nxt)) > eta)[0]
+                if bad.size == 0:
+                    break
+                if pts.size + bad.size > max_pts_per_loop:
+                    raise ContourThroughZeroError(
+                        f"modulus {mods.min():.3e} needs more than {max_pts_per_loop} points "
+                        "for a safe winding count"
+                    )
+                pts = np.insert(pts, bad + 1, 0.5 * (pts + np.roll(pts, -1))[bad])
+                vals = f(pts)
+            margin = min(margin, float(np.abs(vals).min()))
+            total += winding_number(vals)
+        return margin, total
+
+    checks, failures = [], []
+    eps_observed = eps_vertices = math.inf
+    for j, step in enumerate(path.steps):
+        zeros_from, zeros_to = path.vertices[j].zeros_t, path.vertices[j + 1].zeros_t
+        groups = neighborhood_contours(zeros_from.expanded_points(), 1.0, pts_per_circle)
+
+        def bracket(w, s):
+            base = evaluate_grid(zeros_from, w)
+            if s == 0.0:
+                return base
+            return base + s * (evaluate_grid(zeros_to, w) * _log_exp_g(step, w) - base)
+
+        for gi, group in enumerate(groups):
+            for s in np.linspace(0.0, 1.0, samples_per_segment):
+                s = float(s)
+                try:
+                    margin, count = margin_count(lambda w: bracket(w, s), group)
+                except ContourThroughZeroError as exc:
+                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: {exc}")
+                    eps_observed = 0.0
+                    continue
+                eps_observed = min(eps_observed, margin)
+                if s == 0.0:
+                    eps_vertices = min(eps_vertices, margin)
+                checks.append((j, s, gi, margin, count, group.expected_count))
+                if margin <= 0.0:
+                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: margin {margin:.3e} <= 0")
+                if count != group.expected_count:
+                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: count {count} != {group.expected_count}")
+    return not failures, tuple(failures), eps_observed, eps_vertices, checks
+
+
+class TestClosedFormKernels:
+    def test_g_interior_matches_log_exp_inside(self):
+        rng = np.random.default_rng(7)
+        w = np.array([random_point(rng, 0.999) for _ in range(400)])
+        for path in _seeded_paths(5):
+            for step in path.steps:
+                ref = _log_exp_g(step, w)
+                assert np.max(np.abs(step.g_interior(w) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_g_interior_matches_fft_route_on_circle(self):
+        for path in _seeded_paths(5):
+            nodes = circle_nodes(path.grid_size)
+            for step in path.steps:
+                err = np.abs(step.g_interior(nodes) - step.correction.h.samples).max()
+                assert err <= DEFAULT_TOLERANCES["outer_exactness"]
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"eta": 0.3, "pts_per_circle": 16}, {"eta": 0.3, "pts_per_circle": 16, "max_pts_per_loop": 40}],
+        ids=["default", "bisecting", "point-cap"],
+    )
+    def test_certification_matches_reference_route(self, settings):
+        za, zs = adversarial_pair(3.0)
+        paths = list(_seeded_paths(5, alpha=0.25)) + [build_path(za, zs, alpha=3.5, n_grid=512)]
+        for path in paths:
+            got = certify_path(path, **settings)
+            ok, failures, eps_observed, eps_vertices, checks = _reference_certify(path, **settings)
+            assert (got.ok, got.failures) == (ok, failures)
+            assert len(got.checks) == len(checks)
+            for c, ref in zip(got.checks, checks):
+                assert (c.segment, c.s, c.group, c.count, c.expected) == ref[:3] + ref[4:]
+                assert c.margin == pytest.approx(ref[3], rel=1e-12)
+            assert got.eps_observed == pytest.approx(eps_observed, rel=1e-12)
+            assert got.eps_vertices == pytest.approx(eps_vertices, rel=1e-12)
+        assert not got.ok  # the adversarial step still fails
 
 
 class TestHomotopyFamily:
