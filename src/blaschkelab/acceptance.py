@@ -144,20 +144,28 @@ def check_jensen_counts(config: RunConfig) -> CheckResult:
     )
 
 
-def check_path_certification(config: RunConfig) -> CheckResult:
-    """Random paths certify; the one-giant-step fixture must not."""
-    fid_tol = config.tolerances["endpoint_fidelity"]
+def path_certification_instances(config: RunConfig) -> list[tuple[ZeroList, ZeroList]]:
+    """The 20 matched pairs of the path criterion, the target reordered by
+    the bottleneck matching."""
     rng = np.random.default_rng((config.seed, 4))
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    worst_fid = 0.0
-    grid = min(config.grid_size, 2048)
-    for i in range(20):
+    out = []
+    for _ in range(20):
         n = int(rng.integers(1, 11))
         za, zb = random_matched_pair(rng, n, beta_max=0.5, r_max=0.9)
         pairing = bottleneck_match(za, zb)
         pts_b = zb.expanded_points()
-        zb_ord = ZeroList.from_points([pts_b[j] for j in pairing.permutation])
+        out.append((za, ZeroList.from_points([pts_b[j] for j in pairing.permutation])))
+    return out
+
+
+def check_path_certification(config: RunConfig) -> CheckResult:
+    """Random paths certify; the one-giant-step fixture must not."""
+    fid_tol = config.tolerances["endpoint_fidelity"]
+    t0 = time.perf_counter()
+    failures: list[str] = []
+    worst_fid = 0.0
+    grid = min(config.grid_size, 2048)
+    for i, (za, zb_ord) in enumerate(path_certification_instances(config)):
         try:
             path = build_path(za, zb_ord, n_grid=grid)
         except Exception as exc:  # noqa: BLE001 - any failure fails the gate

@@ -2,7 +2,9 @@
 
 Every subcommand reads JSON inputs, writes JSON/CSV outputs stamped with the
 config hash, and returns exit code 0 (all checks passed), 1 (a verification
-failed; details in the report) or 2 (input or configuration error).
+failed; details in the report, or in ``error.json`` when the computation
+stopped before it could verify its result) or 2 (input or configuration
+error).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .carleson import alpha_b, box_carleson_norm, interpolation_constant, mu_b, 
 from .cauchy import outer_correction, verify_intwin
 from .config import RunConfig
 from .contours import arclength_carleson_norm, level_set_components, split_zeros_by_contour
+from .errors import VerificationError
 from .fixtures import adversarial_pair, geometric_zeros, staged_measure
 from .geometry import hyper_distance, pseudo_distance
 from .matching import bottleneck_match, pairing_diagnostics
@@ -40,7 +43,11 @@ def _bound_or_null(value: float) -> float | None:
 
 def _load_zeros(path: str) -> ZeroList:
     with open(path) as fh:
-        return ZeroList.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return ZeroList.from_json(data)
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"{path} is not a zero list ({type(exc).__name__}: {exc})") from exc
 
 
 def _cmd_eval(args, config: RunConfig, out: Path) -> int:
@@ -322,7 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, config, out)
+        try:
+            return args.func(args, config, out)
+        except VerificationError as exc:
+            _write_json(out / "error.json", config, {"error": exc.to_json()})
+            print(f"verification failed: {exc} -> {out / 'error.json'}", file=sys.stderr)
+            return 1
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

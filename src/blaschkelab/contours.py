@@ -429,18 +429,29 @@ def harmonic_measure_paired(
         fused = np.zeros(m, dtype=bool)
         near_u = np.zeros(m, dtype=np.int64)
         near_b = np.zeros(m, dtype=np.int64)
+        live = np.arange(m)  # chunk positions of the pairs held in the arrays
         for _ in range(max_steps):
-            if not (np.any(alive_u) or np.any(alive_b)):
+            keep = alive_u | alive_b
+            if not keep.any():
                 break
-            dirs = np.exp(2j * math.pi * rng.random(m))
+            # drop finished pairs once they are half the arrays: each step then
+            # costs at most twice its live pairs, and the copies stay a
+            # geometric series (compacting on every step measured about 2 MB more
+            # peak RSS on the contour-log benchmark)
+            if 2 * np.count_nonzero(keep) <= keep.size:
+                live, pos_u, pos_b, alive_u, alive_b, fused, near_u, near_b = (
+                    x[keep] for x in (live, pos_u, pos_b, alive_u, alive_b, fused, near_u, near_b)
+                )
+            # a full draw per step keeps the stream of the uncompacted walk
+            dirs = np.exp(2j * math.pi * rng.random(m)[live])
             # reflection axis from pre-step positions only, else the axis
             # correlates with the direction and biases the marginal
             sep = pos_u - pos_b
             abs_sep = np.abs(sep)
             d_hat = np.where(abs_sep > 0, sep, 1.0) / np.where(abs_sep > 0, abs_sep, 1.0)
 
-            dist_u = np.full(m, np.inf)
-            dist_b = np.full(m, np.inf)
+            dist_u = np.full(live.size, np.inf)
+            dist_b = np.full(live.size, np.inf)
             iu = np.nonzero(alive_u)[0]
             if iu.size:
                 dist_u[iu], ne = _distance_to_curve(pos_u[iu], curve)

@@ -22,6 +22,9 @@ from .geometry import as_complex
 from .gridfn import BoundaryGridFunction, harmonic_conjugate, winding_number
 
 _PARTITION_CAP = 1 << 20
+# contour sampling of the certification, shared by build_path's start margin
+_PTS_PER_CIRCLE = 256
+_MAX_PTS_PER_LOOP = 1 << 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -148,6 +151,19 @@ def build_path(
     with the k-th expanded point of z_star.  With alpha=None the step size is
     halved until certification succeeds and every step norm is below half the
     observed margin constant.
+
+    A round that provably fails that rule is dropped before it is finished
+    or certified.  Let m0 be the start vertex's margin: the minimum over the
+    groups of its neighborhood contours of min |b_{t_0}| (0 when a group hits
+    a zero or cannot be resolved), computed exactly as ``certify_path``
+    computes segment 0 at s = 0.  Segment 0 at s = 0 is one of the samples
+    behind both eps_vertices and eps_observed, so
+    eps_observed <= eps_vertices <= m0, and acceptance needs
+    step_norm < eps_observed / 2 for every step.  A step with
+    step_norm >= m0 / 2 therefore rejects the round, and the round stops at
+    the first such step.  Vertex 0 is the same in every round, so m0 is
+    computed once; the halving sequence, and the path returned, are those of
+    building and certifying every round in full.
     """
     pts_a = z.expanded_points()
     pts_b = z_star.expanded_points()
@@ -162,33 +178,60 @@ def build_path(
     if alpha is not None:
         return _build_once(pairs, alpha, n_grid, functional_tol)
 
+    start = ZeroList.from_points(interpolate_points(pairs, 0.0))
+    m0 = min(
+        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, r in _vertex_margins(start, eta)),
+        default=math.inf,
+    )
+    alphas: list[float] = []
+    last_failures: tuple[str, ...] = ()
     alpha_cur = 0.5
     for _ in range(max_refinements + 1):
-        path = _build_once(pairs, alpha_cur, n_grid, functional_tol)
-        report = certify_path(path, eta=eta, samples_per_segment=samples_per_segment)
-        eps = report.eps_observed
-        if report.ok and all(s.step_norm < eps / 2.0 for s in path.steps):
-            path.certification = report
-            return path
+        alphas.append(alpha_cur)
+        built = _build_once(pairs, alpha_cur, n_grid, functional_tol, start_margin=m0)
+        if isinstance(built, str):
+            last_failures = (built,)
+        else:
+            report = certify_path(built, eta=eta, samples_per_segment=samples_per_segment)
+            eps = report.eps_observed
+            if report.ok and all(s.step_norm < eps / 2.0 for s in built.steps):
+                built.certification = report
+                return built
+            last_failures = report.failures + tuple(
+                f"step {j}: norm {s.step_norm:.3e} >= eps_observed/2 = {eps / 2.0:.3e}"
+                for j, s in enumerate(built.steps)
+                if not s.step_norm < eps / 2.0
+            )
         alpha_cur /= 2.0
     raise RefinementExhaustedError(
-        f"step norms did not drop below half the observed margin within {max_refinements} halvings"
+        f"step norms did not drop below half the observed margin within {max_refinements} halvings",
+        alphas=tuple(alphas),
+        last_failures=last_failures,
     )
 
 
 def _build_once(
-    pairs: list[tuple[complex, complex]], alpha: float, n_grid: int, functional_tol: float
-) -> PolygonalPath:
+    pairs: list[tuple[complex, complex]],
+    alpha: float,
+    n_grid: int,
+    functional_tol: float,
+    start_margin: float = math.inf,
+) -> PolygonalPath | str:
+    """One round at step size alpha.  Returns, instead of the path, the reason
+    the round is rejected once a step norm reaches ``start_margin / 2`` (the
+    bound in ``build_path``); the default bound never rejects."""
     ts = choose_partition(pairs, alpha)
     outer_log = np.zeros(n_grid, dtype=np.complex128)
     v_sum = np.zeros(n_grid)
     vertices = [PathVertex(ZeroList.from_points(interpolate_points(pairs, 0.0)), BoundaryGridFunction(outer_log), 0.0)]
     steps: list[PathStep] = []
-    for t0, t1 in zip(ts, ts[1:]):
+    for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
         from_pts = interpolate_points(pairs, t0)
         to_pts = interpolate_points(pairs, t1)
         step_pairs = tuple(zip(from_pts, to_pts))
         oc = outer_correction(step_pairs, n_grid)
+        if oc.report.closeness >= start_margin / 2.0:
+            return f"step {j} of {len(ts) - 1}: norm {oc.report.closeness:.3e} >= m0/2 = {start_margin / 2.0:.3e}"
         outer_log = outer_log + oc.log_h()
         v_sum = v_sum + oc.v.samples
         vertices.append(PathVertex(ZeroList.from_points(to_pts), BoundaryGridFunction(outer_log), t1))
@@ -345,7 +388,7 @@ class ContourGroup:
 
 
 def neighborhood_contours(
-    centers: Sequence[complex], beta_radius: float = 1.0, pts_per_circle: int = 256
+    centers: Sequence[complex], beta_radius: float = 1.0, pts_per_circle: int = _PTS_PER_CIRCLE
 ) -> list[ContourGroup]:
     """Boundary loops of {beta(z, centers) <= beta_radius}, grouped by component."""
     disks = [hyperbolic_circle_euclid(as_complex(c), beta_radius) for c in centers]
@@ -441,8 +484,8 @@ def certify_path(
     path: PolygonalPath,
     eta: float = 0.5,
     samples_per_segment: int = 5,
-    pts_per_circle: int = 256,
-    max_pts_per_loop: int = 1 << 16,
+    pts_per_circle: int = _PTS_PER_CIRCLE,
+    max_pts_per_loop: int = _MAX_PTS_PER_LOOP,
 ) -> CertificationReport:
     """Certify every segment of the path by margins and winding counts.
 
@@ -467,12 +510,8 @@ def certify_path(
     if not path.steps:
         # constant path: verify the single vertex against its own contours,
         # the segment function with A = B at s = 0
-        zeros = path.vertices[0].zeros_t
-        centers = zeros.expanded_points()
-        for gi, group in enumerate(neighborhood_contours(centers, 1.0, pts_per_circle)):
-            (result,) = _group_margin_count(
-                lambda w: evaluate_grid(zeros, w), None, group, (0.0,), eta, max_pts_per_loop
-            )
+        vertex_margins = _vertex_margins(path.vertices[0].zeros_t, eta, pts_per_circle, max_pts_per_loop)
+        for gi, (group, result) in enumerate(vertex_margins):
             if isinstance(result, ContourThroughZeroError):
                 raise result
             margin, count = result
@@ -513,6 +552,22 @@ def certify_path(
                 if count != group.expected_count:
                     failures.append(f"segment {j}, s={s:.3f}, group {gi}: count {count} != {group.expected_count}")
     return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
+
+
+def _vertex_margins(
+    zeros: ZeroList,
+    eta: float,
+    pts_per_circle: int = _PTS_PER_CIRCLE,
+    max_pts_per_loop: int = _MAX_PTS_PER_LOOP,
+) -> list[tuple[ContourGroup, tuple[float, int] | ContourThroughZeroError]]:
+    """Each group of the neighborhood contours of Z(b), with the margin and
+    winding count of b itself on it: the segment function at s = 0, computed
+    exactly as ``certify_path`` computes it for a segment starting at b."""
+    groups = neighborhood_contours(zeros.expanded_points(), 1.0, pts_per_circle)
+    return [
+        (group, _group_margin_count(lambda w: evaluate_grid(zeros, w), None, group, (0.0,), eta, max_pts_per_loop)[0])
+        for group in groups
+    ]
 
 
 def _group_margin_count(

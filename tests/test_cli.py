@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from blaschkelab import cli
 from blaschkelab.cli import main
 
 
@@ -132,6 +133,41 @@ class TestExitCodes:
         report = json.loads((tmp_path / "path.json").read_text())
         assert report["certification"]["ok"] is False
         assert report["certification"]["failures"]
+
+    def test_unresolved_level_set_writes_error_report(self, tmp_path, zeros_file):
+        code = main(["--out", str(tmp_path), "contour", "--zeros", zeros_file, "--level", "0.01", "--resolution", "8"])
+        assert code == 1
+        doc = json.loads((tmp_path / "error.json").read_text())
+        assert doc["error"]["type"] == "AmbiguousTopologyError"
+        assert "config_hash" in doc
+
+    def test_unpartitionable_path_writes_error_report(self, tmp_path, zeros_file):
+        edge = _write(
+            tmp_path / "edge.json",
+            {"zeros": [{"re": 0.9999999, "im": 0.0, "mult": 1}], "lambda": {"re": 1.0, "im": 0.0}, "m": 0},
+        )
+        code = main(["--out", str(tmp_path), "--grid", "256", "path", "--zeros", zeros_file, "--zeros-star", edge])
+        assert code == 1
+        doc = json.loads((tmp_path / "error.json").read_text())
+        assert doc["error"]["type"] == "RefinementExhaustedError"
+        assert "no partition" in doc["error"]["message"]
+
+    def test_halving_exhaustion_reports_alphas(self, tmp_path, monkeypatch, zeros_file):
+        real = cli.build_path
+        monkeypatch.setattr(cli, "build_path", lambda *args, **kwargs: real(*args, max_refinements=1, **kwargs))
+        far = _write(
+            tmp_path / "far.json",
+            {"zeros": [{"re": -0.6, "im": 0.0, "mult": 1}], "lambda": {"re": 1.0, "im": 0.0}, "m": 0},
+        )
+        code = main(["--out", str(tmp_path), "--grid", "256", "path", "--zeros", zeros_file, "--zeros-star", far])
+        assert code == 1
+        error = json.loads((tmp_path / "error.json").read_text())["error"]
+        assert error["alphas"] == [0.5, 0.25]
+        assert len(error["last_failures"]) == 1 and "m0/2" in error["last_failures"][0]
+
+    def test_zero_list_of_wrong_shape_is_input_error(self, tmp_path):
+        bare = _write(tmp_path / "bare.json", [{"re": 0.3, "im": 0.0, "mult": 1}])
+        assert main(["--out", str(tmp_path), "eval", "--zeros", bare]) == 2
 
 
 class TestDeterminism:

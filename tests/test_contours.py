@@ -11,6 +11,7 @@ from blaschkelab.carleson import DiscreteMeasure, box_carleson_norm, suggested_b
 from blaschkelab.contours import (
     HarmonicMeasureAtlas,
     _contour_integrals,
+    _distance_to_curve,
     JordanCurveApprox,
     arclength_carleson_norm,
     build_atlas,
@@ -23,7 +24,7 @@ from blaschkelab.contours import (
     trossos_check,
 )
 from blaschkelab.errors import AtlasInconsistencyError, HypothesisViolationError
-from blaschkelab.geometry import hyper_distance
+from blaschkelab.geometry import hyper_distance, interior_value
 
 
 class TestLevelSets:
@@ -329,3 +330,110 @@ class TestArcMassDiagnostic:
         circ = JordanCurveApprox.circle(0.0, 0.4, n=128)
         atlas = build_atlas(u, u, [circ], method="exact")
         assert atlas.max_arc_mass(0) < 1e-12
+
+
+def _reference_paired(z_u, z_b, curve, n_samples, rng, absorb=1e-4, max_steps=10_000, fuse_rel=1e-5):
+    """The paired walk by the first route: every step runs over the whole
+    chunk, dead pairs included."""
+    zu = interior_value(z_u)
+    zb = interior_value(z_b)
+    masses_u = np.zeros(curve.n_edges)
+    masses_b = np.zeros(curve.n_edges)
+    chunk = 20_000
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        pos_u = np.full(m, zu, dtype=np.complex128)
+        pos_b = np.full(m, zb, dtype=np.complex128)
+        alive_u = np.ones(m, dtype=bool)
+        alive_b = np.ones(m, dtype=bool)
+        fused = np.zeros(m, dtype=bool)
+        near_u = np.zeros(m, dtype=np.int64)
+        near_b = np.zeros(m, dtype=np.int64)
+        for _ in range(max_steps):
+            if not (np.any(alive_u) or np.any(alive_b)):
+                break
+            dirs = np.exp(2j * math.pi * rng.random(m))
+            # reflection axis from pre-step positions only, else the axis
+            # correlates with the direction and biases the marginal
+            sep = pos_u - pos_b
+            abs_sep = np.abs(sep)
+            d_hat = np.where(abs_sep > 0, sep, 1.0) / np.where(abs_sep > 0, abs_sep, 1.0)
+
+            dist_u = np.full(m, np.inf)
+            dist_b = np.full(m, np.inf)
+            iu = np.nonzero(alive_u)[0]
+            if iu.size:
+                dist_u[iu], ne = _distance_to_curve(pos_u[iu], curve)
+                near_u[iu] = ne
+            ib = np.nonzero(alive_b & ~fused)[0]
+            if ib.size:
+                dist_b[ib], ne = _distance_to_curve(pos_b[ib], curve)
+                near_b[ib] = ne
+
+            hit_u = alive_u & (dist_u < absorb)
+            if np.any(hit_u):
+                np.add.at(masses_u, near_u[hit_u], 1.0)
+                partner = hit_u & fused & alive_b
+                if np.any(partner):
+                    np.add.at(masses_b, near_u[partner], 1.0)
+                    alive_b[partner] = False
+                alive_u[hit_u] = False
+            hit_b = alive_b & ~fused & (dist_b < absorb)
+            if np.any(hit_b):
+                np.add.at(masses_b, near_b[hit_b], 1.0)
+                alive_b[hit_b] = False
+
+            both = alive_u & alive_b & ~fused
+            u_solo = alive_u & ~both
+            b_solo = alive_b & ~fused & ~both
+            if np.any(both):
+                r = 0.5 * np.minimum(np.minimum(dist_u, dist_b), np.maximum(abs_sep, absorb))
+                refl = dirs - 2.0 * (dirs * np.conj(d_hat)).real * d_hat
+                pos_u[both] = pos_u[both] + r[both] * dirs[both]
+                pos_b[both] = pos_b[both] + r[both] * refl[both]
+                gap = np.abs(pos_u - pos_b)
+                just = both & (gap <= fuse_rel * np.minimum(dist_u, dist_b))
+                if np.any(just):
+                    fused[just] = True
+                    pos_b[just] = pos_u[just]
+            if np.any(u_solo):
+                pos_u[u_solo] = pos_u[u_solo] + 0.5 * dist_u[u_solo] * dirs[u_solo]
+            if np.any(b_solo):
+                pos_b[b_solo] = pos_b[b_solo] + 0.5 * dist_b[b_solo] * dirs[b_solo]
+            live_fused = alive_u & fused
+            if np.any(live_fused):
+                pos_b[live_fused] = pos_u[live_fused]
+        # stragglers at the step cap settle at their nearest edge
+        for alive, near, masses in (
+            (alive_u, near_u, masses_u),
+            (alive_b & ~fused, near_b, masses_b),
+            (alive_b & fused, near_u, masses_b),
+        ):
+            stuck = np.nonzero(alive)[0]
+            if stuck.size:
+                np.add.at(masses, near[stuck], 1.0)
+        done += m
+    return masses_u / n_samples, masses_b / n_samples
+
+
+
+_THETA_24 = 2.0 * math.pi * np.arange(24) / 24
+
+
+class TestPairedWalkCompaction:
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            JordanCurveApprox.circle(0.0, 0.4, n=64),
+            # a non-convex trefoil polyline, distances by the edge route
+            JordanCurveApprox(0.05 + 0.4 * (1.0 + 0.3 * np.cos(3.0 * _THETA_24)) * np.exp(1j * _THETA_24)),
+        ],
+        ids=["disk", "polyline"],
+    )
+    def test_masses_equal_the_uncompacted_walk(self, curve):
+        for seed in (3, 4):
+            got = harmonic_measure_paired(0.0, 0.1, curve, n_samples=3000, rng=np.random.default_rng(seed))
+            ref = _reference_paired(0.0, 0.1, curve, 3000, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])

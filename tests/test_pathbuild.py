@@ -1,14 +1,17 @@
 """Tests for partition choice, path construction and winding certification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from blaschkelab import pathbuild
+from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
 from blaschkelab.cauchy import PathMeasure, cauchy_on_circle
-from blaschkelab.config import DEFAULT_TOLERANCES
-from blaschkelab.errors import BranchError, ContourThroughZeroError
+from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
+from blaschkelab.errors import BranchError, ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
 from blaschkelab.geometry import hyper_distance, rho_from_beta
 from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
@@ -364,3 +367,88 @@ class TestHomotopyFamily:
         wrong = BoundaryGridFunction(target.samples * np.exp(0.1))
         with pytest.raises(BranchError):
             homotopy_family_eval(u0, log_ratio, 0.5, wrong)
+
+
+def _reference_build(z, z_star, n_grid, eta=0.5, samples_per_segment=5, max_refinements=12, rounds=None):
+    """Auto-refinement by the first route: every round is built in full and
+    certified before the step-norm rule is applied.  Each round's path is
+    appended to ``rounds`` when a list is given."""
+    alpha = 0.5
+    for _ in range(max_refinements + 1):
+        path = build_path(z, z_star, alpha=alpha, n_grid=n_grid)
+        if rounds is not None:
+            rounds.append(path)
+        report = certify_path(path, eta=eta, samples_per_segment=samples_per_segment)
+        if report.ok and all(s.step_norm < report.eps_observed / 2.0 for s in path.steps):
+            path.certification = report
+            return path
+        alpha /= 2.0
+    raise RefinementExhaustedError("reference refinement exhausted")
+
+
+def _auto_instances():
+    """The criterion-5 instances at its grid, then five seeded ones."""
+    for za, zb in path_certification_instances(RunConfig()):
+        yield za, zb, 2048
+    for seed in range(5):
+        rng = np.random.default_rng(200 + seed)
+        za, zb = random_matched_pair(rng, int(rng.integers(1, 8)), 0.5, 0.9)
+        pts = zb.expanded_points()
+        yield za, ZeroList.from_points([pts[j] for j in bottleneck_match(za, zb).permutation]), 1024
+
+
+class TestStartMarginBound:
+    def test_auto_refine_matches_reference_route(self, monkeypatch):
+        margins = []
+        real_build_once = pathbuild._build_once
+
+        def spy(*args, **kwargs):
+            margins.append(kwargs.get("start_margin"))
+            return real_build_once(*args, **kwargs)
+
+        monkeypatch.setattr(pathbuild, "_build_once", spy)
+        for za, zb, grid in _auto_instances():
+            ref = _reference_build(za, zb, grid)  # raising here fails the test
+            margins.clear()
+            got = build_path(za, zb, n_grid=grid)
+            assert len(got.vertices) == len(ref.vertices)
+            for v, w in zip(got.vertices, ref.vertices):
+                assert (v.t, v.zeros_t) == (w.t, w.zeros_t)
+                np.testing.assert_array_equal(v.outer_log.samples, w.outer_log.samples)
+            assert [s.step_norm for s in got.steps] == [s.step_norm for s in ref.steps]
+            assert got.functional_sup == ref.functional_sup
+            assert got.certification == ref.certification
+            # the bound is the reference's start-vertex margin, to the bit
+            start = [c.margin for c in ref.certification.checks if c.segment == 0 and c.s == 0.0]
+            assert set(margins) == {min(start)}
+
+    def test_certifies_only_rounds_the_bound_cannot_reject(self, monkeypatch):
+        calls = []
+        real_certify = pathbuild.certify_path
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_certify(*args, **kwargs)
+
+        monkeypatch.setattr(pathbuild, "certify_path", counting)
+        single = (ZeroList.from_points([0.3]), ZeroList.from_points([-0.6]), 256)
+        n_rounds = n_certified = 0
+        for za, zb, grid in list(_auto_instances())[20:] + [single]:
+            rounds = []
+            ref = _reference_build(za, zb, grid, rounds=rounds)
+            m0 = min(c.margin for c in ref.certification.checks if c.segment == 0 and c.s == 0.0)
+            calls.clear()
+            build_path(za, zb, n_grid=grid)
+            assert len(calls) == sum(all(s.step_norm < m0 / 2.0 for s in r.steps) for r in rounds)
+            n_rounds += len(rounds)
+            n_certified += len(calls)
+        assert (len(rounds), len(calls)) == (3, 1)  # 0.3 -> -0.6: one certification for three rounds
+        assert n_certified < n_rounds
+
+    def test_exhaustion_reports_alphas_and_last_failures(self):
+        za, zb = ZeroList.from_points([0.3]), ZeroList.from_points([-0.6])
+        with pytest.raises(RefinementExhaustedError, match="within 1 halvings") as info:
+            build_path(za, zb, n_grid=256, max_refinements=1)
+        assert info.value.alphas == (0.5, 0.25)
+        (reason,) = info.value.last_failures
+        assert re.fullmatch(r"step \d+ of 16: norm \S+ >= m0/2 = \S+", reason)
