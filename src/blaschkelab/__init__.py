@@ -55,7 +55,6 @@ from .pathbuild import (
     build_path,
     certify_path,
     choose_partition,
-    homotopy_family_eval,
     interpolate_zeros,
     rouche_zero_count,
 )

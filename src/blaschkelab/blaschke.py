@@ -116,24 +116,14 @@ class SingularShiftSpec:
 def evaluate(b: ZeroList, z) -> complex:
     """Value of the product at an interior point; exact 0 within 1e-14 of a zero."""
     w = interior_value(z)
-    for zn, _ in b.zeros:
-        if abs(w - zn) <= ZERO_HIT:
-            return 0.0j
-    if b.m > 0 and abs(w) <= ZERO_HIT:
+    if any(abs(w - zn) <= ZERO_HIT for zn, _ in b.zeros) or (b.m > 0 and abs(w) <= ZERO_HIT):
         return 0.0j
-    return _evaluate_unchecked(b, w)
+    return complex(evaluate_grid(b, w))
 
 
 def _factor(zn: complex, w):
     """One normalized factor (conj(z_n)/|z_n|) (z_n - w)/(1 - conj(z_n) w)."""
     return (zn.conjugate() / abs(zn)) * (zn - w) / (1.0 - zn.conjugate() * w)
-
-
-def _evaluate_unchecked(b: ZeroList, w: complex) -> complex:
-    out = b.lam * w**b.m
-    for zn, k in b.zeros:
-        out *= _factor(zn, w) ** k
-    return out
 
 
 def evaluate_grid(b: ZeroList, points: np.ndarray) -> np.ndarray:
@@ -163,64 +153,34 @@ def eval_boundary(b: ZeroList, grid_size: int) -> BoundaryGridFunction:
 
 
 def derivative(b: ZeroList, z) -> complex:
-    """Exact derivative of the finite product (product rule at the zeros)."""
-    w = interior_value(z)
-    facs: list[tuple[complex, complex, int]] = []
-    if b.m > 0:
-        facs.append((w, 1.0 + 0.0j, b.m))
-    for zn, k in b.zeros:
-        pref = zn.conjugate() / abs(zn)
-        den = 1.0 - zn.conjugate() * w
-        facs.append((pref * (zn - w) / den, pref * (abs(zn) ** 2 - 1.0) / den**2, k))
-
-    vanishing = [(i, k) for i, (val, _, k) in enumerate(facs) if abs(val) <= ZERO_HIT]
-    if not vanishing:
-        prod = b.lam
-        logsum = 0.0j
-        for val, der, k in facs:
-            prod *= val**k
-            logsum += k * der / val
-        return prod * logsum
-    if len(vanishing) == 1 and vanishing[0][1] == 1:
-        j = vanishing[0][0]
-        out = b.lam * facs[j][1]
-        for i, (val, _, k) in enumerate(facs):
-            if i != j:
-                out *= val**k
-        return out
-    # total vanishing order >= 2
-    return 0.0j
+    """Exact derivative of the finite product at an interior point."""
+    return complex(derivative_grid(b, interior_value(z)))
 
 
 def derivative_grid(b: ZeroList, points: np.ndarray) -> np.ndarray:
-    """Vectorized derivative via the logarithmic derivative, with a scalar
-    fallback at points that hit a zero."""
+    """Vectorized derivative by the product rule, one factor at a time.
+
+    Each factor f (w for the origin zero, else the normalized factor) takes
+    the running value and derivative (val, der) to (val f, der f + val f'),
+    once per unit of multiplicity.  Nothing is divided by a factor, so the
+    result is exact at the zeros: 0 at a zero of order >= 2, and f' times the
+    other factors at a simple one.
+    """
     w = np.asarray(points, dtype=np.complex128)
-    prod = np.full(w.shape, b.lam, dtype=np.complex128)
-    logsum = np.zeros(w.shape, dtype=np.complex128)
-    near_zero = np.zeros(w.shape, dtype=bool)
-    if b.m > 0:
-        near_zero |= np.abs(w) <= 1e-12
-        safe = np.where(near_zero, 1.0, w)
-        prod = prod * w**b.m
-        logsum += b.m / safe
+    val = np.full(w.shape, b.lam, dtype=np.complex128)
+    der = np.zeros(w.shape, dtype=np.complex128)
+    for _ in range(b.m):
+        der = der * w + val
+        val = val * w
     for zn, k in b.zeros:
         pref = zn.conjugate() / abs(zn)
         den = 1.0 - zn.conjugate() * w
-        val = pref * (zn - w) / den
-        tiny = np.abs(val) <= 1e-12
-        near_zero |= tiny
-        val_safe = np.where(tiny, 1.0, val)
-        prod = prod * val**k
-        logsum += k * (pref * (abs(zn) ** 2 - 1.0) / den**2) / val_safe
-    out = prod * logsum
-    if np.any(near_zero):
-        flat = out.reshape(-1)
-        pts = w.reshape(-1)
-        for idx in np.nonzero(near_zero.reshape(-1))[0]:
-            flat[idx] = derivative(b, pts[idx])
-        out = flat.reshape(w.shape)
-    return out
+        f = pref * (zn - w) / den
+        df = pref * (abs(zn) ** 2 - 1.0) / den**2
+        for _ in range(k):
+            der = der * f + val * df
+            val = val * f
+    return der
 
 
 def blaschke_condition_sum(b: ZeroList) -> float:

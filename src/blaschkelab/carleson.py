@@ -1,9 +1,9 @@
 """Carleson measures attached to zero sets.
 
 The zero-displacement measure mu_b, a dyadic-box estimator standing in for
-the Carleson norm (documented absolute-constant slack, default 8), the
-interpolation constant, hyperbolically-separated splitting, and the modulus
-infimum away from the zero set.
+the Carleson norm (documented absolute-constant slack ``BOX_NORM_SLACK`` = 8),
+the interpolation constant, hyperbolically-separated splitting, and the
+modulus infimum away from the zero set.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import ZeroList, derivative, evaluate_grid
+from .blaschke import ZeroList, derivative_grid, evaluate_grid
 from .errors import RegionEmptyError
 from .geometry import beta_from_rho, hyper_distance, rho_from_beta
 
@@ -162,9 +162,8 @@ def interpolation_constant(zeros: ZeroList) -> InterpolationConstant:
     if product_value == 0.0:
         return InterpolationConstant(0.0, True, 0.0, 0.0)
 
-    deriv_route = min(
-        (1.0 - abs(p) ** 2) * abs(derivative(zeros, p)) for p in pts
-    )
+    at = np.array(pts)
+    deriv_route = float(((1.0 - np.abs(at) ** 2) * np.abs(derivative_grid(zeros, at))).min())
     if abs(deriv_route - product_value) > 1e-10 * max(1.0, product_value):
         raise AssertionError(
             f"independent routes disagree: derivative {deriv_route!r} vs product {product_value!r}"

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import acceptance
 from .blaschke import SingularShiftSpec, ZeroList, eval_boundary, singular_shift_zeros
-from .carleson import alpha_b, box_carleson_norm, interpolation_constant, mu_b, separation_split, suggested_box_depth
+from .carleson import BOX_NORM_SLACK, alpha_b, box_carleson_norm, interpolation_constant, mu_b
+from .carleson import separation_split, suggested_box_depth
 from .cauchy import outer_correction, verify_intwin
 from .config import RunConfig
 from .contours import arclength_carleson_norm, level_set_components, split_zeros_by_contour
@@ -61,7 +62,11 @@ def _cmd_eval(args, config: RunConfig, out: Path) -> int:
 
 def _cmd_geom(args, config: RunConfig, out: Path) -> int:
     with open(args.points) as fh:
-        pts = [complex(p["re"], p["im"]) for p in json.load(fh)["points"]]
+        data = json.load(fh)
+    try:
+        pts = [complex(p["re"], p["im"]) for p in data["points"]]
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"{args.points} is not a points file ({type(exc).__name__}: {exc})") from exc
     n = len(pts)
     rho = [[pseudo_distance(pts[i], pts[j]) if i != j else 0.0 for j in range(n)] for i in range(n)]
     beta = [[hyper_distance(pts[i], pts[j]) if i != j else 0.0 for j in range(n)] for i in range(n)]
@@ -78,7 +83,7 @@ def _cmd_carleson(args, config: RunConfig, out: Path) -> int:
         "mu_b": measure.to_json(),
         "box_norm": box_carleson_norm(measure, depth),
         "box_depth": depth,
-        "slack_constant": config.slack_constant,
+        "slack_constant": BOX_NORM_SLACK,
     }
     if all(k == 1 for _, k in zeros.zeros) and zeros.m <= 1:
         const = interpolation_constant(zeros)
@@ -259,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", type=int, default=4096, help="circle grid size (power of two >= 256)")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE", help="override a named tolerance")
     parser.add_argument("--seed", type=int, default=12345, help="seed for all Monte Carlo sampling")
-    parser.add_argument("--slack", type=float, default=8.0, help="Carleson box-norm slack constant")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,13 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         for item in args.tol:
             name, _, value = item.partition("=")
             tol_overrides[name] = float(value)
-        config = RunConfig(
-            grid_size=args.grid,
-            tolerances=tol_overrides,
-            slack_constant=args.slack,
-            seed=args.seed,
-            output_dir=args.out,
-        )
+        config = RunConfig(grid_size=args.grid, tolerances=tol_overrides, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         try:

@@ -27,9 +27,7 @@ DEFAULT_TOLERANCES = {
 class RunConfig:
     grid_size: int = 4096
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    slack_constant: float = 8.0
     seed: int = 12345
-    output_dir: str = "."
 
     def __post_init__(self):
         n = self.grid_size
@@ -43,7 +41,6 @@ class RunConfig:
         return {
             "grid_size": self.grid_size,
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "slack_constant": self.slack_constant,
             "seed": self.seed,
         }
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+ValueError subclasses are input errors (CLI exit code 2); VerificationError
+subclasses are verification failures (exit code 1, with ``error.json``).
+"""
 
 
 class DegenerateInputError(ValueError):
@@ -21,20 +25,17 @@ class AtlasInconsistencyError(ValueError):
     """Harmonic-measure totals of an atlas are not integers within tolerance."""
 
 
-class HypothesisViolationError(ValueError):
-    """Per-component zero counts of the two products disagree."""
-
-
-class BranchError(ValueError):
-    """A supplied logarithm is inconsistent with the function it claims to log."""
-
-
 class VerificationError(RuntimeError):
     """A computation ran out of resolution or refinement before it could
-    verify its result: the CLI writes the failure to a report and exits 1."""
+    verify its result, or found a hypothesis it checks violated: the CLI
+    writes the failure to a report and exits 1."""
 
     def to_json(self) -> dict:
         return {"type": type(self).__name__, "message": str(self)}
+
+
+class HypothesisViolationError(VerificationError):
+    """Per-component zero counts of the two products disagree."""
 
 
 class ResolutionError(VerificationError):

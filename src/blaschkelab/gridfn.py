@@ -8,7 +8,6 @@ the normalized L2 norm, and winding numbers of sampled curves.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +74,6 @@ class BoundaryGridFunction:
             writer.writerow(["theta", "re", "im"])
             for theta, s in zip(self.thetas(), self.samples):
                 writer.writerow([repr(float(theta)), repr(float(np.real(s))), repr(float(np.imag(s)))])
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
 
 
 def circle_nodes(n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .blaschke import ZeroList, eval_boundary, evaluate_grid
 from .cauchy import OuterCorrection, PathMeasure, cauchy_on_circle, outer_correction
-from .errors import BranchError, CardinalityError, ContourThroughZeroError, RefinementExhaustedError
+from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
 from .geometry import as_complex
 from .gridfn import BoundaryGridFunction, harmonic_conjugate, winding_number
 
@@ -421,44 +421,19 @@ def neighborhood_contours(
 def rouche_zero_count(
     f: Callable[[np.ndarray], np.ndarray],
     contour: np.ndarray,
-    samples: int | None = None,
-    robustness: float = 10.0,
+    eta: float = 0.5,
     max_points: int = 1 << 17,
 ) -> int:
-    """Zero count inside a closed polygonal contour by the argument principle.
-
-    The contour is refined (edge bisection) until min |f| exceeds
-    ``robustness`` times the largest sample-to-sample variation.
-    """
+    """Zero count inside a closed polygonal contour by the argument principle,
+    refined as the certification refines: an edge is bisected while the
+    relative jump of f across it exceeds eta.  A sample on a zero of f raises
+    ContourThroughZeroError, as does a count that needs more than
+    ``max_points`` points."""
     pts = np.asarray(contour, dtype=np.complex128)
-    if samples is not None and samples > pts.size:
-        pts = _resample_polygon(pts, samples)
-    while True:
-        vals = f(pts)
-        min_mod = float(np.abs(vals).min())
-        variation = float(np.abs(np.roll(vals, -1) - vals).max())
-        if min_mod >= robustness * variation and min_mod > 0.0:
-            return winding_number(vals)
-        if 2 * pts.size > max_points:
-            raise ContourThroughZeroError(
-                f"contour modulus {min_mod:.3e} stays below {robustness} x variation "
-                f"{variation:.3e} at {pts.size} samples"
-            )
-        pts = _bisect_polygon(pts)
-
-
-def _bisect_polygon(pts: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (pts + np.roll(pts, -1))
-    out = np.empty(2 * pts.size, dtype=np.complex128)
-    out[0::2] = pts
-    out[1::2] = mids
-    return out
-
-
-def _resample_polygon(pts: np.ndarray, n: int) -> np.ndarray:
-    while pts.size < n:
-        pts = _bisect_polygon(pts)
-    return pts
+    low, count = _loop_margin_count(f, pts, f(pts), eta, max_points)
+    if low == 0.0:
+        raise ContourThroughZeroError("f vanishes at a contour sample")
+    return count
 
 
 @dataclass(frozen=True)
@@ -584,76 +559,64 @@ def _group_margin_count(
     f_s is affine in s, so A and B are evaluated once per loop and every
     s-sample is formed from them; s = 0 is A itself and never needs the
     target (None is allowed when s_values is (0.0,)).  Each s refines the loop
-    on its own: an edge is bisected while the relative jump
-    |f(p_{k+1}) - f(p_k)| / min(|f|) on it exceeds eta, which caps every phase
-    increment at arcsin(eta) and makes the winding sum unambiguous; A and B
-    are evaluated at the inserted midpoints only.  An s whose samples hit a
-    zero of f_s gets (0.0, 0); one that needs more than ``max_pts_per_loop``
-    points gets its ContourThroughZeroError instead.  Either ends that s's
-    scan of the remaining loops.
+    on its own by ``_loop_margin_count``.  An s whose samples hit a zero of
+    f_s gets (0.0, 0); one that needs more than ``max_pts_per_loop`` points
+    gets its ContourThroughZeroError instead.  Either ends that s's scan of
+    the remaining loops.
     """
     out: list[tuple[float, int] | ContourThroughZeroError] = [(math.inf, 0)] * len(s_values)
     for lp in group.loops:
-        loop_pts = np.asarray(lp)
-        loop_a = base(loop_pts)
-        loop_b = None if all(s == 0.0 for s in s_values) else target(loop_pts)
+        pts = np.asarray(lp)
+        a = base(pts)
+        b = None if all(s == 0.0 for s in s_values) else target(pts)
         for i, s in enumerate(s_values):
             if isinstance(out[i], ContourThroughZeroError) or out[i][0] == 0.0:
                 continue
-            pts, a, b = loop_pts, loop_a, loop_b
-            while True:
-                vals = a if s == 0.0 else a + s * (b - a)
-                mods = np.abs(vals)
-                low = float(mods.min())
-                if low == 0.0:
-                    out[i] = (0.0, 0)
-                    break
-                nxt = np.roll(vals, -1)
-                ratio = np.abs(nxt - vals) / np.minimum(mods, np.abs(nxt))
-                bad = np.nonzero(ratio > eta)[0]
-                if bad.size == 0:
-                    out[i] = (min(out[i][0], low), out[i][1] + winding_number(vals))
-                    break
-                if pts.size + bad.size > max_pts_per_loop:
-                    out[i] = ContourThroughZeroError(
-                        f"modulus {low:.3e} needs more than {max_pts_per_loop} points "
-                        "for a safe winding count"
-                    )
-                    break
-                mids = 0.5 * (pts + np.roll(pts, -1))[bad]
-                pts = np.insert(pts, bad + 1, mids)
-                a = np.insert(a, bad + 1, base(mids))
-                if s != 0.0:
-                    b = np.insert(b, bad + 1, target(mids))
+            f, vals = (base, a) if s == 0.0 else (_segment_fn(base, target, s), a + s * (b - a))
+            try:
+                low, count = _loop_margin_count(f, pts, vals, eta, max_pts_per_loop)
+            except ContourThroughZeroError as exc:
+                out[i] = exc
+                continue
+            out[i] = (0.0, 0) if low == 0.0 else (min(out[i][0], low), out[i][1] + count)
     return out
 
 
-def homotopy_family_eval(
-    u0: ZeroList,
-    log_ratio: BoundaryGridFunction,
-    t: float,
-    expected_target: BoundaryGridFunction | None = None,
-) -> BoundaryGridFunction:
-    """Boundary trace of u0 exp(t log(target/u0)) for a supplied single-valued log.
+def _segment_fn(base, target, s: float) -> Callable[[np.ndarray], np.ndarray]:
+    """f_s = A + s (B - A) with A = base(w), B = target(w)."""
 
-    Checks the modulus identity |g_t| = |u0|^{1-t} |target|^t on every call, and
-    the branch consistency exp(log) = target/u0 when the target trace is given.
+    def f(w: np.ndarray) -> np.ndarray:
+        a = base(w)
+        return a + s * (target(w) - a)
+
+    return f
+
+
+def _loop_margin_count(
+    f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, vals: np.ndarray, eta: float, max_pts: int
+) -> tuple[float, int]:
+    """Min |f| over a closed polyline and the winding number of f along it,
+    given the values ``vals`` of f at its vertices ``pts``.
+
+    An edge is bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|)
+    on it exceeds eta, which caps every phase increment at arcsin(eta) and
+    makes the winding sum unambiguous; f is evaluated at the inserted
+    midpoints only.  A sample on a zero of f gives (0.0, 0); needing more than
+    ``max_pts`` points raises ContourThroughZeroError.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    n = log_ratio.n
-    u0_trace = eval_boundary(u0, n).samples
-    log_vals = log_ratio.samples.astype(np.complex128)
-    if expected_target is not None:
-        if expected_target.n != n:
-            raise ValueError("target grid size differs from the log grid")
-        err = float(np.abs(u0_trace * np.exp(log_vals) - expected_target.samples).max())
-        if err > 1e-6:
-            raise BranchError(f"exp(log) misses the target ratio by {err:.3e}")
-    g_t = u0_trace * np.exp(t * log_vals)
-    direct = np.abs(g_t)
-    target_mod = np.abs(u0_trace * np.exp(log_vals))
-    identity = np.abs(u0_trace) ** (1.0 - t) * target_mod**t
-    if float(np.abs(direct - identity).max()) > 1e-8:
-        raise BranchError("modulus identity |g_t| = |u0|^(1-t) |u1 h|^t fails on the grid")
-    return BoundaryGridFunction(g_t)
+    while True:
+        mods = np.abs(vals)
+        low = float(mods.min())
+        if low == 0.0:
+            return 0.0, 0
+        nxt = np.roll(vals, -1)
+        bad = np.nonzero(np.abs(nxt - vals) / np.minimum(mods, np.abs(nxt)) > eta)[0]
+        if bad.size == 0:
+            return low, winding_number(vals)
+        if pts.size + bad.size > max_pts:
+            raise ContourThroughZeroError(
+                f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
+            )
+        mids = 0.5 * (pts + np.roll(pts, -1))[bad]
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, f(mids))

@@ -11,6 +11,7 @@ from blaschkelab.blaschke import (
     blaschke_condition_sum,
     bloch_cnbp_tension,
     derivative,
+    derivative_grid,
     eval_boundary,
     evaluate,
     evaluate_grid,
@@ -20,7 +21,7 @@ from blaschkelab.blaschke import (
     singular_shift_zeros,
 )
 from blaschkelab.errors import IllConditionedBoundaryError
-from blaschkelab.fixtures import geometric_zeros, random_zerolist
+from blaschkelab.fixtures import geometric_zeros, random_point, random_zerolist
 from blaschkelab.gridfn import winding_number
 from blaschkelab.matching import bottleneck_match
 
@@ -119,6 +120,81 @@ class TestDerivative:
             fd = (evaluate(zl, z + h) - evaluate(zl, z - h)) / (2 * h)
             exact = derivative(zl, z)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def _log_derivative_route(b, points):
+    """The earlier derivative kernel: the product times its logarithmic
+    derivative, with the scalar product rule at points within 1e-12 of a zero."""
+
+    def product_rule(w):
+        facs = [(w, 1.0 + 0.0j, b.m)] if b.m > 0 else []
+        for zn, k in b.zeros:
+            pref = zn.conjugate() / abs(zn)
+            den = 1.0 - zn.conjugate() * w
+            facs.append((pref * (zn - w) / den, pref * (abs(zn) ** 2 - 1.0) / den**2, k))
+        vanishing = [(i, k) for i, (val, _, k) in enumerate(facs) if abs(val) <= 1e-14]
+        if not vanishing:
+            return b.lam * math.prod(val**k for val, _, k in facs) * sum(k * der / val for val, der, k in facs)
+        if len(vanishing) == 1 and vanishing[0][1] == 1:
+            j = vanishing[0][0]
+            return b.lam * facs[j][1] * math.prod(val**k for i, (val, _, k) in enumerate(facs) if i != j)
+        return 0.0j
+
+    w = np.asarray(points, dtype=np.complex128)
+    prod = np.full(w.shape, b.lam, dtype=np.complex128)
+    logsum = np.zeros(w.shape, dtype=np.complex128)
+    near_zero = np.zeros(w.shape, dtype=bool)
+    if b.m > 0:
+        near_zero |= np.abs(w) <= 1e-12
+        prod = prod * w**b.m
+        logsum += b.m / np.where(near_zero, 1.0, w)
+    for zn, k in b.zeros:
+        pref = zn.conjugate() / abs(zn)
+        den = 1.0 - zn.conjugate() * w
+        val = pref * (zn - w) / den
+        tiny = np.abs(val) <= 1e-12
+        near_zero |= tiny
+        prod = prod * val**k
+        logsum += k * (pref * (abs(zn) ** 2 - 1.0) / den**2) / np.where(tiny, 1.0, val)
+    out = prod * logsum
+    for idx in np.nonzero(near_zero)[0]:
+        out[idx] = product_rule(w[idx])
+    return out
+
+
+def _seeded_product(seed):
+    """Up to 8 zeros of multiplicity 1..3, an origin order 0..2 and a unimodular lambda."""
+    rng = np.random.default_rng(seed)
+    zeros = tuple((random_point(rng, 0.95), int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 9))))
+    return ZeroList(zeros, lam=np.exp(2j * np.pi * rng.random()), m=int(rng.integers(0, 3))), rng
+
+
+class TestDerivativeGrid:
+    def test_matches_log_derivative_route(self):
+        for seed in range(100):
+            zl, rng = _seeded_product(seed)
+            pts = np.array([random_point(rng, 0.99) for _ in range(200)] + zl.expanded_points())
+            got, ref = derivative_grid(zl, pts), _log_derivative_route(zl, pts)
+            at_zero = ref == 0.0
+            np.testing.assert_array_equal(got[at_zero], 0.0)
+            assert np.max(np.abs(got - ref)[~at_zero] / np.abs(ref[~at_zero])) <= 1e-13
+
+    def test_exact_zero_at_multiple_zeros(self):
+        zl = ZeroList(((0.3 + 0.2j, 2), (-0.5j, 3), (0.6, 1)), lam=1j, m=2)
+        got = derivative_grid(zl, np.array([0.3 + 0.2j, -0.5j, 0.0]))
+        np.testing.assert_array_equal(got, 0.0)
+        assert derivative(zl, 0.0) == 0.0
+
+    def test_product_rule_at_simple_zeros(self):
+        # at a simple zero p, b'(p) is f_p'(p) = (conj(p)/|p|) / (|p|^2 - 1)
+        # times the other factors at p; the origin factor w has derivative 1
+        zl = ZeroList(((0.3 + 0.2j, 1), (-0.5j, 2), (0.6, 1)), lam=np.exp(0.7j), m=1)
+        for p in (0.3 + 0.2j, 0.6 + 0j):
+            rest = ZeroList(tuple((z, k) for z, k in zl.zeros if z != p), lam=zl.lam, m=zl.m)
+            own = (p.conjugate() / abs(p)) / (abs(p) ** 2 - 1.0)
+            assert derivative_grid(zl, np.array([p]))[0] == pytest.approx(own * evaluate(rest, p), rel=1e-13)
+        at_origin = evaluate(ZeroList(zl.zeros, lam=zl.lam), 0.0)
+        assert derivative_grid(zl, np.array([0.0]))[0] == pytest.approx(at_origin, rel=1e-13)
 
 
 class TestConditionSum:

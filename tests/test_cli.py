@@ -5,6 +5,7 @@ import json
 import pytest
 
 from blaschkelab import cli
+from blaschkelab.carleson import BOX_NORM_SLACK
 from blaschkelab.cli import main
 
 
@@ -52,6 +53,8 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "carleson.json").read_text())
         assert doc["interpolation_constant"] == 1.0
         assert doc["box_norm"] > 0
+        assert doc["slack_constant"] == BOX_NORM_SLACK
+        assert "slack_constant" not in doc["config"]
 
     def test_cauchy(self, tmp_path, zeros_file, zeros_star_file):
         code = main(
@@ -168,6 +171,10 @@ class TestExitCodes:
     def test_zero_list_of_wrong_shape_is_input_error(self, tmp_path):
         bare = _write(tmp_path / "bare.json", [{"re": 0.3, "im": 0.0, "mult": 1}])
         assert main(["--out", str(tmp_path), "eval", "--zeros", bare]) == 2
+
+    def test_points_file_of_wrong_shape_is_input_error(self, tmp_path):
+        bare = _write(tmp_path / "bare.json", [{"re": 0.1, "im": 0.0}])
+        assert main(["--out", str(tmp_path), "geom", "--points", bare]) == 2
 
 
 class TestDeterminism:

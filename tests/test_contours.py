@@ -23,7 +23,7 @@ from blaschkelab.contours import (
     split_zeros_by_contour,
     trossos_check,
 )
-from blaschkelab.errors import AtlasInconsistencyError, HypothesisViolationError
+from blaschkelab.errors import AtlasInconsistencyError, HypothesisViolationError, VerificationError
 from blaschkelab.geometry import hyper_distance, interior_value
 
 
@@ -276,6 +276,15 @@ class TestLogQuotient:
         atlas = build_atlas(u, b, [circ], method="exact")
         with pytest.raises(HypothesisViolationError):
             log_quotient_via_contour(u, b, atlas, 0.7)
+
+    def test_count_mismatch_is_a_verification_error(self):
+        u = ZeroList.from_points([0.1, -0.1])
+        b = ZeroList.from_points([0.1])
+        atlas = build_atlas(u, b, [JordanCurveApprox.circle(0.0, 0.4, n=128)], method="exact")
+        with pytest.raises(VerificationError) as info:
+            log_quotient_via_contour(u, b, atlas, 0.7)
+        assert isinstance(info.value, HypothesisViolationError) and not isinstance(info.value, ValueError)
+        assert info.value.to_json()["type"] == "HypothesisViolationError"
 
 
 class TestArcDiameterInequality:

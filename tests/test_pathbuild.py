@@ -11,7 +11,7 @@ from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
 from blaschkelab.cauchy import PathMeasure, cauchy_on_circle
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
-from blaschkelab.errors import BranchError, ContourThroughZeroError, RefinementExhaustedError
+from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
 from blaschkelab.geometry import hyper_distance, rho_from_beta
 from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
@@ -20,7 +20,6 @@ from blaschkelab.pathbuild import (
     build_path,
     certify_path,
     choose_partition,
-    homotopy_family_eval,
     hyperbolic_circle_euclid,
     interpolate_points,
     interpolate_zeros,
@@ -334,39 +333,6 @@ class TestClosedFormKernels:
             assert got.eps_observed == pytest.approx(eps_observed, rel=1e-12)
             assert got.eps_vertices == pytest.approx(eps_vertices, rel=1e-12)
         assert not got.ok  # the adversarial step still fails
-
-
-class TestHomotopyFamily:
-    def _setup(self):
-        # target = u0 * exp(A) for an explicit bounded analytic A
-        u0 = ZeroList.from_points([0.3, -0.1 + 0.2j])
-        n = 512
-        nodes = np.exp(2j * np.pi * np.arange(n) / n)
-        log_ratio = BoundaryGridFunction(0.3 * nodes - 0.1 * nodes**2)
-        target = BoundaryGridFunction(eval_boundary(u0, n).samples * np.exp(log_ratio.samples))
-        return u0, log_ratio, target
-
-    def test_t_zero_returns_u0(self):
-        u0, log_ratio, target = self._setup()
-        out = homotopy_family_eval(u0, log_ratio, 0.0, target)
-        np.testing.assert_allclose(out.samples, eval_boundary(u0, 512).samples, atol=1e-12)
-
-    def test_t_one_returns_target(self):
-        u0, log_ratio, target = self._setup()
-        out = homotopy_family_eval(u0, log_ratio, 1.0, target)
-        np.testing.assert_allclose(out.samples, target.samples, atol=1e-12)
-
-    def test_geometric_mean_modulus(self):
-        u0, log_ratio, target = self._setup()
-        out = homotopy_family_eval(u0, log_ratio, 0.5)
-        want = np.abs(eval_boundary(u0, 512).samples) ** 0.5 * np.abs(target.samples) ** 0.5
-        np.testing.assert_allclose(np.abs(out.samples), want, atol=1e-10)
-
-    def test_branch_mismatch_detected(self):
-        u0, log_ratio, target = self._setup()
-        wrong = BoundaryGridFunction(target.samples * np.exp(0.1))
-        with pytest.raises(BranchError):
-            homotopy_family_eval(u0, log_ratio, 0.5, wrong)
 
 
 def _reference_build(z, z_star, n_grid, eta=0.5, samples_per_segment=5, max_refinements=12, rounds=None):
