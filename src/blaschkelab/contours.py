@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ from .gridfn import winding_number
 
 ORIGIN_CLEARANCE = 1e-6
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the Gauss-Legendre rule moved to [0, 1]
+_GL8_T = 0.5 * (_GL8_NODES + 1.0)
+_GL8_HALF_WEIGHTS_C = (0.5 * _GL8_WEIGHTS).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,14 @@ class JordanCurveApprox:
             raise ValueError("curve passes through the 1e-6 neighborhood of 0")
         if float(np.abs(pts).max()) >= 1.0:
             raise ValueError("curve must stay in the open disk")
-        area = 0.5 * float(np.sum(np.real(pts) * np.imag(np.roll(pts, -1)) - np.real(np.roll(pts, -1)) * np.imag(pts)))
+        ends = np.roll(pts, -1)
+        area = 0.5 * float(np.sum(np.real(pts) * np.imag(ends) - np.real(ends) * np.imag(pts)))
         if area <= 0.0:
             raise ValueError("polyline must be positively oriented")
         pts.flags.writeable = False
+        ends.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_ends", ends)
         object.__setattr__(
             self, "enclosed_zeros", tuple((complex(z), int(k)) for z, k in self.enclosed_zeros)
         )
@@ -83,7 +90,7 @@ class JordanCurveApprox:
         return self.points
 
     def edge_ends(self) -> np.ndarray:
-        return np.roll(self.points, -1)
+        return self._ends
 
     def edge_lengths(self) -> np.ndarray:
         return np.abs(self.edge_ends() - self.edge_starts())
@@ -101,13 +108,18 @@ class JordanCurveApprox:
             # point hugging the polyline; refine by edge bisection once
             ref = np.empty(2 * self.points.size, dtype=np.complex128)
             ref[0::2] = self.points
-            ref[1::2] = 0.5 * (self.points + np.roll(self.points, -1))
+            ref[1::2] = 0.5 * (self.points + self._ends)
             return winding_number(ref - as_complex(z)) != 0
 
     def start_vertex(self) -> int:
         """Index of the splitting start point: minimal principal argument,
         ties by index (fixed for reproducibility)."""
         return int(np.argmin(np.angle(self.points)))
+
+    @cached_property
+    def _cell_index(self) -> "_CellIndex | None":
+        """Nearest-edge cell index, built on the first polyline distance query."""
+        return _CellIndex.build(self.points, self._ends)
 
     def to_json(self) -> dict:
         return {
@@ -329,9 +341,19 @@ def harmonic_measure(
         raise ValueError("exact Poisson masses are only available for disk fixtures")
     if method in ("auto", "exact") and curve.is_disk_fixture:
         return _poisson_edge_masses(z0, curve)
+    _check_walk_args(n_samples, absorb, max_steps)
     if rng is None:
         rng = np.random.default_rng(0)
     return _walk_edge_masses(z0, curve, n_samples, rng, absorb, max_steps)
+
+
+def _check_walk_args(n_samples: int, absorb: float, max_steps: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not absorb > 0.0:
+        raise ValueError(f"absorb must be positive, got {absorb}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
 
 
 def _poisson_edge_masses(z: complex, curve: JordanCurveApprox) -> np.ndarray:
@@ -409,6 +431,7 @@ def harmonic_measure_paired(
     axis depends only on pre-step positions, and a reflected uniform direction
     is uniform).
     """
+    _check_walk_args(n_samples, absorb, max_steps)
     if rng is None:
         rng = np.random.default_rng(0)
     zu = interior_value(z_u)
@@ -508,35 +531,156 @@ def harmonic_measure_paired(
 
 
 def _distance_to_curve(p: np.ndarray, curve: JordanCurveApprox) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each point to the curve and the index of the nearest edge."""
+    """Distance from each point to the curve and the index of the nearest edge.
+
+    Polylines answer from their cell index; the result, ties included, is
+    bit-identical to the dense scan over every edge (``_dense_distance``).
+    """
     if curve.is_disk_fixture:
         rel = p - curve.disk_center
         dist = curve.disk_radius - np.abs(rel)
         ang = np.mod(np.angle(rel), 2.0 * math.pi)
         ne = np.minimum((ang / (2.0 * math.pi) * curve.n_edges).astype(np.int64), curve.n_edges - 1)
         return dist, ne
-    starts = curve.edge_starts()
-    dvec = curve.edge_ends() - starts
-    dd = np.abs(dvec) ** 2
-    diff = p[:, None] - starts[None, :]
-    t = np.clip((diff * np.conj(dvec)[None, :]).real / dd[None, :], 0.0, 1.0)
-    d_all = np.abs(diff - t * dvec[None, :])
+    index = curve._cell_index
+    if index is None:
+        return _dense_distance(p, curve.edge_starts(), curve.edge_ends() - curve.edge_starts())
+    return index.query(p)
+
+
+def _segment_distances(p, starts, dvec, dd) -> np.ndarray:
+    """Elementwise distance from p to the edge [start, start + dvec]."""
+    diff = p - starts
+    t = np.clip((diff * np.conj(dvec)).real / dd, 0.0, 1.0)
+    return np.abs(diff - t * dvec)
+
+
+def _dense_distance(p: np.ndarray, starts: np.ndarray, dvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest edge of each point by a scan over every edge (first index on ties)."""
+    d_all = _segment_distances(p[:, None], starts[None, :], dvec[None, :], (np.abs(dvec) ** 2)[None, :])
     ne = d_all.argmin(axis=1)
     return d_all[np.arange(p.size), ne], ne
 
 
-@dataclass
+# a polyline of n edges gets about sqrt(n) x sqrt(n) cells, at most this many a side
+_INDEX_MAX_SIDE = 64
+# edge distances held at once while building or querying an index
+_INDEX_BLOCK = 1 << 16
+# candidate slack for rounding, relative to the coordinate scale
+_INDEX_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class _CellIndex:
+    """Uniform cells over a polyline's bounding box, each listing (CSR, edge
+    order ascending) every edge that can be nearest to a point of the cell.
+
+    Cell c with centre q and half-diagonal h keeps edge e when
+    dist(q, e) <= dist(q, curve) + 2h (+ slack): a point p of the cell has
+    dist(q, e) - h <= dist(p, e) and dist(p, curve) <= dist(q, curve) + h, so
+    every edge nearest to p, ties included, is kept.  The slack covers the
+    rounding of the computed distances and of the cell assignment, each a few
+    ulps of the coordinate scale.  A query runs the dense route's
+    elementwise formula on those candidates only, so its distances and first
+    minimizing edges are the dense route's bits.  Points outside the box
+    take the dense route.
+    """
+
+    starts: np.ndarray
+    dvec: np.ndarray
+    dd: np.ndarray
+    corner: complex
+    width: float
+    height: float
+    side: int
+    ptr: np.ndarray  # (side * side + 1,) offsets into cand; cell ix + side * iy
+    cand: np.ndarray  # int32 edge indices
+
+    @classmethod
+    def build(cls, starts: np.ndarray, ends: np.ndarray) -> "_CellIndex | None":
+        dvec = ends - starts
+        dd = np.abs(dvec) ** 2
+        if not np.all(dd > 0.0):
+            return None  # a zero-length edge: the dense route's NaN semantics stand
+        side = min(_INDEX_MAX_SIDE, math.isqrt(starts.size - 1) + 1)
+        x0, x1 = float(starts.real.min()), float(starts.real.max())
+        y0, y1 = float(starts.imag.min()), float(starts.imag.max())
+        width, height = (x1 - x0) / side, (y1 - y0) / side
+        cells = np.arange(side) + 0.5
+        centres = ((x0 + cells * width)[None, :] + 1j * (y0 + cells * height)[:, None]).ravel()
+        half_diag = 0.5 * math.hypot(width, height)
+        scale = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
+        reach = 2.0 * half_diag + _INDEX_SLACK * (half_diag + scale)
+        counts: list[np.ndarray] = []
+        cand: list[np.ndarray] = []
+        step = max(1, _INDEX_BLOCK // starts.size)
+        for k in range(0, centres.size, step):
+            d = _segment_distances(centres[k : k + step, None], starts[None, :], dvec[None, :], dd[None, :])
+            keep = d <= d.min(axis=1, keepdims=True) + reach
+            counts.append(keep.sum(axis=1))
+            cand.append(np.nonzero(keep)[1].astype(np.int32))
+        ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        return cls(starts, dvec, dd, complex(x0, y0), width, height, side, ptr, np.concatenate(cand))
+
+    def query(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fx = (p.real - self.corner.real) / self.width
+        fy = (p.imag - self.corner.imag) / self.height
+        inside = (fx >= 0.0) & (fx <= self.side) & (fy >= 0.0) & (fy <= self.side)
+        dist = np.empty(p.size)
+        ne = np.empty(p.size, dtype=np.int64)
+        out = ~inside
+        if np.any(out):
+            dist[out], ne[out] = _dense_distance(p[out], self.starts, self.dvec)
+        if not np.any(inside):
+            return dist, ne
+        idx = np.flatnonzero(inside)
+        ix = np.minimum(fx[idx].astype(np.int64), self.side - 1)
+        iy = np.minimum(fy[idx].astype(np.int64), self.side - 1)
+        first = self.ptr[ix + self.side * iy]
+        counts = self.ptr[ix + self.side * iy + 1] - first
+        # blocks of about _INDEX_BLOCK candidates bound the temporaries
+        csum = np.cumsum(counts)
+        cuts = np.searchsorted(csum, np.arange(_INDEX_BLOCK, csum[-1], _INDEX_BLOCK), side="right")
+        for a, b in zip([0, *cuts], [*cuts, idx.size]):
+            if a < b:
+                dist[idx[a:b]], ne[idx[a:b]] = self._nearest(p[idx[a:b]], first[a:b], counts[a:b])
+        return dist, ne
+
+    def _nearest(self, p: np.ndarray, first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        seg = np.cumsum(counts) - counts  # each point's first slot in the flat arrays
+        pos = np.arange(seg[-1] + counts[-1])
+        edges = self.cand[pos + np.repeat(first - seg, counts)]
+        d = _segment_distances(np.repeat(p, counts), self.starts[edges], self.dvec[edges], self.dd[edges])
+        # first minimizing candidate of each point; candidates ascend by edge
+        d_min = np.repeat(np.minimum.reduceat(d, seg), counts)
+        at = np.minimum.reduceat(np.where(d == d_min, pos, pos.size), seg)
+        return d[at], edges[at]
+
+
+@dataclass(frozen=True)
 class HarmonicMeasureAtlas:
-    """Per-curve edge masses of the zero measures of the two products."""
+    """Per-curve edge masses of the zero measures of the two products.
+
+    The masses are held as read-only copies, so the tables cached from them
+    (the calibration constants and the contour-integral nodes, keyed by the
+    start vertices) cannot go stale.
+    """
 
     curves: tuple[JordanCurveApprox, ...]
     nu_u: tuple[np.ndarray, ...]
     nu_b: tuple[np.ndarray, ...]
     _c1_cache: dict = field(default_factory=dict, repr=False)
+    _table_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (len(self.curves) == len(self.nu_u) == len(self.nu_b)):
             raise ValueError("atlas tables must align with the curves")
+        for name in ("nu_u", "nu_b"):
+            masses = tuple(np.array(v, dtype=np.float64) for v in getattr(self, name))
+            for v in masses:
+                v.flags.writeable = False
+            object.__setattr__(self, name, masses)
+        object.__setattr__(self, "curves", tuple(self.curves))
         for c, mu, mb in zip(self.curves, self.nu_u, self.nu_b):
             if mu.shape != (c.n_edges,) or mb.shape != (c.n_edges,):
                 raise ValueError("edge-mass vectors must have one entry per edge")
@@ -712,21 +856,43 @@ def _default_reference(atlas: HarmonicMeasureAtlas) -> complex:
 
 def _contour_integrals(atlas: HarmonicMeasureAtlas, z: complex, starts: Sequence[int]) -> complex:
     total = 0.0j
-    for i, curve in enumerate(atlas.curves):
-        order = np.roll(np.arange(curve.n_edges), -int(starts[i]))
-        nu_edges = atlas.nu(i)[order]
-        edge_starts = curve.edge_starts()[order]
-        d = (curve.edge_ends() - curve.edge_starts())[order]
-        cum0 = np.concatenate([[0.0], np.cumsum(nu_edges)])[:-1]
-        # t in (0, 1) along each edge; cumulative mass cum0 + t * nu_edge
-        t = 0.5 * (_GL8_NODES + 1.0)
-        wts = 0.5 * _GL8_WEIGHTS
-        xi = edge_starts[:, None] + t[None, :] * d[:, None]
-        nu_at = cum0[:, None] + t[None, :] * nu_edges[:, None]
-        k1 = d[:, None] / (xi - z)
-        k2 = np.conj(d)[:, None] / ((1.0 - np.conj(xi) * z) * np.conj(xi))
-        total += -complex((nu_at * (k1 + k2) * wts[None, :]).sum())
+    for d, conj_d, xi, conj_xi, nu_at in _contour_tables(atlas, starts):
+        # nu_at * (k1 + k2) * weights with k1 = d / (xi - z) and
+        # k2 = conj(d) / ((1 - conj(xi) z) conj(xi)), in two buffers; the real
+        # factors are stored as complex, the cast numpy would make anyway
+        k1 = np.subtract(xi, z)
+        np.divide(d, k1, out=k1)
+        k2 = np.multiply(conj_xi, z)
+        np.subtract(1.0, k2, out=k2)
+        np.multiply(k2, conj_xi, out=k2)
+        np.divide(conj_d, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(nu_at, k1, out=k1)
+        np.multiply(k1, _GL8_HALF_WEIGHTS_C, out=k1)
+        total += -complex(k1.sum())
     return total
+
+
+def _contour_tables(atlas: HarmonicMeasureAtlas, starts: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """Per curve, the z-independent factors of the contour integrals: the edge
+    vectors d and conj(d) as columns, the Gauss nodes xi and conj(xi), and the
+    cumulative mass nu_at at each node, all in edge order from the start vertex.
+    They are built once per atlas and start-vertex choice."""
+    key = tuple(int(s) for s in starts)
+    if key not in atlas._table_cache:
+        tables = []
+        for i, curve in enumerate(atlas.curves):
+            order = np.roll(np.arange(curve.n_edges), -key[i])
+            nu_edges = atlas.nu(i)[order]
+            edge_starts = curve.edge_starts()[order]
+            d = (curve.edge_ends() - curve.edge_starts())[order]
+            cum0 = np.concatenate([[0.0], np.cumsum(nu_edges)])[:-1]
+            # t in (0, 1) along each edge; cumulative mass cum0 + t * nu_edge
+            xi = edge_starts[:, None] + _GL8_T[None, :] * d[:, None]
+            nu_at = cum0[:, None] + _GL8_T[None, :] * nu_edges[:, None]
+            tables.append((d[:, None], np.conj(d)[:, None], xi, np.conj(xi), nu_at.astype(np.complex128)))
+        atlas._table_cache[key] = tables
+    return atlas._table_cache[key]
 
 
 @dataclass(frozen=True)

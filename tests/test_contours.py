@@ -12,6 +12,7 @@ from blaschkelab.contours import (
     HarmonicMeasureAtlas,
     _contour_integrals,
     _distance_to_curve,
+    _walk_edge_masses,
     JordanCurveApprox,
     arclength_carleson_norm,
     build_atlas,
@@ -341,6 +342,30 @@ class TestArcMassDiagnostic:
         assert atlas.max_arc_mass(0) < 1e-12
 
 
+def _reference_distance(p, curve):
+    """The first distance route: the disk formula for disk fixtures, else a
+    dense points x edges scan (first edge on ties)."""
+    if curve.is_disk_fixture:
+        rel = p - curve.disk_center
+        dist = curve.disk_radius - np.abs(rel)
+        ang = np.mod(np.angle(rel), 2.0 * math.pi)
+        ne = np.minimum((ang / (2.0 * math.pi) * curve.n_edges).astype(np.int64), curve.n_edges - 1)
+        return dist, ne
+    d_all = _dense_edge_distances(p, curve)
+    ne = d_all.argmin(axis=1)
+    return d_all[np.arange(p.size), ne], ne
+
+
+def _dense_edge_distances(p, curve):
+    """Distances from every point to every edge of the polyline."""
+    starts = curve.points
+    dvec = np.roll(curve.points, -1) - starts
+    dd = np.abs(dvec) ** 2
+    diff = p[:, None] - starts[None, :]
+    t = np.clip((diff * np.conj(dvec)[None, :]).real / dd[None, :], 0.0, 1.0)
+    return np.abs(diff - t * dvec[None, :])
+
+
 def _reference_paired(z_u, z_b, curve, n_samples, rng, absorb=1e-4, max_steps=10_000, fuse_rel=1e-5):
     """The paired walk by the first route: every step runs over the whole
     chunk, dead pairs included."""
@@ -373,11 +398,11 @@ def _reference_paired(z_u, z_b, curve, n_samples, rng, absorb=1e-4, max_steps=10
             dist_b = np.full(m, np.inf)
             iu = np.nonzero(alive_u)[0]
             if iu.size:
-                dist_u[iu], ne = _distance_to_curve(pos_u[iu], curve)
+                dist_u[iu], ne = _reference_distance(pos_u[iu], curve)
                 near_u[iu] = ne
             ib = np.nonzero(alive_b & ~fused)[0]
             if ib.size:
-                dist_b[ib], ne = _distance_to_curve(pos_b[ib], curve)
+                dist_b[ib], ne = _reference_distance(pos_b[ib], curve)
                 near_b[ib] = ne
 
             hit_u = alive_u & (dist_u < absorb)
@@ -446,3 +471,234 @@ class TestPairedWalkCompaction:
             ref = _reference_paired(0.0, 0.1, curve, 3000, np.random.default_rng(seed))
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])
+
+
+def _regular_polygon(n):
+    # no disk metadata, so distances take the polyline route; symmetric
+    # vertices give exact ties between edges
+    return JordanCurveApprox(0.4 * np.exp(2j * math.pi * np.arange(n) / n))
+
+
+def _level_set_curve():
+    return level_set_components(ZeroList.from_points([0.3]), 0.4, resolution=200)[0]
+
+
+def _query_points(curve, rng):
+    v = curve.points
+    mids = 0.5 * (v + np.roll(v, -1))
+    normal = 1j * (np.roll(v, -1) - v) / np.abs(np.roll(v, -1) - v)
+    centre = complex(v.mean())
+    return np.concatenate([
+        v,
+        mids,
+        mids + 1e-12 * normal,
+        mids - 1e-12 * normal,
+        v + 3e-13 * rng.standard_normal(v.size),
+        [centre, centre + 1e-3, 0.5 * (v.real.min() + v.real.max()) + 0.5j * (v.imag.min() + v.imag.max())],
+        centre + 0.05 * rng.standard_normal(200) * np.exp(2j * math.pi * rng.random(200)),
+        rng.uniform(-0.95, 0.95, 2000) + 1j * rng.uniform(-0.95, 0.95, 2000),
+        # outside the bounding box
+        [1.5, -2.0j, 0.99 + 0.99j, v.real.max() + 1e-9, 1j * (v.imag.min() - 1e-9)],
+    ])
+
+
+_DISTANCE_CURVES = {
+    "trefoil": lambda: JordanCurveApprox(
+        0.05 + 0.4 * (1.0 + 0.3 * np.cos(3.0 * _THETA_24)) * np.exp(1j * _THETA_24)
+    ),
+    "level-set": _level_set_curve,
+    "polyline-1024": lambda: JordanCurveApprox(JordanCurveApprox.circle(0.0, 0.4, n=1024).points),
+    "polygon-16": lambda: _regular_polygon(16),
+}
+
+
+class TestCellIndex:
+    @pytest.mark.parametrize("name", sorted(_DISTANCE_CURVES))
+    def test_distances_equal_the_dense_scan(self, name):
+        curve = _DISTANCE_CURVES[name]()
+        p = _query_points(curve, np.random.default_rng(17))
+        dist, ne = _distance_to_curve(p, curve)
+        ref_dist, ref_ne = _reference_distance(p, curve)
+        np.testing.assert_array_equal(dist, ref_dist)
+        np.testing.assert_array_equal(ne, ref_ne)
+        assert curve._cell_index is not None
+
+    def test_polygon_fixture_has_exact_ties(self):
+        curve = _regular_polygon(16)
+        d_all = _dense_edge_distances(_query_points(curve, np.random.default_rng(17)), curve)
+        tied = (d_all == d_all.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.sum() >= 10
+
+    def test_index_is_cached_and_compact(self):
+        curve = _DISTANCE_CURVES["polyline-1024"]()
+        index = curve._cell_index
+        assert curve._cell_index is index
+        assert index.side == 32
+        assert index.cand.dtype == np.int32 and index.ptr[-1] == index.cand.size
+        counts = np.diff(index.ptr)
+        assert counts.size == 32 * 32 and counts.min() >= 1
+        # ascending edge order within each cell
+        cell_of = np.repeat(np.arange(counts.size), counts)
+        assert np.all((np.diff(index.cand) > 0) | (np.diff(cell_of) > 0))
+
+    def test_zero_length_edge_takes_the_dense_route(self):
+        pts = 0.4 * np.exp(2j * math.pi * np.arange(12) / 12)
+        curve = JordanCurveApprox(np.insert(pts, 3, pts[3]))
+        assert curve._cell_index is None
+        p = np.array([0.0, 0.1 + 0.05j, 0.3j])
+        with np.errstate(invalid="ignore"):
+            got = _distance_to_curve(p, curve)
+            ref = _reference_distance(p, curve)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_edge_ends_are_a_read_only_roll(self):
+        curve = _regular_polygon(16)
+        np.testing.assert_array_equal(curve.edge_ends(), np.roll(curve.points, -1))
+        with pytest.raises(ValueError):
+            curve.edge_ends()[0] = 0.0
+
+
+def _reference_walk(z, curve, n_samples, rng, absorb=1e-4, max_steps=10_000):
+    """The unpaired walk with dense distances, as first written."""
+    masses = np.zeros(curve.n_edges)
+    chunk = 20_000
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        pos = np.full(m, z, dtype=np.complex128)
+        alive = np.ones(m, dtype=bool)
+        nearest = np.zeros(m, dtype=np.int64)
+        for _ in range(max_steps):
+            idx = np.nonzero(alive)[0]
+            if idx.size == 0:
+                break
+            p = pos[idx]
+            dist, ne = _reference_distance(p, curve)
+            nearest[idx] = ne
+            hit = dist < absorb
+            if np.any(hit):
+                np.add.at(masses, ne[hit], 1.0)
+                alive[idx[hit]] = False
+                idx, p, dist = idx[~hit], p[~hit], dist[~hit]
+            if idx.size:
+                pos[idx] = p + 0.5 * dist * np.exp(2j * math.pi * rng.random(idx.size))
+        if np.any(alive):
+            np.add.at(masses, nearest[alive], 1.0)
+        done += m
+    return masses / n_samples
+
+
+class TestIndexedWalks:
+    @pytest.mark.parametrize("name", ["trefoil", "level-set"])
+    def test_walk_masses_equal_the_dense_walk(self, name):
+        curve = _DISTANCE_CURVES[name]()
+        z = 0.3 + 0.0j if name == "level-set" else 0.05 + 0.02j
+        for seed in (5, 6):
+            got = _walk_edge_masses(z, curve, 400, np.random.default_rng(seed), 1e-4, 10_000)
+            ref = _reference_walk(z, curve, 400, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, ref)
+
+    def test_step_cap_stragglers_equal_the_dense_walk(self):
+        curve = _DISTANCE_CURVES["trefoil"]()
+        got = _walk_edge_masses(0.05, curve, 300, np.random.default_rng(8), 1e-9, 5)
+        ref = _reference_walk(0.05, curve, 300, np.random.default_rng(8), absorb=1e-9, max_steps=5)
+        np.testing.assert_array_equal(got, ref)
+
+
+_BAD_WALK_ARGS = {
+    "no-samples": {"n_samples": 0},
+    "negative-samples": {"n_samples": -3},
+    "zero-absorb": {"absorb": 0.0},
+    "negative-absorb": {"absorb": -1e-4},
+    "nan-absorb": {"absorb": float("nan")},
+    "no-steps": {"max_steps": 0},
+}
+
+
+class TestWalkArguments:
+    @pytest.mark.parametrize("case", sorted(_BAD_WALK_ARGS))
+    def test_walk_rejects(self, case):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        with pytest.raises(ValueError):
+            harmonic_measure(0.1, curve, method="walk", **_BAD_WALK_ARGS[case])
+
+    @pytest.mark.parametrize("case", sorted(_BAD_WALK_ARGS))
+    def test_paired_walk_rejects(self, case):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        with pytest.raises(ValueError):
+            harmonic_measure_paired(0.1, -0.1, curve, **_BAD_WALK_ARGS[case])
+
+    def test_exact_route_ignores_walk_arguments(self):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        exact = harmonic_measure(0.1, curve)
+        np.testing.assert_array_equal(harmonic_measure(0.1, curve, n_samples=0), exact)
+
+
+class TestAtlasTables:
+    def test_masses_are_read_only_copies(self):
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=16)
+        mu, mb = np.full(16, 1.0 / 16), np.full(16, 1.0 / 16)
+        atlas = HarmonicMeasureAtlas((circ,), (mu,), (mb,))
+        mu[0] = 5.0
+        assert atlas.nu_u[0][0] == 1.0 / 16
+        for table in (atlas.nu_u[0], atlas.nu_b[0]):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        with pytest.raises(AttributeError):
+            atlas.nu_u = (mb,)
+
+
+def _uncached_integrals(atlas, z, starts):
+    """The contour integrals with every node table rebuilt per point."""
+    total = 0.0j
+    for i, curve in enumerate(atlas.curves):
+        order = np.roll(np.arange(curve.n_edges), -int(starts[i]))
+        nu_edges = (atlas.nu_u[i] - atlas.nu_b[i])[order]
+        edge_starts = curve.points[order]
+        d = (np.roll(curve.points, -1) - curve.points)[order]
+        cum0 = np.concatenate([[0.0], np.cumsum(nu_edges)])[:-1]
+        t = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+        wts = 0.5 * np.polynomial.legendre.leggauss(8)[1]
+        xi = edge_starts[:, None] + t[None, :] * d[:, None]
+        nu_at = cum0[:, None] + t[None, :] * nu_edges[:, None]
+        k1 = d[:, None] / (xi - z)
+        k2 = np.conj(d)[:, None] / ((1.0 - np.conj(xi) * z) * np.conj(xi))
+        total += -complex((nu_at * (k1 + k2) * wts[None, :]).sum())
+    return total
+
+
+class TestCachedContourIntegrals:
+    @pytest.mark.parametrize("case", ["exact-4096", "walk-256", "two-curves"])
+    def test_log_quotient_equals_the_uncached_integral(self, case):
+        if case == "two-curves":
+            u = ZeroList.from_points([0.5, 0.1])
+            b = ZeroList.from_points([0.55, -0.05j])
+            curves = [
+                JordanCurveApprox.circle(0.5, 0.2, n=256, component_id=0),
+                JordanCurveApprox.circle(0.0, 0.3, n=256, component_id=1),
+            ]
+            atlas = build_atlas(u, b, curves, method="exact")
+            start_sets = [None, (5, 40), (200, 0)]
+        else:
+            u, b = ZeroList(m=1), ZeroList.from_points([0.03 - 0.02j])
+            n = 4096 if case == "exact-4096" else 256
+            circ = JordanCurveApprox.circle(0.0, 0.4, n=n)
+            if case == "exact-4096":
+                atlas = build_atlas(u, b, [circ], method="exact")
+            else:
+                atlas = build_atlas(
+                    u, b, [circ], n_samples=1000, rng=np.random.default_rng(2), method="walk", paired=True
+                )
+            start_sets = [None, (7,), (n - 1,)]
+        z_ref = 0.7 - 0.65j
+        rng = np.random.default_rng(23)
+        points = [(0.45 + 0.5 * rng.random()) * np.exp(2j * math.pi * rng.random()) for _ in range(12)]
+        points = [complex(z) for z in points if not any(c.contains(z) for c in atlas.curves)]
+        direct = complex(np.log(evaluate_grid(u, np.array([z_ref]))[0] / evaluate_grid(b, np.array([z_ref]))[0]))
+        for starts in start_sets:
+            s = tuple(c.start_vertex() for c in atlas.curves) if starts is None else starts
+            c1 = direct - _uncached_integrals(atlas, z_ref, s)
+            for z in points:
+                got = log_quotient_via_contour(u, b, atlas, z, z_ref=z_ref, start_vertices=starts)
+                assert got == c1 + _uncached_integrals(atlas, z, s)
