@@ -215,12 +215,6 @@ class OuterCorrection:
     v: BoundaryGridFunction
     report: OuterReport
 
-    def log_h(self) -> np.ndarray:
-        """Grid samples of the single-valued logarithm -i gamma + v + i v~."""
-        vt = harmonic_conjugate(self.v).samples
-        phase = np.angle(self.report.gamma)
-        return self.v.samples + 1j * (vt - phase)
-
 
 def outer_correction(
     pairs: Sequence[tuple[complex, complex]], n: int, residual_tol: float = 1e-6

@@ -27,6 +27,7 @@ from .contours import arclength_carleson_norm, level_set_components, split_zeros
 from .errors import VerificationError
 from .fixtures import adversarial_pair, geometric_zeros, staged_measure
 from .geometry import hyper_distance, pseudo_distance
+from .gridfn import circle_nodes
 from .matching import bottleneck_match, pairing_diagnostics
 from .pathbuild import build_path, certify_path
 
@@ -192,15 +193,13 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
             fh.write(f"{c.segment},{c.s!r},{c.group},{c.margin!r},{c.count},{c.expected}\n")
     with open(out / "path_moduli.csv", "w") as fh:
         fh.write("segment,s,min_modulus,max_modulus\n")
+        nodes = circle_nodes(config.grid_size)
         for j, step in enumerate(path.steps):
             from_trace = eval_boundary(path.vertices[j].zeros_t, config.grid_size).samples
-            to_trace = (
-                eval_boundary(path.vertices[j + 1].zeros_t, config.grid_size).samples
-                * step.correction.h.samples
-            )
+            to_trace = eval_boundary(path.vertices[j + 1].zeros_t, config.grid_size).samples * step.g_interior(nodes)
             for s in (0.0, 0.25, 0.5, 0.75, 1.0):
                 mods = np.abs(from_trace + s * (to_trace - from_trace))
-                fh.write(f"{j},{s!r},{mods.min()!r},{mods.max()!r}\n")
+                fh.write(f"{j},{s!r},{float(mods.min())!r},{float(mods.max())!r}\n")
     status = "certified" if report.ok else "CERTIFICATION FAILED"
     print(f"path with {len(path.vertices)} vertices: {status} -> {out / 'path.json'}")
     return 0 if report.ok else 1

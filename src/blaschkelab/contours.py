@@ -26,6 +26,10 @@ from .geometry import as_complex, interior_value
 from .gridfn import winding_number
 
 ORIGIN_CLEARANCE = 1e-6
+# each row block of the level-set sampling grid holds at least this many points:
+# numpy reuses a temporary of 256 KB (2^14 complex points) or more in place,
+# swapping the operands of a product, so blocks this large round as the whole grid does
+_LEVEL_BLOCK = 1 << 14
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # the Gauss-Legendre rule moved to [0, 1]
 _GL8_T = 0.5 * (_GL8_NODES + 1.0)
@@ -34,7 +38,7 @@ _GL8_HALF_WEIGHTS_C = (0.5 * _GL8_WEIGHTS).astype(np.complex128)
 
 @dataclass(frozen=True)
 class JordanCurveApprox:
-    """A closed positively-oriented polyline in the disk.
+    """A closed positively-oriented polyline in the disk, every edge of positive length.
 
     ``disk_center``/``disk_radius`` are set only for round-disk fixtures, where
     exact Poisson formulas are available.
@@ -55,6 +59,8 @@ class JordanCurveApprox:
         if float(np.abs(pts).max()) >= 1.0:
             raise ValueError("curve must stay in the open disk")
         ends = np.roll(pts, -1)
+        if not np.all(np.abs(ends - pts) ** 2 > 0.0):  # an edge parameter would be 0/0
+            raise ValueError("polyline has a zero-length edge (a repeated vertex)")
         area = 0.5 * float(np.sum(np.real(pts) * np.imag(ends) - np.real(ends) * np.imag(pts)))
         if area <= 0.0:
             raise ValueError("polyline must be positively oriented")
@@ -117,7 +123,7 @@ class JordanCurveApprox:
         return int(np.argmin(np.angle(self.points)))
 
     @cached_property
-    def _cell_index(self) -> "_CellIndex | None":
+    def _cell_index(self) -> "_CellIndex":
         """Nearest-edge cell index, built on the first polyline distance query."""
         return _CellIndex.build(self.points, self._ends)
 
@@ -195,7 +201,7 @@ def level_set_components(
     n = resolution
     xs = np.linspace(-r_box, r_box, n + 1)
     grid = xs[None, :] + 1j * xs[:, None]
-    vals = np.abs(evaluate_grid(b, grid)) - delta
+    vals = _level_values(b, grid, delta)
     if np.any(vals == 0.0):
         raise AmbiguousTopologyError("grid node exactly on the level; perturb delta")
     pos = vals > 0.0
@@ -290,6 +296,16 @@ def level_set_components(
     if remaining or origin_left:
         raise AmbiguousTopologyError("some zeros are enclosed by no curve at this resolution")
     return curves
+
+
+def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
+    """|b| - delta on the sampling grid, in row blocks that bound the peak memory."""
+    rows, cols = grid.shape
+    n_blocks = max(1, rows // math.ceil(_LEVEL_BLOCK / cols))
+    vals = np.empty(grid.shape)
+    for block, out in zip(np.array_split(grid, n_blocks), np.array_split(vals, n_blocks)):
+        out[...] = np.abs(evaluate_grid(b, block)) - delta
+    return vals
 
 
 def _edge_key(corners: list[tuple[int, int]], edge: int) -> tuple:
@@ -542,10 +558,7 @@ def _distance_to_curve(p: np.ndarray, curve: JordanCurveApprox) -> tuple[np.ndar
         ang = np.mod(np.angle(rel), 2.0 * math.pi)
         ne = np.minimum((ang / (2.0 * math.pi) * curve.n_edges).astype(np.int64), curve.n_edges - 1)
         return dist, ne
-    index = curve._cell_index
-    if index is None:
-        return _dense_distance(p, curve.edge_starts(), curve.edge_ends() - curve.edge_starts())
-    return index.query(p)
+    return curve._cell_index.query(p)
 
 
 def _segment_distances(p, starts, dvec, dd) -> np.ndarray:
@@ -597,11 +610,9 @@ class _CellIndex:
     cand: np.ndarray  # int32 edge indices
 
     @classmethod
-    def build(cls, starts: np.ndarray, ends: np.ndarray) -> "_CellIndex | None":
+    def build(cls, starts: np.ndarray, ends: np.ndarray) -> "_CellIndex":
         dvec = ends - starts
         dd = np.abs(dvec) ** 2
-        if not np.all(dd > 0.0):
-            return None  # a zero-length edge: the dense route's NaN semantics stand
         side = min(_INDEX_MAX_SIDE, math.isqrt(starts.size - 1) + 1)
         x0, x1 = float(starts.real.min()), float(starts.real.max())
         y0, y1 = float(starts.imag.min()), float(starts.imag.max())

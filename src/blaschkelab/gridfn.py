@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +49,6 @@ class BoundaryGridFunction:
     def thetas(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
-    def nodes(self) -> np.ndarray:
-        """The grid points e^{i theta_j} on the circle."""
-        return np.exp(1j * self.thetas())
-
     def mean(self) -> complex:
         return complex(self.samples.mean())
 
@@ -76,10 +73,14 @@ class BoundaryGridFunction:
                 writer.writerow([repr(float(theta)), repr(float(np.real(s))), repr(float(np.imag(s)))])
 
 
+@lru_cache(maxsize=8)
 def circle_nodes(n: int) -> np.ndarray:
+    """The grid points e^{2 pi i j / n}, one shared read-only array per n."""
     if n < MIN_GRID:
         raise ValueError(f"grid size must be at least {MIN_GRID}, got {n}")
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    nodes = np.exp(2j * np.pi * np.arange(n) / n)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def harmonic_conjugate(f: BoundaryGridFunction) -> BoundaryGridFunction:

@@ -10,16 +10,17 @@ unit-neighborhood of the current zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .blaschke import ZeroList, eval_boundary, evaluate_grid
-from .cauchy import OuterCorrection, PathMeasure, cauchy_on_circle, outer_correction
+from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
 from .geometry import as_complex
-from .gridfn import BoundaryGridFunction, harmonic_conjugate, winding_number
+from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 
 _PARTITION_CAP = 1 << 20
 # contour sampling of the certification, shared by build_path's start margin
@@ -78,14 +79,33 @@ def choose_partition(pairs: Sequence[tuple[complex, complex]], alpha: float) -> 
 
 @dataclass(frozen=True)
 class PathVertex:
-    """One vertex b_t * exp(outer_log) of the polygonal path."""
+    """One vertex b_t * exp(outer_log) of the polygonal path.
+
+    The step factors ``PathStep.g_interior`` telescope, so outer_log is
+    2 sum_k [Log(1 - conj(z_k(t)) w) - Log(1 - conj(z_k(0)) w)] - i phase over
+    the ``chords`` (z_k(0), z_k(t)), computed on first read.  Each Log has
+    imaginary part in (-pi/2, pi/2), so principal branches telescope exactly;
+    ``phase`` is the running sum of the steps' arg(gamma_j), whose branch
+    arg of the product of the gammas would lose past pi.
+    """
 
     zeros_t: ZeroList
-    outer_log: BoundaryGridFunction
     t: float
+    chords: tuple[tuple[complex, complex], ...]
+    phase: float
+    n_grid: int
+
+    @cached_property
+    def outer_log(self) -> BoundaryGridFunction:
+        nodes = circle_nodes(self.n_grid)
+        out = np.zeros(self.n_grid, dtype=np.complex128)
+        for z0, zt in self.chords:
+            if zt != z0:
+                out += _segment_grid(zt.conjugate(), z0.conjugate(), nodes)
+        return BoundaryGridFunction(2.0 * out - 1j * self.phase)
 
     def trace(self) -> np.ndarray:
-        return eval_boundary(self.zeros_t, self.outer_log.n).samples * np.exp(self.outer_log.samples)
+        return eval_boundary(self.zeros_t, self.n_grid).samples * np.exp(self.outer_log.samples)
 
 
 @dataclass(frozen=True)
@@ -93,25 +113,26 @@ class PathStep:
     """The outer-corrected step from vertex j to vertex j+1."""
 
     pairs: tuple[tuple[complex, complex], ...]
-    correction: OuterCorrection
+    gamma: complex  # gamma_constant(pairs)
     step_norm: float  # || b_{t_j} - b_{t_{j+1}} g_{j+1} || on the grid
 
     def g_interior(self, z: np.ndarray) -> np.ndarray:
-        """The outer factor g evaluated inside the disk, in closed form.
+        """The outer factor g, in closed form inside the disk and on the circle.
 
         g = conj(gamma) exp(-2 G(w)), where
         G(w) = sum_k [Log(1 - conj(a_k) w) - Log(1 - conj(b_k) w)] is the
         Hardy-space completion of conj(C(sigma)).  The exponent is an integer
         multiple of each Log, so the branch drops out and
         g = conj(gamma) R^2 with R = prod_k (1 - conj(b_k) w) / (1 - conj(a_k) w),
-        a rational function with no log or exp.  ``correction.h`` keeps the FFT
-        route on the circle, the independent cross-check.
+        a rational function with no log or exp.  On the circle it is the FFT
+        route's h = e^{-i gamma + v + i v~} of ``outer_correction``, the
+        independent cross-check.
         """
         w = np.asarray(z, dtype=np.complex128)
         r = np.ones(w.shape, dtype=np.complex128)
         for a, b in self.pairs:
             r *= (1.0 - b.conjugate() * w) / (1.0 - a.conjugate() * w)
-        return np.conj(self.correction.report.gamma) * r * r
+        return np.conj(self.gamma) * r * r
 
 
 @dataclass
@@ -152,6 +173,13 @@ def build_path(
     halved until certification succeeds and every step norm is below half the
     observed margin constant.
 
+    Step norms use the closed-form factor ``PathStep.g_interior``, and a
+    vertex's outer_log (``PathVertex``) is computed when first read, within
+    about 1e-12 of the per-step FFT route.  No step runs a Cauchy transform
+    or FFT, so none raises ``GridTooCoarseError``; the FFT route cross-checks
+    each completed round: sup |2 Im C(sigma_total) - (Re outer_log_total)~|
+    must stay below ``functional_tol``.
+
     A round that provably fails that rule is dropped before it is finished
     or certified.  Let m0 be the start vertex's margin: the minimum over the
     groups of its neighborhood contours of min |b_{t_0}| (0 when a group hits
@@ -172,7 +200,7 @@ def build_path(
     pairs = list(zip(pts_a, pts_b))
 
     if all(a == b for a, b in pairs):
-        vertex = PathVertex(z, BoundaryGridFunction(np.zeros(n_grid)), 0.0)
+        vertex = PathVertex(z, 0.0, tuple(pairs), 0.0, n_grid)
         return PolygonalPath([vertex], [], n_grid, 0.0)
 
     if alpha is not None:
@@ -221,26 +249,31 @@ def _build_once(
     the round is rejected once a step norm reaches ``start_margin / 2`` (the
     bound in ``build_path``); the default bound never rejects."""
     ts = choose_partition(pairs, alpha)
-    outer_log = np.zeros(n_grid, dtype=np.complex128)
-    v_sum = np.zeros(n_grid)
-    vertices = [PathVertex(ZeroList.from_points(interpolate_points(pairs, 0.0)), BoundaryGridFunction(outer_log), 0.0)]
+    nodes = circle_nodes(n_grid)
+    start = from_pts = interpolate_points(pairs, 0.0)
+    zeros = ZeroList.from_points(start)
+    from_trace = eval_boundary(zeros, n_grid).samples
+    phase = 0.0
+    vertices = [PathVertex(zeros, 0.0, tuple(zip(start, start)), phase, n_grid)]
     steps: list[PathStep] = []
-    for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
-        from_pts = interpolate_points(pairs, t0)
+    for j, t1 in enumerate(ts[1:]):
         to_pts = interpolate_points(pairs, t1)
         step_pairs = tuple(zip(from_pts, to_pts))
-        oc = outer_correction(step_pairs, n_grid)
-        if oc.report.closeness >= start_margin / 2.0:
-            return f"step {j} of {len(ts) - 1}: norm {oc.report.closeness:.3e} >= m0/2 = {start_margin / 2.0:.3e}"
-        outer_log = outer_log + oc.log_h()
-        v_sum = v_sum + oc.v.samples
-        vertices.append(PathVertex(ZeroList.from_points(to_pts), BoundaryGridFunction(outer_log), t1))
-        steps.append(PathStep(step_pairs, oc, oc.report.closeness))
+        step = PathStep(step_pairs, gamma_constant(step_pairs), math.nan)
+        zeros = ZeroList.from_points(to_pts)
+        to_trace = eval_boundary(zeros, n_grid).samples
+        step_norm = float(np.abs(from_trace - to_trace * step.g_interior(nodes)).max())
+        if step_norm >= start_margin / 2.0:
+            return f"step {j} of {len(ts) - 1}: norm {step_norm:.3e} >= m0/2 = {start_margin / 2.0:.3e}"
+        phase += float(np.angle(step.gamma))
+        vertices.append(PathVertex(zeros, t1, tuple(zip(start, to_pts)), phase, n_grid))
+        steps.append(replace(step, step_norm=step_norm))
+        from_pts, from_trace = to_pts, to_trace
 
-    # accumulated functional: 2 Im C(sigma_total) - (log |g|)~ telescopes
+    # FFT cross-check of the closed form: 2 Im C(sigma_total) - (log |g|)~
     c_total = cauchy_on_circle(PathMeasure.from_pairs(pairs), n_grid).samples
-    conj_sum = harmonic_conjugate(BoundaryGridFunction(v_sum)).samples
-    functional = float(np.abs(2.0 * c_total.imag - conj_sum).max())
+    log_modulus = BoundaryGridFunction(vertices[-1].outer_log.samples.real)
+    functional = float(np.abs(2.0 * c_total.imag - harmonic_conjugate(log_modulus).samples).max())
     if functional > functional_tol:
         raise RefinementExhaustedError(
             f"accumulated conjugation functional {functional:.3e} above {functional_tol:.1e}"

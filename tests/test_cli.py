@@ -77,6 +77,14 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads((tmp_path / "path.json").read_text())
         assert doc["certification"]["ok"] is True
+        header, *rows = (tmp_path / "path_moduli.csv").read_text().splitlines()
+        assert header == "segment,s,min_modulus,max_modulus"
+        assert len(rows) == 5 * len(doc["step_norms"])
+        for row in rows:
+            segment, s, low, high = (float(x) for x in row.split(","))
+            assert 0.0 < low <= high
+            if s == 0.0:  # |b_t| = 1 on the circle
+                assert abs(low - 1.0) < 1e-12 and abs(high - 1.0) < 1e-12
 
     def test_contour(self, tmp_path, zeros_file):
         code = main(

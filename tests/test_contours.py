@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from blaschkelab import contours
 from blaschkelab.blaschke import ZeroList, evaluate_grid
 from blaschkelab.carleson import DiscreteMeasure, box_carleson_norm, suggested_box_depth
 from blaschkelab.contours import (
     HarmonicMeasureAtlas,
     _contour_integrals,
     _distance_to_curve,
+    _level_values,
     _walk_edge_masses,
     JordanCurveApprox,
     arclength_carleson_norm,
@@ -62,6 +64,23 @@ class TestLevelSets:
         pts = curves[0].points
         area = 0.5 * float(np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag))
         assert area > 0
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [ZeroList(m=2), ZeroList(((0.3 + 0.2j, 2), (-0.5 + 0j, 1)), m=1), ZeroList.from_points([0.55, -0.55, 0.1j])],
+        ids=["origin", "multiple", "simple"],
+    )
+    def test_row_blocks_equal_one_shot_evaluation(self, zeros, monkeypatch):
+        xs = np.linspace(-0.9, 0.9, 513)
+        grid = xs[None, :] + 1j * xs[:, None]
+        np.testing.assert_array_equal(_level_values(zeros, grid, 0.3), np.abs(evaluate_grid(zeros, grid)) - 0.3)
+        blocked = level_set_components(zeros, 0.3)
+        monkeypatch.setattr(contours, "_LEVEL_BLOCK", 1 << 20)
+        one_shot = level_set_components(zeros, 0.3)
+        assert len(blocked) == len(one_shot)
+        for c, d in zip(blocked, one_shot):
+            np.testing.assert_array_equal(c.points, d.points)
+            assert c.enclosed_zeros == d.enclosed_zeros
 
     def test_delta_too_large(self):
         with pytest.raises(ValueError):
@@ -541,16 +560,11 @@ class TestCellIndex:
         cell_of = np.repeat(np.arange(counts.size), counts)
         assert np.all((np.diff(index.cand) > 0) | (np.diff(cell_of) > 0))
 
-    def test_zero_length_edge_takes_the_dense_route(self):
+    def test_zero_length_edge_is_rejected(self):
+        # a repeated vertex would make every distance 0/0
         pts = 0.4 * np.exp(2j * math.pi * np.arange(12) / 12)
-        curve = JordanCurveApprox(np.insert(pts, 3, pts[3]))
-        assert curve._cell_index is None
-        p = np.array([0.0, 0.1 + 0.05j, 0.3j])
-        with np.errstate(invalid="ignore"):
-            got = _distance_to_curve(p, curve)
-            ref = _reference_distance(p, curve)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
+        with pytest.raises(ValueError, match="zero-length edge"):
+            JordanCurveApprox(np.insert(pts, 3, pts[3]))
 
     def test_edge_ends_are_a_read_only_roll(self):
         curve = _regular_polygon(16)

@@ -6,6 +6,7 @@ import pytest
 from blaschkelab.gridfn import (
     BoundaryGridFunction,
     bmo_norm_estimate,
+    circle_nodes,
     harmonic_conjugate,
     l2_norm,
     winding_number,
@@ -13,6 +14,19 @@ from blaschkelab.gridfn import (
 
 N = 1024
 THETA = 2 * np.pi * np.arange(N) / N
+
+
+class TestCircleNodes:
+    def test_shared_read_only_roots_of_unity(self):
+        nodes = circle_nodes(N)
+        assert circle_nodes(N) is nodes
+        np.testing.assert_array_equal(nodes, np.exp(2j * np.pi * np.arange(N) / N))
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            nodes *= 2.0
+        with pytest.raises(ValueError):
+            circle_nodes(4)
 
 
 class TestHarmonicConjugate:

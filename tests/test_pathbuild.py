@@ -9,7 +9,7 @@ import pytest
 from blaschkelab import pathbuild
 from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
-from blaschkelab.cauchy import PathMeasure, cauchy_on_circle
+from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, outer_correction
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
 from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
@@ -167,8 +167,8 @@ class TestBuildPath:
         za, zb = ZeroList.from_points([0.3]), ZeroList.from_points([0.4])
         path = build_path(za, zb, n_grid=1024)
         assert path.certification is not None and path.certification.ok
-        # |b* g| = e^{v_total} on the circle
-        v_total = sum(s.correction.v.samples for s in path.steps)
+        # |b* g| = e^{v_total} on the circle, v_j = -2 Re C(sigma_j)
+        v_total = sum(_step_v(s, 1024) for s in path.steps)
         final = path.vertices[-1].trace()
         np.testing.assert_allclose(np.abs(final), np.exp(v_total), atol=1e-10)
 
@@ -191,14 +191,30 @@ class TestBuildPath:
         path = build_path(za, zb, alpha=0.2, n_grid=1024)
         # per-step functionals sum to the total functional on the grid
         total_c = cauchy_on_circle(PathMeasure.from_pairs(pairs), 1024).samples
-        v_sum = sum(s.correction.v.samples for s in path.steps)
+        v_sum = sum(_step_v(s, 1024) for s in path.steps)
         lhs = 2.0 * total_c.imag - harmonic_conjugate(BoundaryGridFunction(v_sum)).samples
         per_step = np.zeros(1024)
         for s in path.steps:
             c_j = cauchy_on_circle(PathMeasure.from_pairs(list(s.pairs)), 1024).samples
-            per_step = per_step + (2.0 * c_j.imag - harmonic_conjugate(s.correction.v).samples)
+            per_step = per_step + (2.0 * c_j.imag - harmonic_conjugate(BoundaryGridFunction(-2.0 * c_j.real)).samples)
         np.testing.assert_allclose(lhs, per_step, atol=1e-8)
         assert path.functional_sup < 1e-6
+
+    def test_phase_branch_past_pi(self):
+        # both zeros turn almost pi counterclockwise about the origin: the
+        # step phases sum past -pi, where arg of their product would wrap
+        za = ZeroList.from_points([0.5, -0.5])
+        zb = ZeroList.from_points([-0.5 + 0.05j, 0.5 - 0.05j])
+        pairs = list(zip(za.expanded_points(), zb.expanded_points()))
+        path = build_path(za, zb, alpha=0.25, n_grid=1024)
+        assert path.vertices[-1].phase < -1.9 * math.pi
+        # logs are computed when first read; the build reads only the last
+        assert all("outer_log" not in vars(v) for v in path.vertices[:-1])
+        ref, logs = _fft_build_once(pairs, 0.25, 1024)
+        assert [v.t for v in path.vertices] == [v.t for v in ref.vertices]
+        for v, log in zip(path.vertices, logs):
+            assert np.abs(v.outer_log.samples - log).max() <= 1e-11
+        assert path.vertices[1].outer_log is path.vertices[1].outer_log
 
     def test_step_norms_below_half_margin(self):
         rng = np.random.default_rng(4)
@@ -220,12 +236,17 @@ class TestBuildPath:
         assert any("count" in f or "margin" in f or "modulus" in f for f in report.failures)
 
 
+def _step_v(step, n_grid):
+    """The step's log-modulus v_j = -2 Re C(sigma_j) on the grid."""
+    return -2.0 * cauchy_on_circle(PathMeasure.from_pairs(list(step.pairs)), n_grid).samples.real
+
+
 def _log_exp_g(step, w):
     """The outer factor by the log/exp route, conj(gamma) exp(-2 G(w))."""
     g_log = np.zeros(w.shape, dtype=np.complex128)
     for a, b in step.pairs:
         g_log += np.log(1.0 - a.conjugate() * w) - np.log(1.0 - b.conjugate() * w)
-    return np.conj(step.correction.report.gamma) * np.exp(-2.0 * g_log)
+    return np.conj(step.gamma) * np.exp(-2.0 * g_log)
 
 
 def _seeded_paths(count, alpha=0.5, n_grid=1024):
@@ -311,7 +332,7 @@ class TestClosedFormKernels:
         for path in _seeded_paths(5):
             nodes = circle_nodes(path.grid_size)
             for step in path.steps:
-                err = np.abs(step.g_interior(nodes) - step.correction.h.samples).max()
+                err = np.abs(step.g_interior(nodes) - outer_correction(step.pairs, path.grid_size).h.samples).max()
                 assert err <= DEFAULT_TOLERANCES["outer_exactness"]
 
     @pytest.mark.parametrize(
@@ -335,21 +356,65 @@ class TestClosedFormKernels:
         assert not got.ok  # the adversarial step still fails
 
 
+def _fft_build_once(pairs, alpha, n_grid, functional_tol=1e-6):
+    """One round by the FFT route, as first written: every step runs
+    ``outer_correction`` (Cauchy transform, FFT conjugation, two boundary
+    traces) and the vertex logs accumulate the steps' -i gamma + v + i v~.
+    Returns the path (steps carrying the same gamma, norms from the FFT
+    factor) and the accumulated vertex logs."""
+    ts = choose_partition(pairs, alpha)
+    start = interpolate_points(pairs, 0.0)
+    outer_log = np.zeros(n_grid, dtype=np.complex128)
+    v_sum = np.zeros(n_grid)
+    vertices = [pathbuild.PathVertex(ZeroList.from_points(start), 0.0, tuple(zip(start, start)), 0.0, n_grid)]
+    logs, steps = [outer_log], []
+    for t0, t1 in zip(ts, ts[1:]):
+        from_pts, to_pts = interpolate_points(pairs, t0), interpolate_points(pairs, t1)
+        step_pairs = tuple(zip(from_pts, to_pts))
+        oc = outer_correction(step_pairs, n_grid)
+        vt = harmonic_conjugate(oc.v).samples
+        outer_log = outer_log + (oc.v.samples + 1j * (vt - np.angle(oc.report.gamma)))
+        v_sum = v_sum + oc.v.samples
+        vertices.append(pathbuild.PathVertex(ZeroList.from_points(to_pts), t1, (), math.nan, n_grid))
+        logs.append(outer_log)
+        steps.append(pathbuild.PathStep(step_pairs, oc.report.gamma, oc.report.closeness))
+    c_total = cauchy_on_circle(PathMeasure.from_pairs(pairs), n_grid).samples
+    functional = float(np.abs(2.0 * c_total.imag - harmonic_conjugate(BoundaryGridFunction(v_sum)).samples).max())
+    assert functional <= functional_tol
+    return pathbuild.PolygonalPath(vertices, steps, n_grid, functional), logs
+
+
 def _reference_build(z, z_star, n_grid, eta=0.5, samples_per_segment=5, max_refinements=12, rounds=None):
-    """Auto-refinement by the first route: every round is built in full and
-    certified before the step-norm rule is applied.  Each round's path is
-    appended to ``rounds`` when a list is given."""
-    alpha = 0.5
+    """Auto-refinement by the first route: every round is built in full by
+    the FFT route and certified before the step-norm rule is applied.
+    Returns the path, its vertex logs and the step sizes tried; each round's
+    path is appended to ``rounds`` when a list is given."""
+    pairs = list(zip(z.expanded_points(), z_star.expanded_points()))
+    alphas = [0.5]
     for _ in range(max_refinements + 1):
-        path = build_path(z, z_star, alpha=alpha, n_grid=n_grid)
+        path, logs = _fft_build_once(pairs, alphas[-1], n_grid)
         if rounds is not None:
             rounds.append(path)
         report = certify_path(path, eta=eta, samples_per_segment=samples_per_segment)
         if report.ok and all(s.step_norm < report.eps_observed / 2.0 for s in path.steps):
             path.certification = report
-            return path
-        alpha /= 2.0
+            return path, logs, alphas
+        alphas.append(alphas[-1] / 2.0)
     raise RefinementExhaustedError("reference refinement exhausted")
+
+
+def _assert_matches_fft_route(got, ref, logs):
+    """Same vertices and certification as the FFT route; step norms within
+    1e-12 and vertex logs within 1e-11 (round-off of the two routes)."""
+    assert len(got.vertices) == len(ref.vertices)
+    for v, w, log in zip(got.vertices, ref.vertices, logs):
+        assert (v.t, v.zeros_t) == (w.t, w.zeros_t)
+        assert np.abs(v.outer_log.samples - log).max() <= 1e-11
+    assert [s.pairs for s in got.steps] == [s.pairs for s in ref.steps]
+    assert [s.gamma for s in got.steps] == [s.gamma for s in ref.steps]
+    np.testing.assert_allclose([s.step_norm for s in got.steps], [s.step_norm for s in ref.steps], rtol=0, atol=1e-12)
+    assert got.functional_sup <= 1e-6
+    assert got.certification == ref.certification
 
 
 def _auto_instances():
@@ -365,25 +430,24 @@ def _auto_instances():
 
 class TestStartMarginBound:
     def test_auto_refine_matches_reference_route(self, monkeypatch):
-        margins = []
+        """Closed-form factors with the start-margin bound against the FFT
+        route certifying every round in full."""
+        margins, alphas = [], []
         real_build_once = pathbuild._build_once
 
         def spy(*args, **kwargs):
+            alphas.append(args[1])
             margins.append(kwargs.get("start_margin"))
             return real_build_once(*args, **kwargs)
 
         monkeypatch.setattr(pathbuild, "_build_once", spy)
         for za, zb, grid in _auto_instances():
-            ref = _reference_build(za, zb, grid)  # raising here fails the test
+            ref, logs, ref_alphas = _reference_build(za, zb, grid)  # raising here fails the test
             margins.clear()
+            alphas.clear()
             got = build_path(za, zb, n_grid=grid)
-            assert len(got.vertices) == len(ref.vertices)
-            for v, w in zip(got.vertices, ref.vertices):
-                assert (v.t, v.zeros_t) == (w.t, w.zeros_t)
-                np.testing.assert_array_equal(v.outer_log.samples, w.outer_log.samples)
-            assert [s.step_norm for s in got.steps] == [s.step_norm for s in ref.steps]
-            assert got.functional_sup == ref.functional_sup
-            assert got.certification == ref.certification
+            _assert_matches_fft_route(got, ref, logs)
+            assert alphas == ref_alphas
             # the bound is the reference's start-vertex margin, to the bit
             start = [c.margin for c in ref.certification.checks if c.segment == 0 and c.s == 0.0]
             assert set(margins) == {min(start)}
@@ -401,7 +465,7 @@ class TestStartMarginBound:
         n_rounds = n_certified = 0
         for za, zb, grid in list(_auto_instances())[20:] + [single]:
             rounds = []
-            ref = _reference_build(za, zb, grid, rounds=rounds)
+            ref, _, _ = _reference_build(za, zb, grid, rounds=rounds)
             m0 = min(c.margin for c in ref.certification.checks if c.segment == 0 and c.s == 0.0)
             calls.clear()
             build_path(za, zb, n_grid=grid)
