@@ -1,9 +1,10 @@
 """Level-set contours of finite products and harmonic-measure machinery.
 
 Level curves of |b| are extracted by marching squares; harmonic measure on a
-component is computed by walk-on-spheres sampling (or the exact Poisson
-integral for round-disk fixtures); the contour logarithm reconstructs
-log(u/b) outside the curves from the cumulative difference measure.
+component is computed by walk-on-spheres sampling, in coupled pairs for
+difference measures (or the exact Poisson integral for round-disk
+fixtures); the contour logarithm reconstructs log(u/b) outside the curves
+from the cumulative difference measure.
 """
 
 from __future__ import annotations
@@ -341,12 +342,17 @@ def harmonic_measure(
     method: str = "auto",
     absorb: float = 1e-4,
     max_steps: int = 10_000,
-) -> np.ndarray:
+    return_stragglers: bool = False,
+):
     """Exit distribution over the curve's edges of Brownian motion from z.
 
     ``method`` is "exact" (Poisson integral; disk fixtures only), "walk", or
-    "auto" (exact when available).  Walks step half the distance to the
-    boundary and absorb within the 1e-4 band.
+    "auto" (exact when available).  Walks jump to a uniform point of the
+    largest circle about the walker inside the curve (walk on spheres, the
+    first jump from a shifted lattice, see ``_walk``) and absorb within the
+    1e-4 band; a walker still out at ``max_steps`` settles at its nearest
+    edge.  With ``return_stragglers`` the result is (masses, stragglers),
+    the count of such walkers.
     """
     z0 = interior_value(z)
     if not curve.contains(z0):
@@ -356,20 +362,39 @@ def harmonic_measure(
     if method == "exact" and not curve.is_disk_fixture:
         raise ValueError("exact Poisson masses are only available for disk fixtures")
     if method in ("auto", "exact") and curve.is_disk_fixture:
-        return _poisson_edge_masses(z0, curve)
-    _check_walk_args(n_samples, absorb, max_steps)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return _walk_edge_masses(z0, curve, n_samples, rng, absorb, max_steps)
+        masses, stragglers = _poisson_edge_masses(z0, curve), 0
+    else:
+        masses, _, stragglers = _walk(z0, None, curve, n_samples, rng, absorb, max_steps)
+    return (masses, stragglers) if return_stragglers else masses
 
 
-def _check_walk_args(n_samples: int, absorb: float, max_steps: int) -> None:
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if not absorb > 0.0:
-        raise ValueError(f"absorb must be positive, got {absorb}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+def harmonic_measure_paired(
+    z_u,
+    z_b,
+    curve: JordanCurveApprox,
+    n_samples: int = 10_000,
+    rng: np.random.Generator | None = None,
+    absorb: float = 1e-4,
+    max_steps: int = 10_000,
+    return_stragglers: bool = False,
+):
+    """Exit masses of coupled walks from two sources, as (masses_u, masses_b).
+
+    While both walkers of a pair are out and apart, they step uniformly in
+    balls of one radius under a maximal coupling: whenever the two uniform
+    laws allow, both land on the same point and the pair fuses, moving as
+    one walker from then on, so its two tallies cancel in the difference
+    measure.  Each marginal is an unbiased walk (see ``_walk``).  With
+    ``return_stragglers`` a third entry counts the walkers still out at
+    ``max_steps``.
+    """
+    zu = interior_value(z_u)
+    zb = interior_value(z_b)
+    for z0 in (zu, zb):
+        if not curve.contains(z0):
+            raise ValueError("both source points must lie strictly inside the curve")
+    masses_u, masses_b, stragglers = _walk(zu, zb, curve, n_samples, rng, absorb, max_steps)
+    return (masses_u, masses_b, stragglers) if return_stragglers else (masses_u, masses_b)
 
 
 def _poisson_edge_masses(z: complex, curve: JordanCurveApprox) -> np.ndarray:
@@ -389,161 +414,117 @@ def _poisson_edge_masses(z: complex, curve: JordanCurveApprox) -> np.ndarray:
     return (kernel * _GL8_WEIGHTS[None, :]).sum(axis=1) * half / (2.0 * math.pi)
 
 
-def _walk_edge_masses(
-    z: complex,
+# pairs walked at once
+_WALK_CHUNK = 20_000
+# second generator of the rank-1 lattice of first steps
+_INV_GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
+
+
+def _walk(
+    zu: complex,
+    zb: complex | None,
     curve: JordanCurveApprox,
     n_samples: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     absorb: float,
     max_steps: int,
-) -> np.ndarray:
-    masses = np.zeros(curve.n_edges)
-    chunk = 20_000
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        pos = np.full(m, z, dtype=np.complex128)
-        alive = np.ones(m, dtype=bool)
-        nearest = np.zeros(m, dtype=np.int64)
-        for _ in range(max_steps):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            p = pos[idx]
-            dist, ne = _distance_to_curve(p, curve)
-            nearest[idx] = ne
-            hit = dist < absorb
-            if np.any(hit):
-                np.add.at(masses, ne[hit], 1.0)
-                alive[idx[hit]] = False
-                idx, p, dist = idx[~hit], p[~hit], dist[~hit]
-            if idx.size:
-                pos[idx] = p + 0.5 * dist * np.exp(2j * math.pi * rng.random(idx.size))
-        if np.any(alive):
-            # stragglers at the step cap settle at their nearest edge
-            np.add.at(masses, nearest[alive], 1.0)
-        done += m
-    return masses / n_samples
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Edge masses of ``n_samples`` walkers from zu, each paired with a
+    walker from zb (``None``: no partners, and no second mass vector), and
+    the count of walkers still out after ``max_steps`` steps, which settle at
+    the nearest edge of their last position.  Bad walk arguments raise
+    ``ValueError``.
 
-
-def harmonic_measure_paired(
-    z_u,
-    z_b,
-    curve: JordanCurveApprox,
-    n_samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-    absorb: float = 1e-4,
-    max_steps: int = 10_000,
-    fuse_rel: float = 1e-5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk two sources with reflection-coupled steps.
-
-    While both walkers are alive their jump radii are capped at half their
-    separation and the second direction is the first reflected across the
-    pair's bisector, so the log-separation drops at a constant rate per step;
-    once the separation falls under ``fuse_rel`` of the local scale the pair is
-    fused and moves identically, cancelling the noise of the difference tally.
-    Each marginal remains an unbiased walk-on-spheres sample (the reflection
-    axis depends only on pre-step positions, and a reflected uniform direction
-    is uniform).
+    Every step measures each walker's distance to the curve and absorbs the
+    walkers within ``absorb`` at their nearest edge.  A pair of live, unfused
+    walkers then steps by ``_coupled_step`` in balls of radius
+    min(dist_u, dist_b); a fused pair or a lone walker jumps to a uniform
+    point of its circle of radius dist (Muller's walk on spheres).  Each
+    marginal keeps harmonic functions martingales, so its exit law is the
+    harmonic measure up to the absorb band.  A chunk's first step takes walker
+    i's two uniforms from the lattice (i/m, i/phi mod 1) shifted by one random
+    pair mod 1 (Cranley-Patterson), which leaves each walker's step uniform.
     """
-    _check_walk_args(n_samples, absorb, max_steps)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not absorb > 0.0:
+        raise ValueError(f"absorb must be positive, got {absorb}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if rng is None:
         rng = np.random.default_rng(0)
-    zu = interior_value(z_u)
-    zb = interior_value(z_b)
-    for z0 in (zu, zb):
-        if not curve.contains(z0):
-            raise ValueError("both source points must lie strictly inside the curve")
-    masses_u = np.zeros(curve.n_edges)
-    masses_b = np.zeros(curve.n_edges)
-    chunk = 20_000
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
+    n_edges = curve.n_edges
+    masses_u = np.zeros(n_edges)
+    masses_b = np.zeros(n_edges)
+    stragglers = 0
+    for done in range(0, n_samples, _WALK_CHUNK):
+        m = min(_WALK_CHUNK, n_samples - done)
+        i = np.arange(m)
+        draws = np.mod(np.stack([i / m, i * _INV_GOLDEN]) + rng.random(2)[:, None], 1.0)
         pos_u = np.full(m, zu, dtype=np.complex128)
-        pos_b = np.full(m, zb, dtype=np.complex128)
+        pos_b = np.full(m, zu if zb is None else zb, dtype=np.complex128)
         alive_u = np.ones(m, dtype=bool)
-        alive_b = np.ones(m, dtype=bool)
-        fused = np.zeros(m, dtype=bool)
-        near_u = np.zeros(m, dtype=np.int64)
-        near_b = np.zeros(m, dtype=np.int64)
-        live = np.arange(m)  # chunk positions of the pairs held in the arrays
-        for _ in range(max_steps):
+        alive_b = np.full(m, zb is not None)  # the b-walker walks on its own
+        fused = np.zeros(m, dtype=bool)  # the b-walker rides with the u-walker
+        for step in range(max_steps + 1):
             keep = alive_u | alive_b
-            if not keep.any():
+            n_keep = np.count_nonzero(keep)
+            if n_keep == 0:
                 break
             # drop finished pairs once they are half the arrays: each step then
             # costs at most twice its live pairs, and the copies stay a
-            # geometric series (compacting on every step measured about 2 MB more
-            # peak RSS on the contour-log benchmark)
-            if 2 * np.count_nonzero(keep) <= keep.size:
-                live, pos_u, pos_b, alive_u, alive_b, fused, near_u, near_b = (
-                    x[keep] for x in (live, pos_u, pos_b, alive_u, alive_b, fused, near_u, near_b)
-                )
-            # a full draw per step keeps the stream of the uncompacted walk
-            dirs = np.exp(2j * math.pi * rng.random(m)[live])
-            # reflection axis from pre-step positions only, else the axis
-            # correlates with the direction and biases the marginal
-            sep = pos_u - pos_b
-            abs_sep = np.abs(sep)
-            d_hat = np.where(abs_sep > 0, sep, 1.0) / np.where(abs_sep > 0, abs_sep, 1.0)
+            # geometric series
+            if 2 * n_keep <= keep.size:
+                pos_u, pos_b, alive_u, alive_b, fused = (x[keep] for x in (pos_u, pos_b, alive_u, alive_b, fused))
+            if step:
+                draws = rng.random((2, pos_u.size))
+            iu = np.flatnonzero(alive_u)
+            ib = np.flatnonzero(alive_b)
+            dist, ne = _distance_to_curve(np.concatenate([pos_u[iu], pos_b[ib]]), curve)
+            hit = dist < absorb
+            if step == max_steps:
+                # walkers still out at the step cap settle at their nearest edge
+                stragglers += np.count_nonzero(~hit) + np.count_nonzero(~hit[: iu.size] & fused[iu])
+                hit[:] = True
+            hit_u, hit_b = hit[: iu.size], hit[iu.size :]
+            ne_u = ne[: iu.size][hit_u]
+            masses_u += np.bincount(ne_u, minlength=n_edges)
+            masses_b += np.bincount(ne_u[fused[iu[hit_u]]], minlength=n_edges)
+            masses_b += np.bincount(ne[iu.size :][hit_b], minlength=n_edges)
+            alive_u[iu[hit_u]] = False
+            alive_b[ib[hit_b]] = False
+            iu, du, ib, db = iu[~hit_u], dist[: iu.size][~hit_u], ib[~hit_b], dist[iu.size :][~hit_b]
 
-            dist_u = np.full(live.size, np.inf)
-            dist_b = np.full(live.size, np.inf)
-            iu = np.nonzero(alive_u)[0]
-            if iu.size:
-                dist_u[iu], ne = _distance_to_curve(pos_u[iu], curve)
-                near_u[iu] = ne
-            ib = np.nonzero(alive_b & ~fused)[0]
-            if ib.size:
-                dist_b[ib], ne = _distance_to_curve(pos_b[ib], curve)
-                near_b[ib] = ne
+            dirs = np.exp(2j * math.pi * draws[0])
+            paired_u, paired_b = alive_b[iu], alive_u[ib]
+            ju, jb = iu[~paired_u], ib[~paired_b]
+            pos_u[ju] += du[~paired_u] * dirs[ju]
+            pos_b[jb] += db[~paired_b] * dirs[jb]
+            ic = iu[paired_u]  # the same rows, in the same order, as ib[paired_b]
+            if ic.size:
+                r = np.minimum(du[paired_u], db[paired_b])
+                pos_u[ic], pos_b[ic], meet = _coupled_step(pos_u[ic], pos_b[ic], r, draws[1, ic], dirs[ic])
+                fused[ic[meet]] = True
+                alive_b[ic[meet]] = False
+    return masses_u / n_samples, None if zb is None else masses_b / n_samples, int(stragglers)
 
-            hit_u = alive_u & (dist_u < absorb)
-            if np.any(hit_u):
-                np.add.at(masses_u, near_u[hit_u], 1.0)
-                partner = hit_u & fused & alive_b
-                if np.any(partner):
-                    np.add.at(masses_b, near_u[partner], 1.0)
-                    alive_b[partner] = False
-                alive_u[hit_u] = False
-            hit_b = alive_b & ~fused & (dist_b < absorb)
-            if np.any(hit_b):
-                np.add.at(masses_b, near_b[hit_b], 1.0)
-                alive_b[hit_b] = False
 
-            both = alive_u & alive_b & ~fused
-            u_solo = alive_u & ~both
-            b_solo = alive_b & ~fused & ~both
-            if np.any(both):
-                r = 0.5 * np.minimum(np.minimum(dist_u, dist_b), np.maximum(abs_sep, absorb))
-                refl = dirs - 2.0 * (dirs * np.conj(d_hat)).real * d_hat
-                pos_u[both] = pos_u[both] + r[both] * dirs[both]
-                pos_b[both] = pos_b[both] + r[both] * refl[both]
-                gap = np.abs(pos_u - pos_b)
-                just = both & (gap <= fuse_rel * np.minimum(dist_u, dist_b))
-                if np.any(just):
-                    fused[just] = True
-                    pos_b[just] = pos_u[just]
-            if np.any(u_solo):
-                pos_u[u_solo] = pos_u[u_solo] + 0.5 * dist_u[u_solo] * dirs[u_solo]
-            if np.any(b_solo):
-                pos_b[b_solo] = pos_b[b_solo] + 0.5 * dist_b[b_solo] * dirs[b_solo]
-            live_fused = alive_u & fused
-            if np.any(live_fused):
-                pos_b[live_fused] = pos_u[live_fused]
-        # stragglers at the step cap settle at their nearest edge
-        for alive, near, masses in (
-            (alive_u, near_u, masses_u),
-            (alive_b & ~fused, near_b, masses_b),
-            (alive_b & fused, near_u, masses_b),
-        ):
-            stuck = np.nonzero(alive)[0]
-            if stuck.size:
-                np.add.at(masses, near[stuck], 1.0)
-        done += m
-    return masses_u / n_samples, masses_b / n_samples
+def _coupled_step(
+    xu: np.ndarray, xb: np.ndarray, r: np.ndarray, radial: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One maximally coupled step of each pair: X = xu + r sqrt(radial) dirs is
+    uniform in B(xu, r).  Where X also lies in B(xb, r) the b-walker moves to
+    X too (``meet``); elsewhere it moves to X reflected across the
+    perpendicular bisector of xu xb, which maps B(xu, r) minus B(xb, r) onto
+    B(xb, r) minus B(xu, r), so the b-walker is uniform in B(xb, r) as well.
+    Returns the new positions and ``meet``.
+    """
+    step = r * np.sqrt(radial) * dirs
+    x = xu + step
+    sep = xb - xu
+    unit = sep / np.maximum(np.abs(sep), np.finfo(float).tiny)
+    meet = np.abs(x - xb) < r
+    return x, np.where(meet, x, xb + step - 2.0 * (step * np.conj(unit)).real * unit), meet
 
 
 def _distance_to_curve(p: np.ndarray, curve: JordanCurveApprox) -> tuple[np.ndarray, np.ndarray]:
@@ -674,12 +655,14 @@ class HarmonicMeasureAtlas:
 
     The masses are held as read-only copies, so the tables cached from them
     (the calibration constants and the contour-integral nodes, keyed by the
-    start vertices) cannot go stale.
+    start vertices) cannot go stale.  ``walk_stragglers`` counts the walkers
+    that settled at the step cap; it is not part of ``to_json``.
     """
 
     curves: tuple[JordanCurveApprox, ...]
     nu_u: tuple[np.ndarray, ...]
     nu_b: tuple[np.ndarray, ...]
+    walk_stragglers: int = 0
     _c1_cache: dict = field(default_factory=dict, repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
 
@@ -742,13 +725,14 @@ def build_atlas(
     """Sum the per-zero harmonic measures into the two edge-mass tables.
 
     With ``paired=True`` (walk method, equal per-curve counts) the u- and
-    b-zero walks share random streams, which sharply reduces the variance of
-    the difference measure.
+    b-zero walks are coupled pairs, which sharply reduces the variance of the
+    difference measure.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     nu_u: list[np.ndarray] = []
     nu_b: list[np.ndarray] = []
+    stragglers = 0
     for curve in curves:
         mu = np.zeros(curve.n_edges)
         mb = np.zeros(curve.n_edges)
@@ -756,17 +740,19 @@ def build_atlas(
         b_in = sorted((p for p in b.expanded_points() if curve.contains(p)), key=lambda w: (w.real, w.imag))
         if paired and method == "walk" and len(u_in) == len(b_in):
             for pu, pb in zip(u_in, b_in):
-                part_u, part_b = harmonic_measure_paired(pu, pb, curve, n_samples, rng)
+                part_u, part_b, stuck = harmonic_measure_paired(pu, pb, curve, n_samples, rng, return_stragglers=True)
                 mu += part_u
                 mb += part_b
+                stragglers += stuck
         else:
-            for p in u_in:
-                mu += harmonic_measure(p, curve, n_samples, rng, method)
-            for p in b_in:
-                mb += harmonic_measure(p, curve, n_samples, rng, method)
+            for sources, masses in ((u_in, mu), (b_in, mb)):
+                for p in sources:
+                    part, stuck = harmonic_measure(p, curve, n_samples, rng, method, return_stragglers=True)
+                    masses += part
+                    stragglers += stuck
         nu_u.append(mu)
         nu_b.append(mb)
-    return HarmonicMeasureAtlas(tuple(curves), tuple(nu_u), tuple(nu_b))
+    return HarmonicMeasureAtlas(tuple(curves), tuple(nu_u), tuple(nu_b), stragglers)
 
 
 def split_zeros_by_contour(u: ZeroList, curves: Sequence[JordanCurveApprox]) -> tuple[ZeroList, ZeroList]:

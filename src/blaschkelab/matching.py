@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .blaschke import ZeroList
 from .cauchy import PathMeasure
@@ -52,7 +50,18 @@ def beta_matrix(points_a: Sequence[complex], points_b: Sequence[complex]) -> np.
     return np.log1p(rho) - np.log1p(-rho)
 
 
+def maximum_bipartite_matching(graph, perm_type: str = "row") -> np.ndarray:
+    """``scipy.sparse.csgraph.maximum_bipartite_matching``, imported on first
+    use (scipy.sparse would be most of the time of ``import blaschkelab``);
+    a module attribute, so ``benchmarks/tracer.py`` can count the calls."""
+    from scipy.sparse.csgraph import maximum_bipartite_matching as match
+
+    return match(graph, perm_type=perm_type)
+
+
 def _has_perfect_matching(adj: np.ndarray) -> bool:
+    from scipy.sparse import csr_matrix
+
     n = adj.shape[0]
     graph = csr_matrix(adj)
     match = maximum_bipartite_matching(graph, perm_type="column")

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from blaschkelab import contours
+from blaschkelab.acceptance import contour_log_fixture_mc
 from blaschkelab.blaschke import ZeroList, evaluate_grid
 from blaschkelab.carleson import DiscreteMeasure, box_carleson_norm, suggested_box_depth
 from blaschkelab.contours import (
     HarmonicMeasureAtlas,
     _contour_integrals,
+    _coupled_step,
+    _dense_distance,
     _distance_to_curve,
     _level_values,
-    _walk_edge_masses,
+    _poisson_edge_masses,
     JordanCurveApprox,
     arclength_carleson_norm,
     build_atlas,
@@ -386,8 +389,11 @@ def _dense_edge_distances(p, curve):
 
 
 def _reference_paired(z_u, z_b, curve, n_samples, rng, absorb=1e-4, max_steps=10_000, fuse_rel=1e-5):
-    """The paired walk by the first route: every step runs over the whole
-    chunk, dead pairs included."""
+    """The first paired walk, a statistical reference for the engine: half-distance
+    steps, each direction reflected across the pair's bisector, fusion once the
+    gap falls under ``fuse_rel`` of the local scale; every step runs over the
+    whole chunk.  Distances by ``_distance_to_curve``, which ``TestCellIndex``
+    pins to the dense scan."""
     zu = interior_value(z_u)
     zb = interior_value(z_b)
     masses_u = np.zeros(curve.n_edges)
@@ -417,11 +423,11 @@ def _reference_paired(z_u, z_b, curve, n_samples, rng, absorb=1e-4, max_steps=10
             dist_b = np.full(m, np.inf)
             iu = np.nonzero(alive_u)[0]
             if iu.size:
-                dist_u[iu], ne = _reference_distance(pos_u[iu], curve)
+                dist_u[iu], ne = _distance_to_curve(pos_u[iu], curve)
                 near_u[iu] = ne
             ib = np.nonzero(alive_b & ~fused)[0]
             if ib.size:
-                dist_b[ib], ne = _reference_distance(pos_b[ib], curve)
+                dist_b[ib], ne = _distance_to_curve(pos_b[ib], curve)
                 near_b[ib] = ne
 
             hit_u = alive_u & (dist_u < absorb)
@@ -470,26 +476,7 @@ def _reference_paired(z_u, z_b, curve, n_samples, rng, absorb=1e-4, max_steps=10
     return masses_u / n_samples, masses_b / n_samples
 
 
-
 _THETA_24 = 2.0 * math.pi * np.arange(24) / 24
-
-
-class TestPairedWalkCompaction:
-    @pytest.mark.parametrize(
-        "curve",
-        [
-            JordanCurveApprox.circle(0.0, 0.4, n=64),
-            # a non-convex trefoil polyline, distances by the edge route
-            JordanCurveApprox(0.05 + 0.4 * (1.0 + 0.3 * np.cos(3.0 * _THETA_24)) * np.exp(1j * _THETA_24)),
-        ],
-        ids=["disk", "polyline"],
-    )
-    def test_masses_equal_the_uncompacted_walk(self, curve):
-        for seed in (3, 4):
-            got = harmonic_measure_paired(0.0, 0.1, curve, n_samples=3000, rng=np.random.default_rng(seed))
-            ref = _reference_paired(0.0, 0.1, curve, 3000, np.random.default_rng(seed))
-            np.testing.assert_array_equal(got[0], ref[0])
-            np.testing.assert_array_equal(got[1], ref[1])
 
 
 def _regular_polygon(n):
@@ -574,7 +561,8 @@ class TestCellIndex:
 
 
 def _reference_walk(z, curve, n_samples, rng, absorb=1e-4, max_steps=10_000):
-    """The unpaired walk with dense distances, as first written."""
+    """The first unpaired walk, a statistical reference for the engine:
+    half-distance steps, distances as in ``_reference_paired``."""
     masses = np.zeros(curve.n_edges)
     chunk = 20_000
     done = 0
@@ -588,7 +576,7 @@ def _reference_walk(z, curve, n_samples, rng, absorb=1e-4, max_steps=10_000):
             if idx.size == 0:
                 break
             p = pos[idx]
-            dist, ne = _reference_distance(p, curve)
+            dist, ne = _distance_to_curve(p, curve)
             nearest[idx] = ne
             hit = dist < absorb
             if np.any(hit):
@@ -603,21 +591,193 @@ def _reference_walk(z, curve, n_samples, rng, absorb=1e-4, max_steps=10_000):
     return masses / n_samples
 
 
-class TestIndexedWalks:
+def _lens_ratio(d, r):
+    """|B(0, r) n B(d, r)| / (pi r^2)."""
+    if d >= 2.0 * r:
+        return 0.0
+    return (2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)) / (math.pi * r * r)
+
+
+class TestCoupledStep:
+    @pytest.mark.parametrize("d", [0.0, 0.07, 0.15, 0.25])
+    def test_fusion_rate_is_the_lens_ratio_and_both_walkers_are_uniform(self, d):
+        n, r = 200_000, 0.1
+        rng = np.random.default_rng(31)
+        xu = np.full(n, 0.2 + 0.1j)
+        xb = xu + d * np.exp(0.7j)
+        radial, angle = rng.random((2, n))
+        new_u, new_b, meet = _coupled_step(xu, xb, np.full(n, r), radial, np.exp(2j * math.pi * angle))
+        p = _lens_ratio(d, r)
+        assert abs(meet.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
+        np.testing.assert_array_equal(new_b[meet], new_u[meet])
+        for new, centre in ((new_u, xu), (new_b, xb)):
+            rel = new - centre
+            assert np.abs(rel).max() <= r * (1.0 + 1e-12)
+            # uniform in B(centre, r): coordinates of mean 0 and variance r^2 / 4,
+            # |rel|^2 / r^2 uniform on [0, 1]
+            assert abs(rel.real.mean()) < 4.0 * 0.5 * r / math.sqrt(n)
+            assert abs(rel.imag.mean()) < 4.0 * 0.5 * r / math.sqrt(n)
+            assert abs((np.abs(rel) ** 2).mean() / r**2 - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / n)
+
+
+def _assert_arcs_and_modes_agree(got, exact, theta, n):
+    """8 arc masses and Fourier modes 1..3 of the exit angle within 4 sigma of
+    n independent walkers."""
+    arcs, exact_arcs = got.reshape(8, -1).sum(axis=1), exact.reshape(8, -1).sum(axis=1)
+    assert np.all(np.abs(arcs - exact_arcs) < 4.0 * np.sqrt(exact_arcs * (1.0 - exact_arcs) / n))
+    for k in (1, 2, 3):
+        for f in (np.cos(k * theta), np.sin(k * theta)):
+            sigma = math.sqrt((exact @ f**2 - (exact @ f) ** 2) / n)
+            assert abs(got @ f - exact @ f) < 4.0 * sigma
+
+
+def _arc_blocks(masses, n_arcs=8):
+    return np.array([blk.sum() for blk in np.array_split(masses, n_arcs)])
+
+
+class TestWalkEngine:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_paired_marginals_match_poisson(self, seed):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=256)
+        theta = np.angle(0.5 * (curve.edge_starts() + curve.edge_ends()))
+        n = 400_000
+        z_u, z_b = 0.1 + 0.0j, -0.05 + 0.1j
+        mu, mb = harmonic_measure_paired(z_u, z_b, curve, n_samples=n, rng=np.random.default_rng(seed))
+        _assert_arcs_and_modes_agree(mu, _poisson_edge_masses(z_u, curve), theta, n)
+        _assert_arcs_and_modes_agree(mb, _poisson_edge_masses(z_b, curve), theta, n)
+
     @pytest.mark.parametrize("name", ["trefoil", "level-set"])
-    def test_walk_masses_equal_the_dense_walk(self, name):
+    def test_matches_the_reference_loops(self, name):
+        curve = _DISTANCE_CURVES[name]()
+        z_u, z_b = (0.3 + 0.0j, 0.2 + 0.1j) if name == "level-set" else (0.05 + 0.02j, 0.15 - 0.05j)
+        n_ref, n_new = 5_000, 20_000
+        ref = (
+            *_reference_paired(z_u, z_b, curve, n_ref, np.random.default_rng(1)),
+            _reference_walk(z_u, curve, n_ref, np.random.default_rng(2)),
+        )
+        got = (
+            *harmonic_measure_paired(z_u, z_b, curve, n_samples=n_new, rng=np.random.default_rng(3)),
+            harmonic_measure(z_u, curve, n_samples=n_new, rng=np.random.default_rng(4), method="walk"),
+        )
+        for g, r in zip(got, ref):
+            assert g.sum() == pytest.approx(1.0, abs=1e-12)
+            g_arcs, r_arcs = _arc_blocks(g), _arc_blocks(r)
+            p = (n_ref * r_arcs + n_new * g_arcs) / (n_ref + n_new)
+            assert np.all(np.abs(g_arcs - r_arcs) < 4.0 * np.sqrt(p * (1.0 - p) * (1.0 / n_ref + 1.0 / n_new)))
+
+    def test_lattice_shift_randomizes_each_first_step(self):
+        # from the centre one sphere jump lands on the circle: a lone walker's
+        # exit edge is its first-step angle, uniform only through the shift
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        edges = {
+            int(np.argmax(harmonic_measure(0.0, curve, 1, np.random.default_rng(seed), "walk"))) for seed in range(200)
+        }
+        assert len(edges) > 48
+
+    def test_equal_sources_fuse_at_once(self):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        mu, mb = harmonic_measure_paired(0.1, 0.1, curve, n_samples=5000, rng=np.random.default_rng(9))
+        np.testing.assert_array_equal(mu, mb)
+
+    def test_seeded_runs_repeat(self):
+        # three chunks, the last one partial
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        run = lambda: harmonic_measure_paired(0.0, 0.1, curve, n_samples=45_000, rng=np.random.default_rng(5))
+        first, again = run(), run()
+        np.testing.assert_array_equal(first[0], again[0])
+        np.testing.assert_array_equal(first[1], again[1])
+        assert first[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_route(p, curve):
+    return _dense_distance(p, curve.edge_starts(), curve.edge_ends() - curve.edge_starts())
+
+
+class TestIndexedWalks:
+    """The engine on cell-index distances against the engine with
+    ``_distance_to_curve`` replaced by the dense scan: the same bits."""
+
+    @staticmethod
+    def _both_routes(monkeypatch, run):
+        indexed = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(contours, "_distance_to_curve", _dense_route)
+            dense = run()
+        return indexed, dense
+
+    @pytest.mark.parametrize("name", ["trefoil", "level-set"])
+    def test_walk_masses_equal_the_dense_walk(self, name, monkeypatch):
         curve = _DISTANCE_CURVES[name]()
         z = 0.3 + 0.0j if name == "level-set" else 0.05 + 0.02j
         for seed in (5, 6):
-            got = _walk_edge_masses(z, curve, 400, np.random.default_rng(seed), 1e-4, 10_000)
-            ref = _reference_walk(z, curve, 400, np.random.default_rng(seed))
-            np.testing.assert_array_equal(got, ref)
+            indexed, dense = self._both_routes(
+                monkeypatch,
+                lambda: (
+                    harmonic_measure(z, curve, 400, np.random.default_rng(seed), "walk"),
+                    *harmonic_measure_paired(z, z - 0.06j, curve, 400, np.random.default_rng(seed)),
+                ),
+            )
+            for got, ref in zip(indexed, dense):
+                np.testing.assert_array_equal(got, ref)
 
-    def test_step_cap_stragglers_equal_the_dense_walk(self):
+    def test_step_cap_stragglers_equal_the_dense_walk(self, monkeypatch):
         curve = _DISTANCE_CURVES["trefoil"]()
-        got = _walk_edge_masses(0.05, curve, 300, np.random.default_rng(8), 1e-9, 5)
-        ref = _reference_walk(0.05, curve, 300, np.random.default_rng(8), absorb=1e-9, max_steps=5)
-        np.testing.assert_array_equal(got, ref)
+        indexed, dense = self._both_routes(
+            monkeypatch,
+            lambda: harmonic_measure_paired(
+                0.05, 0.1, curve, 300, np.random.default_rng(8), absorb=1e-9, max_steps=5, return_stragglers=True
+            ),
+        )
+        np.testing.assert_array_equal(indexed[0], dense[0])
+        np.testing.assert_array_equal(indexed[1], dense[1])
+        assert indexed[2] == dense[2] > 0
+
+
+class TestWalkStragglers:
+    def test_none_on_the_criterion_7_fixture(self):
+        u, b, circ = contour_log_fixture_mc()
+        atlas = build_atlas(u, b, [circ], n_samples=40_000, rng=np.random.default_rng(7), method="walk", paired=True)
+        assert atlas.walk_stragglers == 0
+        assert "walk_stragglers" not in atlas.to_json()
+
+    def test_counted_at_the_step_cap(self):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        mu, mb, stuck = harmonic_measure_paired(
+            0.0, 0.1, curve, 1000, np.random.default_rng(1), max_steps=2, return_stragglers=True
+        )
+        assert 0 < stuck <= 2000
+        assert mu.sum() == pytest.approx(1.0) and mb.sum() == pytest.approx(1.0)
+        masses, solo = harmonic_measure(
+            0.1, curve, 1000, np.random.default_rng(1), "walk", max_steps=2, return_stragglers=True
+        )
+        assert 0 < solo <= 1000 and masses.sum() == pytest.approx(1.0)
+        assert harmonic_measure(0.1, curve, return_stragglers=True)[1] == 0
+        # equal sources fuse on the first step, and a fused pair still out counts twice
+        _, _, stuck = harmonic_measure_paired(
+            0.1, 0.1, curve, 1000, np.random.default_rng(1), max_steps=1, return_stragglers=True
+        )
+        assert stuck == 2000
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_atlas_sums_the_counts(self, paired, monkeypatch):
+        counts = []
+
+        def capped(fn):
+            def run(*args, **kwargs):
+                out = fn(*args, max_steps=2, **kwargs)
+                counts.append(out[-1])
+                return out
+
+            return run
+
+        for name in ("harmonic_measure", "harmonic_measure_paired"):
+            monkeypatch.setattr(contours, name, capped(getattr(contours, name)))
+        u = ZeroList.from_points([0.1, -0.1j])
+        b = ZeroList.from_points([0.05, 0.12j])
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=64)
+        atlas = build_atlas(u, b, [circ], n_samples=500, rng=np.random.default_rng(2), method="walk", paired=paired)
+        assert len(counts) == (2 if paired else 4)
+        assert atlas.walk_stragglers == sum(counts) > 0
 
 
 _BAD_WALK_ARGS = {

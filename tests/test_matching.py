@@ -1,5 +1,9 @@
 """Tests for the bottleneck zero matching."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,3 +134,17 @@ class TestDiagnostics:
         bad = Pairing((0,), 99.0)
         with pytest.raises(ValueError):
             pairing_diagnostics(bad, za, zb)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse takes most of an eager import's time; matching loads it on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import blaschkelab; "
+        "from blaschkelab.blaschke import ZeroList; "
+        "print('scipy.sparse' in sys.modules); "
+        "blaschkelab.bottleneck_match(ZeroList.from_points([0.1, 0.2]), ZeroList.from_points([0.15, 0.25])); "
+        "print('scipy.sparse' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
