@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 ARTIFACT_VERSION = "0.1.0"
@@ -33,6 +34,9 @@ class RunConfig:
         n = self.grid_size
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 256, got {n}")
+        bad = {k: v for k, v in self.tolerances.items() if k not in DEFAULT_TOLERANCES or not 0.0 <= v < math.inf}
+        if bad:
+            raise ValueError(f"tolerances must be known ({', '.join(DEFAULT_TOLERANCES)}), finite and >= 0: {bad}")
         tols = dict(DEFAULT_TOLERANCES)
         tols.update(self.tolerances)
         object.__setattr__(self, "tolerances", tols)

@@ -186,6 +186,8 @@ def level_set_components(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"level must be in (0, 1), got {delta}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2 (a grid with an interior node), got {resolution}")
     if b.degree == 0:
         return []
 

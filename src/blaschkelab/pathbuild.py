@@ -20,7 +20,7 @@ from .blaschke import ZeroList, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
 from .geometry import as_complex
-from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
+from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 
 _PARTITION_CAP = 1 << 20
 # contour sampling of the certification, shared by build_path's start margin
@@ -64,7 +64,7 @@ def _subchord_lengths(pairs: Sequence[tuple[complex, complex]], ts: np.ndarray) 
 def choose_partition(pairs: Sequence[tuple[complex, complex]], alpha: float) -> list[float]:
     """Partition of [0, 1] so every zero moves hyperbolically less than alpha
     within each subinterval, by doubling until the chord-length bound clears."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not pairs:
         return [0.0, 1.0]
@@ -320,13 +320,13 @@ def _merge_mod_intervals(intervals: list[tuple[float, float]]) -> list[tuple[flo
     return [(a, b) for a, b in merged]
 
 
-def _union_boundary_loops(
-    disks: list[tuple[complex, float]], pts_per_circle: int
-) -> list[np.ndarray]:
-    """Closed polylines bounding the union of Euclidean disks.
+def _boundary_arcs(disks: list[tuple[complex, float]], pts_per_circle: int) -> list[np.ndarray]:
+    """The arcs bounding the union of Euclidean disks, each sampled with both
+    of its ends; an uncovered circle is the arc (0, 2 pi).
 
-    Outer loops come out counterclockwise and holes clockwise, so signed
-    winding numbers along all loops add up to counts over the union region.
+    Every arc runs counterclockwise on its own circle, so the union lies on
+    its left, holes included: phase increments of f summed over all the arcs
+    give the signed count of zeros of f in the union.
     """
     two_pi = 2.0 * math.pi
     uniq: list[tuple[complex, float]] = []
@@ -343,9 +343,7 @@ def _union_boundary_loops(
         if not swallowed:
             active.append((o, r))
 
-    # uncovered arcs per circle
-    arcs: list[tuple[int, float, float]] = []  # (circle index, start, end) CCW, end > start
-    full_circles: list[int] = []
+    arcs: list[np.ndarray] = []
     for i, (o, r) in enumerate(active):
         covered: list[tuple[float, float]] = []
         for j, (o2, r2) in enumerate(active):
@@ -358,57 +356,15 @@ def _union_boundary_loops(
             cos_half = (d * d + r * r - r2 * r2) / (2.0 * d * r)
             half = math.acos(min(1.0, max(-1.0, cos_half)))
             covered.append((phi - half, phi + half))
-        if not covered:
-            full_circles.append(i)
-            continue
-        merged = _merge_mod_intervals(covered)
-        if len(merged) == 1 and merged[0][1] - merged[0][0] >= two_pi - 1e-12:
-            continue  # circle covered by the union of the others
-        for (a1, b1), (a2, _) in zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)]):
-            if a2 > b1 + 1e-12:
-                arcs.append((i, b1, a2))
-
-    loops: list[np.ndarray] = []
-    for i in full_circles:
-        o, r = active[i]
-        loops.append(o + r * np.exp(1j * two_pi * np.arange(pts_per_circle) / pts_per_circle))
-
-    # splice arcs: the end of an arc is an entry point into the covering circle
-    unused = set(range(len(arcs)))
-    starts_by_circle: dict[int, list[tuple[float, int]]] = {}
-    for idx, (ci, a, _) in enumerate(arcs):
-        starts_by_circle.setdefault(ci, []).append((a % two_pi, idx))
-    while unused:
-        idx = min(unused)
-        pieces: list[np.ndarray] = []
-        while True:
-            unused.discard(idx)
-            ci, a, b = arcs[idx]
-            o, r = active[ci]
-            n_pts = max(2, int(math.ceil(pts_per_circle * (b - a) / two_pi)))
-            angles = a + (b - a) * np.arange(n_pts) / n_pts
-            pieces.append(o + r * np.exp(1j * angles))
-            end_point = o + r * np.exp(1j * b)
-            nxt = None
-            best = math.inf
-            for cj, (o2, r2) in enumerate(active):
-                if cj == ci or cj not in starts_by_circle:
-                    continue
-                if abs(abs(end_point - o2) - r2) > 1e-9:
-                    continue
-                ang = math.atan2((end_point - o2).imag, (end_point - o2).real) % two_pi
-                for a2, idx2 in starts_by_circle[cj]:
-                    diff = abs((a2 - ang + math.pi) % two_pi - math.pi)
-                    if diff < best:
-                        best = diff
-                        nxt = idx2
-            if nxt is None or best > 1e-6:
-                raise ContourThroughZeroError("could not splice union-boundary arcs; perturb the configuration")
-            idx = nxt
-            if idx not in unused:
-                break
-        loops.append(np.concatenate(pieces))
-    return loops
+        spans = [(0.0, two_pi)]
+        if covered:
+            merged = _merge_mod_intervals(covered)
+            gaps = zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)])
+            spans = [(b1, a2) for (_, b1), (a2, _) in gaps if a2 > b1 + 1e-12]
+        for a, b in spans:
+            n_pts = max(2, math.ceil(pts_per_circle * ((b - a) / two_pi)))
+            arcs.append(o + r * np.exp(1j * (a + (b - a) * np.arange(n_pts + 1) / n_pts)))
+    return arcs
 
 
 @dataclass(frozen=True)
@@ -416,14 +372,15 @@ class ContourGroup:
     """One connected component of the union of hyperbolic unit disks."""
 
     member_indices: tuple[int, ...]
-    loops: tuple[np.ndarray, ...]
+    arcs: tuple[np.ndarray, ...]
     expected_count: int
 
 
 def neighborhood_contours(
     centers: Sequence[complex], beta_radius: float = 1.0, pts_per_circle: int = _PTS_PER_CIRCLE
 ) -> list[ContourGroup]:
-    """Boundary loops of {beta(z, centers) <= beta_radius}, grouped by component."""
+    """Boundary arcs of {beta(z, centers) <= beta_radius}, grouped by
+    component: each runs counterclockwise on its own circle (``_boundary_arcs``)."""
     disks = [hyperbolic_circle_euclid(as_complex(c), beta_radius) for c in centers]
     n = len(disks)
     parent = list(range(n))
@@ -446,8 +403,8 @@ def neighborhood_contours(
         groups.setdefault(find(i), []).append(i)
     out = []
     for members in groups.values():
-        loops = _union_boundary_loops([disks[i] for i in members], pts_per_circle)
-        out.append(ContourGroup(tuple(members), tuple(loops), len(members)))
+        arcs = _boundary_arcs([disks[i] for i in members], pts_per_circle)
+        out.append(ContourGroup(tuple(members), tuple(arcs), len(members)))
     return out
 
 
@@ -461,9 +418,10 @@ def rouche_zero_count(
     refined as the certification refines: an edge is bisected while the
     relative jump of f across it exceeds eta.  A sample on a zero of f raises
     ContourThroughZeroError, as does a count that needs more than
-    ``max_points`` points."""
+    ``max_points`` points or whose phase sum is not near an integer."""
     pts = np.asarray(contour, dtype=np.complex128)
-    low, count = _loop_margin_count(f, pts, f(pts), eta, max_points)
+    pts = np.append(pts, pts[:1])  # one arc, closed by repeating its first point
+    low, count = _loop_margin_count(f, [pts], f(pts), eta, max_points)
     if low == 0.0:
         raise ContourThroughZeroError("f vanishes at a contour sample")
     return count
@@ -501,9 +459,10 @@ def certify_path(
     b_{t_j} + s (b_{t_{j+1}} g_{j+1} - b_{t_j}) is sampled on the boundary of
     the hyperbolic unit neighborhood of Z(b_{t_j}): its modulus on the sampled
     set must stay positive and its winding count on each component must equal
-    the zeros of b_{t_j} there.  eta in (0, 1) caps the relative jump of f
-    between consecutive contour samples (winding safety); smaller eta samples
-    more densely.
+    the zeros of b_{t_j} there, summed over the component's boundary arcs.
+    eta in (0, 1) caps the relative jump of f between consecutive contour
+    samples (winding safety); smaller eta samples more densely.
+    ``max_pts_per_loop`` caps a component's distinct boundary points.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -586,32 +545,27 @@ def _group_margin_count(
     eta: float,
     max_pts_per_loop: int,
 ) -> list[tuple[float, int] | ContourThroughZeroError]:
-    """Min modulus over the group's loops plus the signed winding total, for
-    each segment function f_s = A + s (B - A), A = base(w), B = target(w).
+    """Min modulus over the group's arcs plus the winding total, for each
+    segment function f_s = A + s (B - A), A = base(w), B = target(w).
 
-    f_s is affine in s, so A and B are evaluated once per loop and every
+    f_s is affine in s, so A and B are evaluated once per group and every
     s-sample is formed from them; s = 0 is A itself and never needs the
-    target (None is allowed when s_values is (0.0,)).  Each s refines the loop
-    on its own by ``_loop_margin_count``.  An s whose samples hit a zero of
-    f_s gets (0.0, 0); one that needs more than ``max_pts_per_loop`` points
-    gets its ContourThroughZeroError instead.  Either ends that s's scan of
-    the remaining loops.
+    target (None is allowed when s_values is (0.0,)).  Each s refines the
+    arcs on its own by ``_loop_margin_count``.  An s whose samples hit a zero
+    of f_s gets (0.0, 0); one that needs more than ``max_pts_per_loop``
+    distinct points, or whose phase sum is not near an integer, gets its
+    ContourThroughZeroError instead.
     """
-    out: list[tuple[float, int] | ContourThroughZeroError] = [(math.inf, 0)] * len(s_values)
-    for lp in group.loops:
-        pts = np.asarray(lp)
-        a = base(pts)
-        b = None if all(s == 0.0 for s in s_values) else target(pts)
-        for i, s in enumerate(s_values):
-            if isinstance(out[i], ContourThroughZeroError) or out[i][0] == 0.0:
-                continue
-            f, vals = (base, a) if s == 0.0 else (_segment_fn(base, target, s), a + s * (b - a))
-            try:
-                low, count = _loop_margin_count(f, pts, vals, eta, max_pts_per_loop)
-            except ContourThroughZeroError as exc:
-                out[i] = exc
-                continue
-            out[i] = (0.0, 0) if low == 0.0 else (min(out[i][0], low), out[i][1] + count)
+    pts = np.concatenate(group.arcs)
+    a = base(pts)
+    b = None if all(s == 0.0 for s in s_values) else target(pts)
+    out: list[tuple[float, int] | ContourThroughZeroError] = []
+    for s in s_values:
+        f, vals = (base, a) if s == 0.0 else (_segment_fn(base, target, s), a + s * (b - a))
+        try:
+            out.append(_loop_margin_count(f, group.arcs, vals, eta, max_pts_per_loop))
+        except ContourThroughZeroError as exc:
+            out.append(exc)
     return out
 
 
@@ -626,30 +580,42 @@ def _segment_fn(base, target, s: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _loop_margin_count(
-    f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, vals: np.ndarray, eta: float, max_pts: int
+    f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray, eta: float, max_pts: int
 ) -> tuple[float, int]:
-    """Min |f| over a closed polyline and the winding number of f along it,
-    given the values ``vals`` of f at its vertices ``pts``.
+    """Min |f| over arcs that together form closed curves, and the winding
+    number of f along them, given the values ``vals`` of f at the arcs' points
+    laid end to end.
 
-    An edge is bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|)
-    on it exceeds eta, which caps every phase increment at arcsin(eta) and
-    makes the winding sum unambiguous; f is evaluated at the inserted
-    midpoints only.  A sample on a zero of f gives (0.0, 0); needing more than
-    ``max_pts`` points raises ContourThroughZeroError.
+    No edge joins one arc's last point to the next arc's first.  An edge is
+    bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|) on it
+    exceeds eta, which caps every phase increment at arcsin(eta) and makes
+    the sum of the increments unambiguous; f is evaluated at the inserted
+    midpoints only.  A sample on a zero of f gives (0.0, 0).  Needing more
+    than ``max_pts`` distinct points (the arcs' shared ends count once), or a
+    phase sum farther than 0.1 from an integer, raises ContourThroughZeroError.
     """
+    pts = np.concatenate(arcs)
+    last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
+    last[np.cumsum([arc.size for arc in arcs]) - 1] = True
     while True:
         mods = np.abs(vals)
         low = float(mods.min())
         if low == 0.0:
             return 0.0, 0
-        nxt = np.roll(vals, -1)
-        bad = np.nonzero(np.abs(nxt - vals) / np.minimum(mods, np.abs(nxt)) > eta)[0]
+        edges = ~last[:-1]
+        jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
+        bad = np.nonzero(edges & (jump > eta))[0]
         if bad.size == 0:
-            return low, winding_number(vals)
-        if pts.size + bad.size > max_pts:
+            total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
+            count = round(total)
+            if abs(total - count) > 0.1:
+                raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
+            return low, count
+        if pts.size - len(arcs) + bad.size > max_pts:
             raise ContourThroughZeroError(
                 f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
             )
-        mids = 0.5 * (pts + np.roll(pts, -1))[bad]
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, f(mids))
+        last = np.insert(last, bad + 1, False)

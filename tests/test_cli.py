@@ -7,6 +7,7 @@ import pytest
 from blaschkelab import cli
 from blaschkelab.carleson import BOX_NORM_SLACK
 from blaschkelab.cli import main
+from blaschkelab.config import RunConfig
 
 
 def _write(path, payload):
@@ -176,6 +177,27 @@ class TestExitCodes:
         assert error["alphas"] == [0.5, 0.25]
         assert len(error["last_failures"]) == 1 and "m0/2" in error["last_failures"][0]
 
+    @pytest.mark.parametrize(
+        "override", ["intwn=1e-3", "intwin=nan", "intwin=inf", "intwin=-1"], ids=["unknown", "nan", "inf", "negative"]
+    )
+    def test_bad_tolerance_is_config_error(self, tmp_path, zeros_file, override):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--tol", override, "eval", "--zeros", zeros_file]) == 2
+        assert not out.exists()
+
+    def test_nan_alpha_is_input_error(self, tmp_path, zeros_file, zeros_star_file):
+        args = ["path", "--zeros", zeros_file, "--zeros-star", zeros_star_file, "--alpha", "nan"]
+        code = main(["--out", str(tmp_path), "--grid", "256", *args])
+        assert code == 2
+        assert not (tmp_path / "error.json").exists()
+
+    @pytest.mark.parametrize("resolution", ["0", "1"])
+    def test_gridless_contour_resolution_is_input_error(self, tmp_path, zeros_file, resolution):
+        args = ["contour", "--zeros", zeros_file, "--level", "0.4", "--resolution", resolution]
+        code = main(["--out", str(tmp_path), *args])
+        assert code == 2
+        assert not (tmp_path / "error.json").exists()
+
     def test_zero_list_of_wrong_shape_is_input_error(self, tmp_path):
         bare = _write(tmp_path / "bare.json", [{"re": 0.3, "im": 0.0, "mult": 1}])
         assert main(["--out", str(tmp_path), "eval", "--zeros", bare]) == 2
@@ -194,6 +216,15 @@ class TestDeterminism:
             )
             assert code == 0
         assert (d1 / "carleson.json").read_bytes() == (d2 / "carleson.json").read_bytes()
+
+    def test_tolerance_override_stamped(self, tmp_path, zeros_file):
+        assert main(["--out", str(tmp_path), "--tol", "intwin=1e-3", "eval", "--zeros", zeros_file]) == 0
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert doc["config"]["tolerances"]["intwin"] == 1e-3
+        assert doc["config_hash"] != RunConfig().config_hash()
+
+    def test_default_config_hash_unchanged(self):
+        assert RunConfig().config_hash() == "755bd69deba26acd"
 
     def test_config_hash_stamped(self, tmp_path, zeros_file):
         assert main(["--out", str(tmp_path), "--seed", "5", "carleson", "--zeros", zeros_file]) == 0

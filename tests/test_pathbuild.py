@@ -13,10 +13,12 @@ from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, outer_correction
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
 from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
-from blaschkelab.geometry import hyper_distance, rho_from_beta
+from blaschkelab.geometry import as_complex, hyper_distance, rho_from_beta
 from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 from blaschkelab.matching import bottleneck_match
 from blaschkelab.pathbuild import (
+    CertificationReport,
+    SampleCheck,
     build_path,
     certify_path,
     choose_partition,
@@ -85,6 +87,10 @@ class TestChoosePartition:
         with pytest.raises(ValueError):
             choose_partition([(0.1, 0.2)], 0.0)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            choose_partition([(0.1, 0.2)], math.nan)
+
 
 class TestRoucheCount:
     def test_double_zero(self):
@@ -107,18 +113,24 @@ class TestRoucheCount:
             rouche_zero_count(lambda z: z - 0.5, contour, max_points=2048)
 
 
+def _arc_count(f, group):
+    """(min |f|, winding count) of f along a group's boundary arcs."""
+    return pathbuild._group_margin_count(f, None, group, (0.0,), 0.5, 1 << 16)[0]
+
+
 class TestNeighborhoodContours:
     def test_disjoint_centers_two_groups(self):
         groups = neighborhood_contours([-0.6, 0.6], beta_radius=1.0)
         assert len(groups) == 2
-        assert all(len(g.loops) == 1 and g.expected_count == 1 for g in groups)
+        assert all(len(g.arcs) == 1 and g.expected_count == 1 for g in groups)
 
     def test_overlapping_pair_merges(self):
         groups = neighborhood_contours([0.0, 0.1], beta_radius=1.0)
         assert len(groups) == 1
         assert groups[0].expected_count == 2
-        # merged boundary is a single outer loop
-        assert len(groups[0].loops) == 1
+        # merged boundary: one uncovered arc on each circle, meeting end to start
+        (a, b) = groups[0].arcs
+        assert abs(a[-1] - b[0]) < 1e-9 and abs(b[-1] - a[0]) < 1e-9
 
     def test_euclid_circle_formula(self):
         center, radius = hyperbolic_circle_euclid(0.0, 1.0)
@@ -130,27 +142,74 @@ class TestNeighborhoodContours:
         zl = ZeroList.from_points(centers)
         groups = neighborhood_contours(centers, beta_radius=1.0)
         assert len(groups) == 1
-        total = 0
-        for loop in groups[0].loops:
-            total += rouche_zero_count(lambda z: evaluate_grid(zl, z), loop)
-        assert total == 3
+        assert _arc_count(lambda z: evaluate_grid(zl, z), groups[0])[1] == 3
 
     def test_ring_with_hole_signed_counting(self):
-        # three centers arranged so their unit disks form a ring with a hole:
-        # the hole loop must subtract whatever it does not enclose
+        # three centers whose unit disks form a ring around an uncovered origin:
+        # the hole's arcs subtract whatever the ring does not contain
         r = 0.48
         centers = [r * np.exp(2j * np.pi * k / 3) for k in range(3)]
         groups = neighborhood_contours(centers, beta_radius=1.0)
         assert len(groups) == 1
-        loops = groups[0].loops
+        disks = [hyperbolic_circle_euclid(c, 1.0) for c in centers]
+        assert all(abs(o) > rad for o, rad in disks)  # the origin lies in the hole
+        assert len(groups[0].arcs) == 6  # three outer arcs and three hole arcs
         zl = ZeroList.from_points(centers)
-        total = sum(rouche_zero_count(lambda z: evaluate_grid(zl, z), lp) for lp in loops)
-        assert total == 3
-        if len(loops) > 1:
-            # the hole exists: a function with all zeros in the hole nets zero
-            hole_zero = ZeroList(m=1)  # zero at the origin, inside the hole
-            net = sum(rouche_zero_count(lambda z: evaluate_grid(hole_zero, z), lp) for lp in loops)
-            assert net == 0
+        assert _arc_count(lambda z: evaluate_grid(zl, z), groups[0])[1] == 3
+        assert _arc_count(lambda z: evaluate_grid(ZeroList(m=1), z), groups[0])[1] == 0
+        assert _arc_count(lambda z: z - 2.0, groups[0])[1] == 0
+
+
+def _random_groups(count):
+    """The groups of the unit neighborhoods of 1 to 11 random centers, each
+    with its members' Euclidean disks; about a third have several members."""
+    for seed in range(count):
+        rng = np.random.default_rng(300 + seed)
+        centers = [random_point(rng, 0.9) for _ in range(int(rng.integers(1, 12)))]
+        disks = [hyperbolic_circle_euclid(c, 1.0) for c in centers]
+        for group in neighborhood_contours(centers, 1.0, 64):
+            yield [disks[i] for i in group.member_indices], group
+
+
+class TestBoundaryArcs:
+    def test_arc_points_on_own_circle_outside_the_others(self):
+        n_arcs = 0
+        for disks, group in _random_groups(40):
+            for arc in group.arcs:
+                on = [i for i, (o, r) in enumerate(disks) if np.abs(np.abs(arc - o) - r).max() <= 1e-12]
+                assert len(on) == 1
+                for j, (o, r) in enumerate(disks):
+                    if j != on[0]:
+                        assert np.abs(arc - o).min() >= r - 1e-12
+                n_arcs += 1
+        assert n_arcs > 80
+
+    def test_each_arc_end_meets_one_start(self):
+        for _, group in _random_groups(40):
+            starts = np.array([arc[0] for arc in group.arcs])
+            for arc in group.arcs:
+                assert np.count_nonzero(np.abs(starts - arc[-1]) < 1e-9) == 1
+
+    def test_lone_disk_one_full_circle(self):
+        (group,) = neighborhood_contours([0.3 - 0.2j], 1.0, 64)
+        (arc,) = group.arcs
+        o, r = hyperbolic_circle_euclid(0.3 - 0.2j, 1.0)
+        np.testing.assert_allclose(arc, o + r * np.exp(2j * np.pi * np.arange(65) / 64), rtol=0, atol=1e-15)
+
+    def test_arcs_that_do_not_close_raise(self):
+        half = 0.5 * np.exp(1j * np.pi * np.arange(65) / 64)  # phase sum 1/2 for f(z) = z
+        with pytest.raises(ContourThroughZeroError, match="not near an integer"):
+            pathbuild._loop_margin_count(lambda z: z, [half], half, 0.5, 1 << 16)
+
+    def test_winding_counts_zeros_in_the_union(self):
+        rng = np.random.default_rng(9)
+        for disks, group in _random_groups(40):
+            pts = [random_point(rng, 0.95) for _ in range(40)]
+            # keep zeros clear of the circles, beyond the sampled polygon's sag
+            depth = [min(abs(p - o) - r for o, r in disks) for p in pts]
+            zl = ZeroList.from_points([p for p, d in zip(pts, depth) if abs(d) > 0.01])
+            inside = sum(1 for d in depth if d < -0.01)
+            assert _arc_count(lambda z: evaluate_grid(zl, z), group)[1] == inside
 
 
 class TestBuildPath:
@@ -258,15 +317,74 @@ def _seeded_paths(count, alpha=0.5, n_grid=1024):
         yield build_path(za, ZeroList.from_points([pts[j] for j in pairing.permutation]), alpha=alpha, n_grid=n_grid)
 
 
-def _reference_certify(path, eta=0.5, samples_per_segment=5, pts_per_circle=256, max_pts_per_loop=1 << 16):
-    """Certification by the first route: every s refines its own copy of each
-    loop and re-evaluates f on the whole loop after each bisection, with g by
-    the log/exp formula.  Returns the report's fields."""
+def _splice_loops(disks, pts_per_circle):
+    """The union's boundary by the first route: its uncovered arcs (ends
+    excluded) spliced into closed loops, outer loops counterclockwise and
+    holes clockwise, each entered circle found by matching an arc's end to
+    the nearest arc start on another circle."""
+    two_pi = 2.0 * math.pi
+    uniq = []
+    for o, r in disks:
+        if not any(abs(o - o2) < 1e-13 and abs(r - r2) < 1e-13 for o2, r2 in uniq):
+            uniq.append((o, r))
+    active = [
+        (o, r)
+        for i, (o, r) in enumerate(uniq)
+        if not any(i != j and abs(o - o2) + r <= r2 + 1e-15 and (r2, -j) > (r, -i) for j, (o2, r2) in enumerate(uniq))
+    ]
+    arcs, loops = [], []
+    for i, (o, r) in enumerate(active):
+        covered = []
+        for j, (o2, r2) in enumerate(active):
+            d = abs(o2 - o)
+            if i == j or d >= r + r2 - 1e-15 or d + r2 <= r:
+                continue
+            phi = math.atan2((o2 - o).imag, (o2 - o).real)
+            half = math.acos(min(1.0, max(-1.0, (d * d + r * r - r2 * r2) / (2.0 * d * r))))
+            covered.append((phi - half, phi + half))
+        if not covered:
+            loops.append(o + r * np.exp(1j * two_pi * np.arange(pts_per_circle) / pts_per_circle))
+            continue
+        merged = pathbuild._merge_mod_intervals(covered)
+        for (_, b1), (a2, _) in zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)]):
+            if a2 > b1 + 1e-12:
+                arcs.append((i, b1, a2))
+    unused = set(range(len(arcs)))
+    while unused:
+        idx, pieces = min(unused), []
+        while idx in unused:
+            unused.discard(idx)
+            ci, a, b = arcs[idx]
+            o, r = active[ci]
+            n_pts = max(2, int(math.ceil(pts_per_circle * (b - a) / two_pi)))
+            pieces.append(o + r * np.exp(1j * (a + (b - a) * np.arange(n_pts) / n_pts)))
+            end = o + r * np.exp(1j * b)
+            best, idx = math.inf, None
+            for idx2, (cj, a2, _) in enumerate(arcs):
+                o2, r2 = active[cj]
+                if cj == ci or abs(abs(end - o2) - r2) > 1e-9:
+                    continue
+                ang = math.atan2((end - o2).imag, (end - o2).real) % two_pi
+                diff = abs((a2 % two_pi - ang + math.pi) % two_pi - math.pi)
+                if diff < best:
+                    best, idx = diff, idx2
+            assert idx is not None and best <= 1e-6, "could not splice union-boundary arcs"
+        loops.append(np.concatenate(pieces))
+    return loops
 
-    def margin_count(f, group):
+
+def _reference_certify(
+    path, eta=0.5, samples_per_segment=5, pts_per_circle=256, max_pts_per_loop=1 << 16, g=_log_exp_g
+):
+    """Certification by the first route: the neighborhood boundary spliced
+    into closed loops (``_splice_loops``), every s refining its own copy of
+    each loop and re-evaluating f on the whole loop after each bisection,
+    counts by ``winding_number`` and g(step, w) by default the log/exp
+    formula."""
+
+    def margin_count(f, loops):
         margin, total = math.inf, 0
-        for lp in group.loops:
-            pts = np.asarray(lp)
+        for pts in loops:
             vals = f(pts)
             while True:
                 mods = np.abs(vals)
@@ -291,19 +409,22 @@ def _reference_certify(path, eta=0.5, samples_per_segment=5, pts_per_circle=256,
     eps_observed = eps_vertices = math.inf
     for j, step in enumerate(path.steps):
         zeros_from, zeros_to = path.vertices[j].zeros_t, path.vertices[j + 1].zeros_t
-        groups = neighborhood_contours(zeros_from.expanded_points(), 1.0, pts_per_circle)
+        centers = zeros_from.expanded_points()
+        disks = [hyperbolic_circle_euclid(as_complex(c), 1.0) for c in centers]
+        groups = neighborhood_contours(centers, 1.0, pts_per_circle)
 
         def bracket(w, s):
             base = evaluate_grid(zeros_from, w)
             if s == 0.0:
                 return base
-            return base + s * (evaluate_grid(zeros_to, w) * _log_exp_g(step, w) - base)
+            return base + s * (evaluate_grid(zeros_to, w) * g(step, w) - base)
 
         for gi, group in enumerate(groups):
+            loops = _splice_loops([disks[i] for i in group.member_indices], pts_per_circle)
             for s in np.linspace(0.0, 1.0, samples_per_segment):
                 s = float(s)
                 try:
-                    margin, count = margin_count(lambda w: bracket(w, s), group)
+                    margin, count = margin_count(lambda w: bracket(w, s), loops)
                 except ContourThroughZeroError as exc:
                     failures.append(f"segment {j}, s={s:.3f}, group {gi}: {exc}")
                     eps_observed = 0.0
@@ -311,12 +432,24 @@ def _reference_certify(path, eta=0.5, samples_per_segment=5, pts_per_circle=256,
                 eps_observed = min(eps_observed, margin)
                 if s == 0.0:
                     eps_vertices = min(eps_vertices, margin)
-                checks.append((j, s, gi, margin, count, group.expected_count))
+                checks.append(SampleCheck(j, s, gi, margin, count, group.expected_count))
                 if margin <= 0.0:
                     failures.append(f"segment {j}, s={s:.3f}, group {gi}: margin {margin:.3e} <= 0")
                 if count != group.expected_count:
                     failures.append(f"segment {j}, s={s:.3f}, group {gi}: count {count} != {group.expected_count}")
-    return not failures, tuple(failures), eps_observed, eps_vertices, checks
+    return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
+
+
+def _assert_same_report(got, ref):
+    """Identical outcomes and checks; margins within 1e-12 relative."""
+    assert (got.ok, got.failures) == (ref.ok, ref.failures)
+    assert [(c.segment, c.s, c.group, c.count, c.expected) for c in got.checks] == [
+        (c.segment, c.s, c.group, c.count, c.expected) for c in ref.checks
+    ]
+    for c, r in zip(got.checks, ref.checks):
+        assert c.margin == pytest.approx(r.margin, rel=1e-12)
+    assert got.eps_observed == pytest.approx(ref.eps_observed, rel=1e-12)
+    assert got.eps_vertices == pytest.approx(ref.eps_vertices, rel=1e-12)
 
 
 class TestClosedFormKernels:
@@ -345,14 +478,7 @@ class TestClosedFormKernels:
         paths = list(_seeded_paths(5, alpha=0.25)) + [build_path(za, zs, alpha=3.5, n_grid=512)]
         for path in paths:
             got = certify_path(path, **settings)
-            ok, failures, eps_observed, eps_vertices, checks = _reference_certify(path, **settings)
-            assert (got.ok, got.failures) == (ok, failures)
-            assert len(got.checks) == len(checks)
-            for c, ref in zip(got.checks, checks):
-                assert (c.segment, c.s, c.group, c.count, c.expected) == ref[:3] + ref[4:]
-                assert c.margin == pytest.approx(ref[3], rel=1e-12)
-            assert got.eps_observed == pytest.approx(eps_observed, rel=1e-12)
-            assert got.eps_vertices == pytest.approx(eps_vertices, rel=1e-12)
+            _assert_same_report(got, _reference_certify(path, **settings))
         assert not got.ok  # the adversarial step still fails
 
 
@@ -386,7 +512,8 @@ def _fft_build_once(pairs, alpha, n_grid, functional_tol=1e-6):
 
 def _reference_build(z, z_star, n_grid, eta=0.5, samples_per_segment=5, max_refinements=12, rounds=None):
     """Auto-refinement by the first route: every round is built in full by
-    the FFT route and certified before the step-norm rule is applied.
+    the FFT route and certified by ``_reference_certify``, with the
+    closed-form g for speed, before the step-norm rule is applied.
     Returns the path, its vertex logs and the step sizes tried; each round's
     path is appended to ``rounds`` when a list is given."""
     pairs = list(zip(z.expanded_points(), z_star.expanded_points()))
@@ -395,7 +522,9 @@ def _reference_build(z, z_star, n_grid, eta=0.5, samples_per_segment=5, max_refi
         path, logs = _fft_build_once(pairs, alphas[-1], n_grid)
         if rounds is not None:
             rounds.append(path)
-        report = certify_path(path, eta=eta, samples_per_segment=samples_per_segment)
+        report = _reference_certify(
+            path, eta=eta, samples_per_segment=samples_per_segment, g=lambda step, w: step.g_interior(w)
+        )
         if report.ok and all(s.step_norm < report.eps_observed / 2.0 for s in path.steps):
             path.certification = report
             return path, logs, alphas
@@ -405,7 +534,8 @@ def _reference_build(z, z_star, n_grid, eta=0.5, samples_per_segment=5, max_refi
 
 def _assert_matches_fft_route(got, ref, logs):
     """Same vertices and certification as the FFT route; step norms within
-    1e-12 and vertex logs within 1e-11 (round-off of the two routes)."""
+    1e-12, vertex logs within 1e-11 (round-off of the two routes) and
+    margins within 1e-12 relative."""
     assert len(got.vertices) == len(ref.vertices)
     for v, w, log in zip(got.vertices, ref.vertices, logs):
         assert (v.t, v.zeros_t) == (w.t, w.zeros_t)
@@ -414,7 +544,7 @@ def _assert_matches_fft_route(got, ref, logs):
     assert [s.gamma for s in got.steps] == [s.gamma for s in ref.steps]
     np.testing.assert_allclose([s.step_norm for s in got.steps], [s.step_norm for s in ref.steps], rtol=0, atol=1e-12)
     assert got.functional_sup <= 1e-6
-    assert got.certification == ref.certification
+    _assert_same_report(got.certification, ref.certification)
 
 
 def _auto_instances():
@@ -448,8 +578,8 @@ class TestStartMarginBound:
             got = build_path(za, zb, n_grid=grid)
             _assert_matches_fft_route(got, ref, logs)
             assert alphas == ref_alphas
-            # the bound is the reference's start-vertex margin, to the bit
-            start = [c.margin for c in ref.certification.checks if c.segment == 0 and c.s == 0.0]
+            # the bound is the certification's start-vertex margin, to the bit
+            start = [c.margin for c in got.certification.checks if c.segment == 0 and c.s == 0.0]
             assert set(margins) == {min(start)}
 
     def test_certifies_only_rounds_the_bound_cannot_reject(self, monkeypatch):
