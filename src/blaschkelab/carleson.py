@@ -174,7 +174,7 @@ def interpolation_constant(zeros: ZeroList) -> InterpolationConstant:
 def separation_split(zeros: ZeroList, s: float) -> list[ZeroList]:
     """Greedy first-fit (by decreasing modulus) partition into classes that are
     pairwise hyperbolically separated by at least s."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"separation must be positive, got {s}")
     pts = sorted(zeros.expanded_points(), key=lambda z: (-abs(z), math.atan2(z.imag, z.real)))
     classes: list[list[complex]] = []
@@ -245,7 +245,7 @@ def alpha_b(
     An upper bound for the true infimum over the sampled region; nondecreasing
     in r at fixed resolution.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"threshold must be positive, got {r}")
     pts = np.array(zeros.expanded_points())
     if pts.size == 0:

@@ -147,32 +147,18 @@ class JordanCurveApprox:
 # cell corners: 0 = bottom-left, 1 = bottom-right, 2 = top-right, 3 = top-left;
 # cell edges: 0 = bottom (0,1), 1 = right (1,2), 2 = top (2,3), 3 = left (3,0).
 # case bit layout: 8*c0 + 4*c1 + 2*c2 + 1*c3 with c_i = (corner value > 0).
-_CASE_SEGMENTS = {
-    0: [], 15: [],
-    1: [(3, 2)], 14: [(2, 3)],
-    2: [(2, 1)], 13: [(1, 2)],
-    4: [(1, 0)], 11: [(0, 1)],
-    8: [(0, 3)], 7: [(3, 0)],
-    3: [(3, 1)], 12: [(1, 3)],
-    6: [(2, 0)], 9: [(0, 2)],
-    5: None, 10: None,  # saddles: resolved by the cell-center sample
-}
-_EDGE_CORNERS = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 0)}
-
-
-def _cell_segments(case: int, center_positive: bool) -> list[tuple[int, int]]:
-    if case not in (5, 10):
-        return _CASE_SEGMENTS[case]
-    if case == 5:
-        # corners 1 and 3 positive; a positive center connects them
-        return [(0, 3), (1, 2)] if center_positive else [(0, 1), (2, 3)]
-    # corners 0 and 2 positive
-    return [(0, 1), (2, 3)] if center_positive else [(0, 3), (1, 2)]
-
-
-def _interp(p0: complex, p1: complex, v0: float, v1: float) -> complex:
-    t = v0 / (v0 - v1)
-    return p0 + min(max(t, 0.0), 1.0) * (p1 - p0)
+# _SEGMENTS[case, centre above the level] holds the cell's directed (entry edge,
+# exit edge) pairs, -1 padded; nodes above the level sit on the left of every
+# segment, so each crossing is entered from one cell and left into the other.
+_SEGMENTS = np.full((16, 2, 2, 2), -1, dtype=np.int64)
+for _case, _pair in {
+    1: (3, 2), 14: (2, 3), 2: (2, 1), 13: (1, 2), 4: (1, 0), 11: (0, 1), 8: (0, 3), 7: (3, 0),
+    3: (3, 1), 12: (1, 3), 6: (2, 0), 9: (0, 2),
+}.items():
+    _SEGMENTS[_case, :, 0] = _pair
+# saddles, decided by the sample at the cell centre
+_SEGMENTS[5] = [[(1, 0), (3, 2)], [(3, 0), (1, 2)]]
+_SEGMENTS[10] = [[(0, 3), (2, 1)], [(0, 1), (2, 3)]]
 
 
 def level_set_components(
@@ -180,9 +166,14 @@ def level_set_components(
 ) -> list[JordanCurveApprox]:
     """Closed polylines approximating the boundary of {|b| < delta}.
 
-    Each component's enclosed zeros are determined by winding counts; the
-    union of enclosed zeros must exhaust the zeros of b, else the topology at
-    this resolution is ambiguous and the caller should perturb delta.
+    The loops come from marching squares on a square of ``resolution`` x
+    ``resolution`` cells (``_level_loops``) and are sorted by their lowest
+    real, then imaginary, coordinate.  Each curve's enclosed zeros are
+    determined by winding counts; one evaluation of b on its points checks
+    that it stays within ``level_tol * delta`` of the level and that b winds
+    once around it per enclosed zero.  The union of enclosed zeros must
+    exhaust the zeros of b, else the topology at this resolution is
+    ambiguous and the caller should perturb delta.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"level must be in (0, 1), got {delta}")
@@ -201,72 +192,12 @@ def level_set_components(
         if r_box > 1.0 - 1e-3:
             raise ValueError(f"delta = {delta} is too large: the level set reaches the circle")
 
-    n = resolution
-    xs = np.linspace(-r_box, r_box, n + 1)
+    xs = np.linspace(-r_box, r_box, resolution + 1)
     grid = xs[None, :] + 1j * xs[:, None]
     vals = _level_values(b, grid, delta)
     if np.any(vals == 0.0):
         raise AmbiguousTopologyError("grid node exactly on the level; perturb delta")
-    pos = vals > 0.0
-
-    # cell corner indices: 0=(i,j) 1=(i,j+1) 2=(i+1,j+1) 3=(i+1,j)  (CCW in the plane)
-    seg_list: list[tuple[tuple, tuple]] = []
-    corner_off = [(0, 0), (0, 1), (1, 1), (1, 0)]
-    cases = (
-        pos[:-1, :-1].astype(int) * 8
-        + pos[:-1, 1:].astype(int) * 4
-        + pos[1:, 1:].astype(int) * 2
-        + pos[1:, :-1].astype(int)
-    )
-    cells = np.argwhere((cases > 0) & (cases < 15))
-    for i, j in cells:
-        case = int(cases[i, j])
-        corners = [(i + di, j + dj) for di, dj in corner_off]
-        if case in (5, 10):
-            cz = complex(grid[i, j] + grid[i + 1, j + 1]) / 2.0
-            center_positive = bool(abs(complex(evaluate_grid(b, np.array([cz]))[0])) - delta > 0.0)
-        else:
-            center_positive = False
-        for e_in, e_out in _cell_segments(case, center_positive):
-            key_in = _edge_key(corners, e_in)
-            key_out = _edge_key(corners, e_out)
-            seg_list.append((key_in, key_out))
-
-    # each interior crossing edge belongs to exactly two cells: link segments
-    adj: dict[tuple, list[tuple]] = {}
-    for a, bkey in seg_list:
-        adj.setdefault(a, []).append(bkey)
-        adj.setdefault(bkey, []).append(a)
-    for key, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise AmbiguousTopologyError("level set does not close up at this resolution; perturb delta")
-
-    def edge_point(key: tuple) -> complex:
-        (i0, j0), (i1, j1) = key
-        return complex(
-            _interp(complex(grid[i0, j0]), complex(grid[i1, j1]), float(vals[i0, j0]), float(vals[i1, j1]))
-        )
-
-    visited: set[tuple] = set()
-    loops: list[np.ndarray] = []
-    for start in adj:
-        if start in visited:
-            continue
-        loop_keys = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            if nxt == start:
-                break
-            loop_keys.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
-        pts = np.array([edge_point(k) for k in loop_keys])
-        area = 0.5 * float(np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag))
-        if area < 0.0:
-            pts = pts[::-1]
-        loops.append(pts)
+    loops = _level_loops(b, delta, grid, vals)
 
     curves: list[JordanCurveApprox] = []
     remaining = {z: k for z, k in b.zeros}
@@ -283,14 +214,14 @@ def level_set_components(
                 enclosed.append((z, k))
                 count_inside += k
                 del remaining[z]
-        on_curve = np.abs(evaluate_grid(b, pts))
-        if float(np.abs(on_curve - delta).max()) > level_tol * delta:
+        on_curve = evaluate_grid(b, pts)
+        if float(np.abs(np.abs(on_curve) - delta).max()) > level_tol * delta:
             raise AmbiguousTopologyError("curve samples stray from the level; refine the resolution")
         try:
             curve = JordanCurveApprox(pts, component_id=cid, enclosed_zeros=tuple(enclosed))
         except ValueError as exc:
             raise AmbiguousTopologyError(str(exc)) from exc
-        rouche = winding_number(evaluate_grid(b, pts))
+        rouche = winding_number(on_curve)
         if rouche != count_inside:
             raise AmbiguousTopologyError(
                 f"winding count {rouche} disagrees with enclosed zeros {count_inside}; perturb delta"
@@ -299,6 +230,68 @@ def level_set_components(
     if remaining or origin_left:
         raise AmbiguousTopologyError("some zeros are enclosed by no curve at this resolution")
     return curves
+
+
+def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) -> list[np.ndarray]:
+    """The closed crossing polylines of ``vals`` = |b| - delta on ``grid``,
+    each positively oriented, in the order of their first cell (row-major).
+
+    Every cell's directed segments come from ``_SEGMENTS``; one batched
+    evaluation of b at the saddle cells' centres picks their pairing.  A
+    crossing is named 2 * (its edge's lower node) + (1 if the edge is
+    vertical), so the segments form one successor map on crossings whose
+    cycles are the loops; a level set that leaves the grid has an exit that
+    is no entry.  Each loop starts at the entry of its first segment and runs
+    forward, except that a loop opened by case 10's top-to-right segment
+    (centre below) starts at that segment's exit and runs backward; the
+    orientation flip then fixes every curve's first point.
+    """
+    n = grid.shape[1] - 1
+    bits = (vals > 0.0).view(np.uint8)
+    cases = (bits[:-1, :-1] << 3) | (bits[:-1, 1:] << 2) | (bits[1:, 1:] << 1) | bits[1:, :-1]
+    cells = np.flatnonzero((cases > 0) & (cases < 15))
+    case = cases.ravel()[cells]
+    corner = cells + cells // n  # each cell's bottom-left node
+    nodes = grid.ravel()
+    above = np.zeros(cells.size, dtype=np.int64)
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if saddle.size:
+        q = corner[saddle]
+        above[saddle] = np.abs(evaluate_grid(b, (nodes[q] + nodes[q + n + 2]) / 2.0)) - delta > 0.0
+    segs = _SEGMENTS[case, above]
+    cell, slot = np.nonzero(segs[:, :, 0] >= 0)
+    # the crossing names of edges 0-3 relative to 2 * the bottom-left node
+    edge_names = np.array([0, 3, 2 * n + 2, 1])
+    entry = 2 * corner[cell] + edge_names[segs[cell, slot, 0]]
+    exit_ = 2 * corner[cell] + edge_names[segs[cell, slot, 1]]
+    order = np.argsort(entry)
+    nxt = order[np.minimum(np.searchsorted(entry, exit_, sorter=order), entry.size - 1)]
+    if not np.array_equal(entry[nxt], exit_):
+        raise AmbiguousTopologyError("level set does not close up at this resolution; perturb delta")
+    backward = (case[cell] == 10) & (above[cell] == 0) & (slot == 1)
+
+    # each crossing is the entry of one segment; interpolate it from the lower node
+    lo = entry >> 1
+    hi = lo + np.where(entry & 1, n + 1, 1)
+    v0, v1 = vals.ravel()[lo], vals.ravel()[hi]
+    points = nodes[lo] + np.clip(v0 / (v0 - v1), 0.0, 1.0) * (nodes[hi] - nodes[lo])
+
+    loops: list[np.ndarray] = []
+    seen = np.zeros(entry.size, dtype=bool)
+    nxt = nxt.tolist()
+    for k in range(entry.size):
+        if seen[k]:
+            continue
+        cycle = [k]
+        while (j := nxt[cycle[-1]]) != k:
+            cycle.append(j)
+        seen[cycle] = True
+        pts = points[cycle]
+        if backward[k]:
+            pts = np.roll(pts[::-1], 2)
+        area = 0.5 * float(np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag))
+        loops.append(pts[::-1] if area < 0.0 else pts)
+    return loops
 
 
 def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
@@ -311,21 +304,13 @@ def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
     return vals
 
 
-def _edge_key(corners: list[tuple[int, int]], edge: int) -> tuple:
-    a, bb = _EDGE_CORNERS[edge]
-    ka, kb = corners[a], corners[bb]
-    return (ka, kb) if ka <= kb else (kb, ka)
-
-
 def arclength_carleson_norm(curves: Sequence[JordanCurveApprox], max_depth: int | None = None) -> float:
     """Dyadic-box norm of the polyline arclength measure (atoms at edge
     midpoints weighted by edge length)."""
     atoms: list[tuple[complex, complex]] = []
     for c in curves:
         mids = 0.5 * (c.edge_starts() + c.edge_ends())
-        for mid, ln in zip(mids, c.edge_lengths()):
-            if ln > 0.0:
-                atoms.append((complex(mid), complex(ln)))
+        atoms.extend((complex(mid), complex(ln)) for mid, ln in zip(mids, c.edge_lengths()))
     if not atoms:
         return 0.0
     mu = DiscreteMeasure(tuple(atoms))
@@ -835,6 +820,9 @@ def log_quotient_via_contour(
     )
     if len(starts) != len(atlas.curves):
         raise ValueError("need one start vertex per curve")
+    for s, c in zip(starts, atlas.curves):
+        if not 0 <= s < c.n_edges:
+            raise ValueError(f"start vertex {s} is outside [0, {c.n_edges}) on curve {c.component_id}")
     key = (starts, None if z_ref is None else complex(z_ref))
     if key not in atlas._c1_cache:
         ref = _default_reference(atlas) if z_ref is None else complex(z_ref)

@@ -111,6 +111,11 @@ class TestInterpolationConstant:
 
 
 class TestSeparationSplit:
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_separation_rejected(self, s):
+        with pytest.raises(ValueError, match="separation must be positive"):
+            separation_split(ZeroList.from_points([0.3, 0.31, -0.5 + 0.1j]), s)
+
     def test_far_points_one_class(self):
         zl = ZeroList.from_points([0.0, 0.9])
         classes = separation_split(zl, 1.0)
@@ -169,6 +174,11 @@ class TestAlphaB:
     def test_small_r_near_zero_set(self):
         est = alpha_b(ZeroList(m=1), 0.05, cell_beta=0.02, edge_gap=5e-2)
         assert est.value < 0.06
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_threshold_rejected(self, r):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            alpha_b(ZeroList.from_points([0.3, 0.31, -0.5 + 0.1j]), r)
 
     def test_region_empty(self):
         with pytest.raises(RegionEmptyError):

@@ -191,6 +191,16 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "error.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--sep", "--alpha-r"])
+    def test_nan_carleson_threshold_is_input_error(self, tmp_path, flag):
+        points = [(0.3, 0.0), (0.31, 0.0), (-0.5, 0.1)]
+        zeros = [{"re": x, "im": y, "mult": 1} for x, y in points]
+        payload = {"zeros": zeros, "lambda": {"re": 1.0, "im": 0.0}, "m": 0}
+        path = _write(tmp_path / "three.json", payload)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "carleson", "--zeros", path, flag, "nan"]) == 2
+        assert not (out / "carleson.json").exists()
+
     @pytest.mark.parametrize("resolution", ["0", "1"])
     def test_gridless_contour_resolution_is_input_error(self, tmp_path, zeros_file, resolution):
         args = ["contour", "--zeros", zeros_file, "--level", "0.4", "--resolution", resolution]

@@ -1,7 +1,9 @@
 """Tests for level sets, harmonic measure, representatives and the contour log."""
 
+import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +31,12 @@ from blaschkelab.contours import (
     split_zeros_by_contour,
     trossos_check,
 )
-from blaschkelab.errors import AtlasInconsistencyError, HypothesisViolationError, VerificationError
+from blaschkelab.errors import (
+    AmbiguousTopologyError,
+    AtlasInconsistencyError,
+    HypothesisViolationError,
+    VerificationError,
+)
 from blaschkelab.geometry import hyper_distance, interior_value
 
 
@@ -88,6 +95,242 @@ class TestLevelSets:
     def test_delta_too_large(self):
         with pytest.raises(ValueError):
             level_set_components(ZeroList.from_points([0.2]), 0.97, resolution=128)
+
+
+# ---------------------------------------------------------------------------
+# the dict-based marching squares, the reference route for _level_loops: each
+# segment joins two undirected crossing keys (sorted node pairs), every key
+# must have two neighbours, and each loop is walked from its first key with a
+# prev pointer, one product evaluation per saddle cell
+
+_REF_CASE_SEGMENTS = {
+    0: [], 15: [],
+    1: [(3, 2)], 14: [(2, 3)],
+    2: [(2, 1)], 13: [(1, 2)],
+    4: [(1, 0)], 11: [(0, 1)],
+    8: [(0, 3)], 7: [(3, 0)],
+    3: [(3, 1)], 12: [(1, 3)],
+    6: [(2, 0)], 9: [(0, 2)],
+}
+_REF_EDGE_CORNERS = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 0)}
+
+
+def _ref_cell_segments(case, center_positive):
+    if case == 5:
+        # corners 1 and 3 positive; a positive center connects them
+        return [(0, 3), (1, 2)] if center_positive else [(0, 1), (2, 3)]
+    if case == 10:
+        # corners 0 and 2 positive
+        return [(0, 1), (2, 3)] if center_positive else [(0, 3), (1, 2)]
+    return _REF_CASE_SEGMENTS[case]
+
+
+def _ref_interp(p0, p1, v0, v1):
+    t = v0 / (v0 - v1)
+    return p0 + min(max(t, 0.0), 1.0) * (p1 - p0)
+
+
+def _ref_edge_key(corners, edge):
+    a, bb = _REF_EDGE_CORNERS[edge]
+    ka, kb = corners[a], corners[bb]
+    return (ka, kb) if ka <= kb else (kb, ka)
+
+
+def _reference_loops(b, delta, grid, vals, saddles=None):
+    """The loops of the dict-based route; ``saddles`` (a Counter) tallies the
+    saddle cells by (case, centre above the level)."""
+    pos = vals > 0.0
+    seg_list = []
+    corner_off = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    cases = (
+        pos[:-1, :-1].astype(int) * 8
+        + pos[:-1, 1:].astype(int) * 4
+        + pos[1:, 1:].astype(int) * 2
+        + pos[1:, :-1].astype(int)
+    )
+    for i, j in np.argwhere((cases > 0) & (cases < 15)):
+        case = int(cases[i, j])
+        corners = [(i + di, j + dj) for di, dj in corner_off]
+        center_positive = False
+        if case in (5, 10):
+            cz = complex(grid[i, j] + grid[i + 1, j + 1]) / 2.0
+            center_positive = bool(abs(complex(evaluate_grid(b, np.array([cz]))[0])) - delta > 0.0)
+            if saddles is not None:
+                saddles[case, center_positive] += 1
+        for e_in, e_out in _ref_cell_segments(case, center_positive):
+            seg_list.append((_ref_edge_key(corners, e_in), _ref_edge_key(corners, e_out)))
+
+    adj = {}
+    for a, bkey in seg_list:
+        adj.setdefault(a, []).append(bkey)
+        adj.setdefault(bkey, []).append(a)
+    for nbrs in adj.values():
+        if len(nbrs) != 2:
+            raise AmbiguousTopologyError("level set does not close up at this resolution; perturb delta")
+
+    def edge_point(key):
+        (i0, j0), (i1, j1) = key
+        p0, p1 = complex(grid[i0, j0]), complex(grid[i1, j1])
+        return complex(_ref_interp(p0, p1, float(vals[i0, j0]), float(vals[i1, j1])))
+
+    visited = set()
+    loops = []
+    for start in adj:
+        if start in visited:
+            continue
+        loop_keys = [start]
+        visited.add(start)
+        prev, cur = None, start
+        while True:
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            if nxt == start:
+                break
+            loop_keys.append(nxt)
+            visited.add(nxt)
+            prev, cur = cur, nxt
+        pts = np.array([edge_point(k) for k in loop_keys])
+        area = 0.5 * float(np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag))
+        if area < 0.0:
+            pts = pts[::-1]
+        loops.append(pts)
+    return loops
+
+
+def _critical_values(b):
+    """|b| at its critical points in the disk off the zeros: the roots of
+    z prod_a (z - a)(1 - conj(a) z) b'/b, a polynomial."""
+    poly = np.polynomial.Polynomial
+    factors = [poly([-a, 1.0]) * poly([1.0, -np.conj(a)]) for a, _ in b.zeros]
+    total = b.m * math.prod(factors, start=poly([1.0]))
+    for i, (a, k) in enumerate(b.zeros):
+        others = math.prod(factors[:i] + factors[i + 1 :], start=poly([1.0]))
+        total = total + poly([0.0, k * (1.0 - abs(a) ** 2)]) * others
+    roots = total.roots()
+    return np.abs(evaluate_grid(b, roots[np.abs(roots) < 0.95]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the routes must raise alike
+        return type(exc), str(exc)
+
+
+def _assert_same_loops(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        np.testing.assert_array_equal(p, q)
+
+
+def _random_product(rng):
+    pts, degree = [], rng.integers(1, 7)
+    while len(pts) < degree:
+        z = complex(*rng.uniform(-0.85, 0.85, 2))
+        if abs(z) < 0.85:
+            pts.append(z)
+    return ZeroList.from_points(pts)
+
+
+class TestMarchingSquares:
+    def test_segments_keep_above_nodes_on_the_left(self):
+        corners = np.array([0.0, 1.0, 1.0 + 1.0j, 1.0j])
+        for case, above in itertools.product(range(16), (0, 1)):
+            node_above = [(case >> (3 - c)) & 1 for c in range(4)]
+            segs = [tuple(s) for s in contours._SEGMENTS[case, above] if s[0] >= 0]
+            crossed = sorted(e for s in segs for e in s)
+            assert crossed == [e for e in range(4) if node_above[e] != node_above[(e + 1) % 4]]
+            for e_in, e_out in segs:
+                mid_in = 0.5 * (corners[e_in] + corners[(e_in + 1) % 4])
+                mid_out = 0.5 * (corners[e_out] + corners[(e_out + 1) % 4])
+                for e in (e_in, e_out):
+                    for c in (e, (e + 1) % 4):
+                        left = ((corners[c] - mid_in) * np.conj(mid_out - mid_in)).imag > 0.0
+                        assert left == bool(node_above[c])
+                if case in (5, 10):
+                    # the segment cuts off the corner its two edges share, which
+                    # is on the side of the level opposite the centre
+                    shared = ({e_in, (e_in + 1) % 4} & {e_out, (e_out + 1) % 4}).pop()
+                    assert node_above[shared] != above
+
+    def test_matches_the_reference_route_on_random_products(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        saddles = Counter()
+        outcomes = Counter()
+        for k in range(200):
+            b = _random_product(rng)
+            res = int(rng.choice([4, 7, 16, 31, 64, 100, 128, 257, 512]))
+            levels = _critical_values(b)
+            levels = levels[(levels > 0.02) & (levels < 0.9)]
+            if k % 2 and levels.size:
+                delta = float(rng.choice(levels)) * (1.0 + float(rng.choice([0.0, 1e-12, -1e-9, 1e-6, -1e-3])))
+            else:
+                delta = float(rng.uniform(0.05, 0.7))
+            got = _outcome(level_set_components, b, delta, res)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    contours, "_level_loops", lambda *args: _reference_loops(*args, saddles=saddles)
+                )
+                want = _outcome(level_set_components, b, delta, res)
+            assert type(got) is type(want)
+            if isinstance(got, tuple):
+                assert got == want
+                outcomes[got[0].__name__] += 1
+                continue
+            outcomes["curves"] += 1
+            assert len(got) == len(want)
+            for c, d in zip(got, want):
+                np.testing.assert_array_equal(c.points, d.points)
+                assert (c.component_id, c.enclosed_zeros) == (d.component_id, d.enclosed_zeros)
+        assert set(saddles) == {(5, False), (5, True), (10, False), (10, True)}
+        assert outcomes["curves"] > 100 and outcomes["AmbiguousTopologyError"] > 20
+
+    def test_matches_the_reference_route_on_sign_fields(self):
+        # random signs make saddles, one-node islands and, without a positive
+        # border, level sets that leave the grid
+        rng = np.random.default_rng(4)
+        b = ZeroList.from_points([0.3 - 0.2j, -0.4j])
+        closed = 0
+        for k in range(300):
+            n = int(rng.integers(2, 40))
+            xs = np.linspace(-0.9, 0.9, n + 1)
+            grid = xs[None, :] + 1j * xs[:, None]
+            vals = rng.choice([-1.0, 1.0], size=grid.shape) * rng.uniform(0.1, 1.0, size=grid.shape)
+            if k % 2:
+                vals[0, :] = vals[-1, :] = vals[:, 0] = vals[:, -1] = 1.0
+            delta = float(rng.uniform(0.1, 0.9))
+            got = _outcome(contours._level_loops, b, delta, grid, vals)
+            _assert_same_loops(got, _outcome(_reference_loops, b, delta, grid, vals))
+            closed += isinstance(got, list)
+        assert 150 <= closed < 300
+
+    def test_level_set_leaving_the_grid_does_not_close(self):
+        xs = np.linspace(-0.9, 0.9, 5)
+        grid = xs[None, :] + 1j * xs[:, None]
+        vals = np.ones(grid.shape)
+        assert contours._level_loops(ZeroList(m=1), 0.5, grid, vals) == []
+        vals[2, 2] = -1.0
+        assert len(contours._level_loops(ZeroList(m=1), 0.5, grid, vals)) == 1
+        vals[2, 4] = -1.0
+        with pytest.raises(AmbiguousTopologyError, match="does not close up"):
+            contours._level_loops(ZeroList(m=1), 0.5, grid, vals)
+
+    def test_b_is_evaluated_once_per_curve(self, monkeypatch):
+        zl = ZeroList.from_points([0.55, -0.55])
+        seen = []
+
+        def recording(b, points):
+            seen.append(np.array(points))
+            return evaluate_grid(b, points)
+
+        monkeypatch.setattr(contours, "evaluate_grid", recording)
+        curves = level_set_components(zl, 0.05, resolution=256)
+        assert len(curves) == 2
+        for c in curves:
+            assert sum(p.shape == c.points.shape and np.array_equal(p, c.points) for p in seen) == 1
 
 
 class TestArclengthNorm:
@@ -284,6 +527,16 @@ class TestLogQuotient:
             for i, (c, s) in enumerate(zip(curves, starts))
         )
         assert abs(both - one_by_one) < 1e-14
+
+    def test_start_vertex_out_of_range_rejected(self):
+        u = ZeroList(m=1)
+        b = ZeroList.from_points([0.1])
+        atlas = build_atlas(u, b, [JordanCurveApprox.circle(0.0, 0.4, n=256)], method="exact")
+        for start in (256, 300, -1, -212):
+            with pytest.raises(ValueError, match="outside"):
+                log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[start])
+        for start in (0, 255):
+            log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[start])
 
     def test_interior_point_rejected(self):
         u = ZeroList(m=1)
