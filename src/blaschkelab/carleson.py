@@ -16,7 +16,7 @@ import numpy as np
 
 from .blaschke import ZeroList, derivative_grid, evaluate_grid
 from .errors import RegionEmptyError
-from .geometry import beta_from_rho, hyper_distance, rho_from_beta
+from .geometry import beta_from_rho, beta_matrix, clamped_beta, interior_value, rho_from_beta, rho_matrix
 
 #: Absolute-constant slack between the dyadic-box estimator and the duality
 #: Carleson norm; every acceptance check involving the norm carries it.
@@ -112,7 +112,8 @@ def box_carleson_norm(mu: DiscreteMeasure, max_depth: int) -> float:
             break
         n_arcs = int(np.ceil(2.0 * math.pi / side))
         idx = np.minimum((angles[mask] / side).astype(int), n_arcs - 1)
-        masses = np.bincount(idx, weights=w[mask], minlength=n_arcs)
+        # only the occupied arcs get a bin: at depth d there are ceil(2 pi 2^d) arcs
+        masses = np.bincount(np.unique(idx, return_inverse=True)[1], weights=w[mask])
         best = max(best, float(masses.max()) / side)
     return best
 
@@ -148,17 +149,9 @@ def interpolation_constant(zeros: ZeroList) -> InterpolationConstant:
     pts = zeros.expanded_points()
     if not pts:
         raise ValueError("empty zero list has no interpolation constant")
-    n = len(pts)
-    rho = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = abs((pts[i] - pts[j]) / (1.0 - pts[j].conjugate() * pts[i]))
-            rho[i, j] = rho[j, i] = r
-    prod_route = []
-    for i in range(n):
-        mask = np.arange(n) != i
-        prod_route.append(float(np.prod(rho[i][mask])))
-    product_value = min(prod_route)
+    rho = rho_matrix(pts, pts)
+    np.fill_diagonal(rho, 1.0)
+    product_value = float(rho.prod(axis=1).min())
     if product_value == 0.0:
         return InterpolationConstant(0.0, True, 0.0, 0.0)
 
@@ -177,15 +170,16 @@ def separation_split(zeros: ZeroList, s: float) -> list[ZeroList]:
     if not s > 0.0:
         raise ValueError(f"separation must be positive, got {s}")
     pts = sorted(zeros.expanded_points(), key=lambda z: (-abs(z), math.atan2(z.imag, z.real)))
-    classes: list[list[complex]] = []
-    for p in pts:
+    beta = beta_matrix(pts, pts)
+    classes: list[list[int]] = []
+    for i in range(len(pts)):
         for cls in classes:
-            if all(hyper_distance(p, q) >= s for q in cls):
-                cls.append(p)
+            if beta[i, cls].min() >= s:
+                cls.append(i)
                 break
         else:
-            classes.append([p])
-    return [ZeroList.from_points(cls) for cls in classes]
+            classes.append([i])
+    return [ZeroList.from_points([pts[i] for i in cls]) for cls in classes]
 
 
 def minimum_separated_classes(points: Sequence[complex], s: float) -> int:
@@ -193,7 +187,8 @@ def minimum_separated_classes(points: Sequence[complex], s: float) -> int:
     n = len(points)
     if n == 0:
         return 0
-    conflict = [[hyper_distance(points[i], points[j]) < s for j in range(n)] for i in range(n)]
+    pts = [interior_value(p) for p in points]
+    conflict = (beta_matrix(pts, pts) < s).tolist()
 
     def feasible(k: int) -> bool:
         color = [-1] * n
@@ -265,8 +260,7 @@ def alpha_b(
                 f"sampling budget {max_points} exceeded; coarsen cell_beta or edge_gap"
             )
         ring = rad * np.exp(2j * math.pi * np.arange(n_i) / n_i)
-        sep = np.abs((ring[:, None] - pts[None, :]) / (1.0 - np.conj(pts)[None, :] * ring[:, None]))
-        beta_to_set = 2.0 * np.arctanh(np.minimum(sep.min(axis=1), 1.0 - 1e-16))
+        beta_to_set = clamped_beta(rho_matrix(ring, pts).min(axis=1))
         keep = ring[beta_to_set > r]
         if keep.size == 0:
             continue

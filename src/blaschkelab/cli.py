@@ -26,7 +26,7 @@ from .config import RunConfig
 from .contours import arclength_carleson_norm, level_set_components, split_zeros_by_contour
 from .errors import VerificationError
 from .fixtures import adversarial_pair, geometric_zeros, staged_measure
-from .geometry import hyper_distance, pseudo_distance
+from .geometry import beta_matrix, interior_value, rho_matrix
 from .gridfn import circle_nodes
 from .matching import bottleneck_match, pairing_diagnostics
 from .pathbuild import build_path, certify_path
@@ -65,14 +65,12 @@ def _cmd_geom(args, config: RunConfig, out: Path) -> int:
     with open(args.points) as fh:
         data = json.load(fh)
     try:
-        pts = [complex(p["re"], p["im"]) for p in data["points"]]
+        pts = [interior_value(complex(p["re"], p["im"])) for p in data["points"]]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{args.points} is not a points file ({type(exc).__name__}: {exc})") from exc
-    n = len(pts)
-    rho = [[pseudo_distance(pts[i], pts[j]) if i != j else 0.0 for j in range(n)] for i in range(n)]
-    beta = [[hyper_distance(pts[i], pts[j]) if i != j else 0.0 for j in range(n)] for i in range(n)]
-    _write_json(out / "distances.json", config, {"rho": rho, "beta": beta})
-    print(f"pairwise distances for {n} points -> {out / 'distances.json'}")
+    payload = {"rho": rho_matrix(pts, pts).tolist(), "beta": beta_matrix(pts, pts).tolist()}
+    _write_json(out / "distances.json", config, payload)
+    print(f"pairwise distances for {len(pts)} points -> {out / 'distances.json'}")
     return 0
 
 

@@ -10,6 +10,7 @@ from the cumulative difference measure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -23,7 +24,7 @@ from .errors import (
     AtlasInconsistencyError,
     HypothesisViolationError,
 )
-from .geometry import as_complex, interior_value
+from .geometry import as_complex, beta_matrix, interior_value, rho_matrix
 from .gridfn import winding_number
 
 ORIGIN_CLEARANCE = 1e-6
@@ -109,14 +110,9 @@ class JordanCurveApprox:
         vals = self.points - as_complex(z)
         if float(np.abs(vals).min()) == 0.0:
             return False
-        try:
-            return winding_number(vals) != 0
-        except ValueError:
-            # point hugging the polyline; refine by edge bisection once
-            ref = np.empty(2 * self.points.size, dtype=np.complex128)
-            ref[0::2] = self.points
-            ref[1::2] = 0.5 * (self.points + self._ends)
-            return winding_number(ref - as_complex(z)) != 0
+        # the edge angles sum to a multiple of 2 pi up to rounding, so the
+        # winding number is defined at every point off the vertices
+        return winding_number(vals) != 0
 
     def start_vertex(self) -> int:
         """Index of the splitting start point: minimal principal argument,
@@ -241,10 +237,8 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
     crossing is named 2 * (its edge's lower node) + (1 if the edge is
     vertical), so the segments form one successor map on crossings whose
     cycles are the loops; a level set that leaves the grid has an exit that
-    is no entry.  Each loop starts at the entry of its first segment and runs
-    forward, except that a loop opened by case 10's top-to-right segment
-    (centre below) starts at that segment's exit and runs backward; the
-    orientation flip then fixes every curve's first point.
+    is no entry.  Each loop starts at the entry of its first segment and
+    runs forward, reversed as a whole if it turns clockwise.
     """
     n = grid.shape[1] - 1
     bits = (vals > 0.0).view(np.uint8)
@@ -268,7 +262,6 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
     nxt = order[np.minimum(np.searchsorted(entry, exit_, sorter=order), entry.size - 1)]
     if not np.array_equal(entry[nxt], exit_):
         raise AmbiguousTopologyError("level set does not close up at this resolution; perturb delta")
-    backward = (case[cell] == 10) & (above[cell] == 0) & (slot == 1)
 
     # each crossing is the entry of one segment; interpolate it from the lower node
     lo = entry >> 1
@@ -287,8 +280,6 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
             cycle.append(j)
         seen[cycle] = True
         pts = points[cycle]
-        if backward[k]:
-            pts = np.roll(pts[::-1], 2)
         area = 0.5 * float(np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag))
         loops.append(pts[::-1] if area < 0.0 else pts)
     return loops
@@ -751,9 +742,7 @@ def split_zeros_by_contour(u: ZeroList, curves: Sequence[JordanCurveApprox]) -> 
         chosen = rest
         for c in curves:
             if c.contains(p):
-                rho = np.abs((p - c.points) / (1.0 - np.conj(c.points) * p))
-                beta = float((np.log1p(rho) - np.log1p(-rho)).min())
-                if beta > 1.0:
+                if float(beta_matrix([p], c.points).min()) > 1.0:
                     chosen = deep
                 break
         chosen.append(p)
@@ -813,11 +802,9 @@ def log_quotient_via_contour(
                 f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
             )
 
-    starts = (
-        tuple(int(s) for s in start_vertices)
-        if start_vertices is not None
-        else tuple(c.start_vertex() for c in atlas.curves)
-    )
+    starts = tuple(c.start_vertex() for c in atlas.curves) if start_vertices is None else tuple(start_vertices)
+    if not all(isinstance(s, numbers.Integral) for s in starts):
+        raise ValueError(f"start vertices must be integer vertex indices, got {starts}")
     if len(starts) != len(atlas.curves):
         raise ValueError("need one start vertex per curve")
     for s, c in zip(starts, atlas.curves):
@@ -926,8 +913,7 @@ def trossos_check(
         if mass <= mass_floor:
             out.append(ArcCheck((a, b_idx), 0.0, 0.0, mass, 0.0, 0.0, True))
             continue
-        rho = np.abs((pts[:, None] - pts[None, :]) / (1.0 - np.conj(pts)[None, :] * pts[:, None]))
-        diam = float(rho.max())
+        diam = float(rho_matrix(pts, pts).max())
         inf_mod = float(np.abs(evaluate_grid(u, pts)).min())
         bound = inf_mod ** (1.0 / mass)
         out.append(ArcCheck((a, b_idx), diam, inf_mod, mass, bound, diam - bound, False))

@@ -2,7 +2,8 @@
 
 The two Mobius maps used throughout (the involution interchanging 0 and z,
 and its unimodular normalization) together with the pseudohyperbolic and
-hyperbolic metrics.  All values are plain complex numbers / floats; the
+hyperbolic metrics, as scalars and as the array kernel ``rho_matrix`` /
+``beta_matrix`` that every pairwise distance goes through; the
 ``DiskPoint`` wrapper exists to make the interior guard explicit.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError
 
 # Points at least this close to the circle are rejected as "interior".
@@ -18,6 +21,8 @@ INTERIOR_GUARD = 1e-12
 DEGENERATE_DENOMINATOR = 1e-14
 # Points this close to 0 are folded into the origin-zero order of a product.
 ORIGIN_FOLD = 1e-14
+# rho is clamped here before it becomes beta: two interior points may round to rho = 1
+RHO_CAP = 1.0 - 1e-16
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,27 @@ def pseudo_distance(z, w) -> float:
 
 
 def hyper_distance(z, w) -> float:
-    """Hyperbolic distance beta(z, w) = log((1 + rho)/(1 - rho))."""
-    return beta_from_rho(pseudo_distance(z, w))
+    """Hyperbolic distance beta(z, w) = log((1 + rho)/(1 - rho)), rho clamped at ``RHO_CAP``."""
+    return beta_from_rho(min(pseudo_distance(z, w), RHO_CAP))
+
+
+def rho_matrix(points_a, points_b) -> np.ndarray:
+    """Pseudohyperbolic distances |(a - b)/(1 - conj(b) a)|, a row per point of
+    ``points_a`` and a column per point of ``points_b``; no interior guard."""
+    a = np.asarray(points_a, dtype=np.complex128)[:, None]
+    b = np.asarray(points_b, dtype=np.complex128)[None, :]
+    return np.abs((a - b) / (1.0 - np.conj(b) * a))
+
+
+def clamped_beta(rho: np.ndarray) -> np.ndarray:
+    """Elementwise log((1 + rho)/(1 - rho)) of rho clamped at ``RHO_CAP``."""
+    rho = np.minimum(rho, RHO_CAP)
+    return np.log1p(rho) - np.log1p(-rho)
+
+
+def beta_matrix(points_a, points_b) -> np.ndarray:
+    """Hyperbolic distances ``clamped_beta(rho_matrix(points_a, points_b))``."""
+    return clamped_beta(rho_matrix(points_a, points_b))
 
 
 def beta_from_rho(rho: float) -> float:

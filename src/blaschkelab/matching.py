@@ -17,6 +17,7 @@ import numpy as np
 from .blaschke import ZeroList
 from .cauchy import PathMeasure
 from .errors import CardinalityError
+from .geometry import beta_matrix
 
 #: Exact matching is practical up to this many expanded zeros.
 MATCH_SIZE_CAP = 2000
@@ -40,14 +41,6 @@ class Pairing:
     @classmethod
     def from_json(cls, data: dict) -> "Pairing":
         return cls(tuple(data["perm"]), float(data["cost"]))
-
-
-def beta_matrix(points_a: Sequence[complex], points_b: Sequence[complex]) -> np.ndarray:
-    a = np.asarray(points_a, dtype=np.complex128)[:, None]
-    b = np.asarray(points_b, dtype=np.complex128)[None, :]
-    rho = np.abs((a - b) / (1.0 - np.conj(b) * a))
-    rho = np.minimum(rho, 1.0 - 1e-16)
-    return np.log1p(rho) - np.log1p(-rho)
 
 
 def maximum_bipartite_matching(graph, perm_type: str = "row") -> np.ndarray:

@@ -1,10 +1,12 @@
 """Tests for zero-set measures, box norms, separation and the alpha functional."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from blaschkelab import carleson
 from blaschkelab.blaschke import ZeroList
 from blaschkelab.carleson import (
     AlphaEstimate,
@@ -20,7 +22,57 @@ from blaschkelab.carleson import (
 )
 from blaschkelab.errors import RegionEmptyError
 from blaschkelab.fixtures import geometric_zeros, random_zerolist
-from blaschkelab.geometry import hyper_distance, rho_from_beta
+from blaschkelab.geometry import hyper_distance, pseudo_distance, rho_from_beta
+
+# interior zeros whose pseudohyperbolic distance rounds to 1 (beta ~ 37.4)
+NEAR_ANTIPODES = (1.0 - 2e-12, -(1.0 - 2e-12))
+
+
+def _dense_box_norm(mu, max_depth):
+    """The box norm with one bin for every arc of every level, occupied or not."""
+    z = np.array([a for a, _ in mu.atoms])
+    w = np.array([abs(v) for _, v in mu.atoms])
+    best = 0.0
+    for d in range(0, max_depth + 1):
+        side = 2.0**-d
+        mask = 1.0 - np.abs(z) <= side
+        if not np.any(mask):
+            break
+        n_arcs = int(np.ceil(2.0 * math.pi / side))
+        idx = np.minimum((np.mod(np.angle(z[mask]), 2.0 * math.pi) / side).astype(int), n_arcs - 1)
+        best = max(best, float(np.bincount(idx, weights=w[mask], minlength=n_arcs).max()) / side)
+    return best
+
+
+def _scalar_separation_split(zeros, s):
+    """First-fit classes by scalar hyperbolic distances, one pair at a time."""
+    pts = sorted(zeros.expanded_points(), key=lambda z: (-abs(z), math.atan2(z.imag, z.real)))
+    classes = []
+    for p in pts:
+        for cls in classes:
+            if all(hyper_distance(p, q) >= s for q in cls):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return [ZeroList.from_points(cls) for cls in classes]
+
+
+def _scalar_minimum_separated_classes(points, s):
+    """Fewest s-separated classes by exhaustive colouring on scalar distances."""
+    n = len(points)
+    conflict = [[hyper_distance(points[i], points[j]) < s for j in range(n)] for i in range(n)]
+
+    def colour(i, color, k):
+        if i == n:
+            return True
+        for c in range(min(k - 1, max(color, default=-1) + 1) + 1):
+            if not any(color[j] == c and conflict[i][j] for j in range(i)):
+                if colour(i + 1, color + [c], k):
+                    return True
+        return False
+
+    return next((k for k in range(1, n + 1) if colour(0, [], k)), 0)
 
 
 class TestMuB:
@@ -74,6 +126,29 @@ class TestBoxNorm:
         d = suggested_box_depth(m)
         assert box_carleson_norm(m, d) == box_carleson_norm(m, d + 4)
 
+    def test_occupied_arcs_give_the_dense_norm(self):
+        rng = np.random.default_rng(12)
+        measures = [mu_b(geometric_zeros(8)), mu_b(geometric_zeros(25)), mu_b(ZeroList(m=2))]
+        measures += [mu_b(random_zerolist(rng, int(rng.integers(1, 60)), 0.999)) for _ in range(20)]
+        measures.append(DiscreteMeasure(((0.5 + 0j, 0.5 + 0j), (-0.9 + 0j, 1j), (0.99j, 0.25 + 0j))))
+        for m in measures:
+            for d in (1, 4, suggested_box_depth(m), suggested_box_depth(m) + 3):
+                assert box_carleson_norm(m, d) == _dense_box_norm(m, d)
+
+    def test_memory_follows_the_atoms_not_the_arcs(self):
+        # depth 21 has 13.2 million arcs, 105 MB of float64 bins
+        m = mu_b(ZeroList.from_points([1.0 - 1e-6, 0.5j, -0.3]))
+        depth = suggested_box_depth(m)
+        assert depth == 21
+        tracemalloc.start()
+        try:
+            norm = box_carleson_norm(m, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(1.0)
+        assert peak < 4e6
+
 
 class TestCarlesonBox:
     def test_membership(self):
@@ -108,6 +183,16 @@ class TestInterpolationConstant:
                 continue
             out = interpolation_constant(zl)
             assert out.derivative_route == pytest.approx(out.product_route, abs=1e-10)
+
+    def test_product_route_equals_the_scalar_distances(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            pts = random_zerolist(rng, int(rng.integers(2, 201)), 0.95).expanded_points()
+            want = min(
+                math.prod(pseudo_distance(p, q) for j, q in enumerate(pts) if j != i) for i, p in enumerate(pts)
+            )
+            got = interpolation_constant(ZeroList.from_points(pts)).product_route
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestSeparationSplit:
@@ -147,6 +232,33 @@ class TestSeparationSplit:
         assert exact == 2  # consecutive links conflict, next-nearest do not
         assert greedy == exact
 
+    def test_classes_equal_the_scalar_route(self):
+        rng = np.random.default_rng(23)
+        for k in range(200):
+            pts = random_zerolist(rng, int(rng.integers(1, 201)), 0.97).expanded_points()
+            zl = ZeroList.from_points(pts + pts[: k % 4])  # some lists carry repeated zeros
+            s = float(rng.choice([0.3, 1.0, 2.5]))
+            got = [c.to_json() for c in separation_split(zl, s)]
+            assert got == [c.to_json() for c in _scalar_separation_split(zl, s)]
+
+    def test_brute_force_equals_the_scalar_route(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            pts = random_zerolist(rng, int(rng.integers(1, 10)), 0.97).expanded_points()
+            s = float(rng.choice([0.5, 1.0, 2.0]))
+            assert minimum_separated_classes(pts, s) == _scalar_minimum_separated_classes(pts, s)
+
+    def test_near_antipodes_are_separated(self):
+        zl = ZeroList.from_points(NEAR_ANTIPODES)
+        assert [c.degree for c in separation_split(zl, 1.0)] == [2]
+        assert [c.degree for c in separation_split(zl, 40.0)] == [1, 1]
+        assert minimum_separated_classes(list(NEAR_ANTIPODES), 1.0) == 1
+
+    @pytest.mark.parametrize("bad", [1.0 - 1e-12, 1.5j])
+    def test_brute_force_rejects_points_off_the_open_disk(self, bad):
+        with pytest.raises(ValueError, match="interior"):
+            minimum_separated_classes([0.3, bad], 1.0)
+
     def test_random_instances_never_beat_brute_force(self):
         # first-fit is not optimal in general (the chain fixture above is the
         # case where brute force confirms it); greedy must never undercut
@@ -183,6 +295,14 @@ class TestAlphaB:
     def test_region_empty(self):
         with pytest.raises(RegionEmptyError):
             alpha_b(ZeroList(m=1), 25.0, cell_beta=0.5, edge_gap=1e-2)
+
+    def test_equals_the_arctanh_transform(self, monkeypatch):
+        # beta = 2 artanh(rho) of the clamped minimum, as the ring scan wrote it
+        rng = np.random.default_rng(41)
+        cases = [(random_zerolist(rng, int(rng.integers(1, 6)), 0.9), float(rng.uniform(0.3, 1.5))) for _ in range(6)]
+        got = [alpha_b(zl, r, cell_beta=0.1, edge_gap=1e-3) for zl, r in cases]
+        monkeypatch.setattr(carleson, "clamped_beta", lambda rho: 2.0 * np.arctanh(np.minimum(rho, 1.0 - 1e-16)))
+        assert got == [alpha_b(zl, r, cell_beta=0.1, edge_gap=1e-3) for zl, r in cases]
 
     def test_reports_resolution(self):
         est = alpha_b(ZeroList(m=1), 0.5, cell_beta=0.2, edge_gap=1e-3)

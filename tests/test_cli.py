@@ -2,12 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from blaschkelab import cli
 from blaschkelab.carleson import BOX_NORM_SLACK
 from blaschkelab.cli import main
 from blaschkelab.config import RunConfig
+from blaschkelab.geometry import hyper_distance, pseudo_distance
+
+# interior points whose pseudohyperbolic distance rounds to 1
+NEAR_ANTIPODES = (1.0 - 2e-12, -(1.0 - 2e-12))
 
 
 def _write(path, payload):
@@ -45,6 +50,29 @@ class TestSubcommands:
         assert main(["--out", str(tmp_path), "geom", "--points", pts]) == 0
         doc = json.loads((tmp_path / "distances.json").read_text())
         assert doc["rho"][0][1] == pytest.approx(0.5)
+
+    def test_geom_equals_the_scalar_distances(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pts = [complex(z) for z in 0.97 * np.sqrt(rng.random(30)) * np.exp(2j * np.pi * rng.random(30))]
+        pts += list(NEAR_ANTIPODES)
+        path = _write(tmp_path / "pts.json", {"points": [{"re": z.real, "im": z.imag} for z in pts]})
+        assert main(["--out", str(tmp_path), "geom", "--points", path]) == 0
+        doc = json.loads((tmp_path / "distances.json").read_text())
+        for name, scalar in (("rho", pseudo_distance), ("beta", hyper_distance)):
+            got = np.array(doc[name])
+            assert np.all(np.diag(got) == 0.0)
+            want = np.array([[scalar(z, w) if i != j else 0.0 for j, w in enumerate(pts)] for i, z in enumerate(pts)])
+            # the last two points are the near antipodes, where rho rounds to 1
+            np.testing.assert_allclose(got[:-2, :-2], want[:-2, :-2], rtol=0.0, atol=1e-15 if name == "rho" else 1e-12)
+            np.testing.assert_allclose(got[-2:, -2:], want[-2:, -2:], rtol=1e-15, atol=0.0)
+
+    def test_carleson_separates_near_antipodes(self, tmp_path):
+        zeros = {"zeros": [{"re": x, "im": 0.0, "mult": 1} for x in NEAR_ANTIPODES], "lambda": {"re": 1.0, "im": 0.0}, "m": 0}
+        path = _write(tmp_path / "zeros.json", zeros)
+        # a shallow box norm: the suggested depth (40) is not what this test is about
+        assert main(["--out", str(tmp_path), "carleson", "--zeros", path, "--depth", "4", "--sep", "1.0"]) == 0
+        doc = json.loads((tmp_path / "carleson.json").read_text())
+        assert len(doc["separation_classes"]) == 1
 
     def test_carleson(self, tmp_path, zeros_file):
         code = main(
@@ -211,6 +239,12 @@ class TestExitCodes:
     def test_zero_list_of_wrong_shape_is_input_error(self, tmp_path):
         bare = _write(tmp_path / "bare.json", [{"re": 0.3, "im": 0.0, "mult": 1}])
         assert main(["--out", str(tmp_path), "eval", "--zeros", bare]) == 2
+
+    @pytest.mark.parametrize("points", [[1.0 - 1e-12], [0.2, 1.0 - 1e-12], [0.3j, 1.5]])
+    def test_geom_point_on_or_past_the_guard_is_input_error(self, tmp_path, points):
+        path = _write(tmp_path / "pts.json", {"points": [{"re": complex(z).real, "im": complex(z).imag} for z in points]})
+        assert main(["--out", str(tmp_path), "geom", "--points", path]) == 2
+        assert not (tmp_path / "distances.json").exists()
 
     def test_points_file_of_wrong_shape_is_input_error(self, tmp_path):
         bare = _write(tmp_path / "bare.json", [{"re": 0.1, "im": 0.0}])

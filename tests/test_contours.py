@@ -37,7 +37,8 @@ from blaschkelab.errors import (
     HypothesisViolationError,
     VerificationError,
 )
-from blaschkelab.geometry import hyper_distance, interior_value
+from blaschkelab.geometry import hyper_distance, interior_value, pseudo_distance
+from blaschkelab.gridfn import winding_number
 
 
 class TestLevelSets:
@@ -226,6 +227,21 @@ def _assert_same_loops(got, want):
         np.testing.assert_array_equal(p, q)
 
 
+def _opens_at_low_case_10(loop, b, delta, grid, vals):
+    """Whether the loop's first cell (row-major) is a case-10 saddle, the
+    corners 0 and 2 above the level, whose centre is below it."""
+    xs = grid[0].real
+    h = xs[1] - xs[0]
+    mid = 0.5 * (loop + np.roll(loop, -1))  # each segment's midpoint lies inside its cell
+    rows = np.floor((mid.imag - xs[0]) / h).astype(int).tolist()
+    cols = np.floor((mid.real - xs[0]) / h).astype(int).tolist()
+    i, j = min(zip(rows, cols))
+    if (vals[i : i + 2, j : j + 2] > 0.0).tolist() != [[True, False], [False, True]]:
+        return False
+    centre = (grid[i, j] + grid[i + 1, j + 1]) / 2.0
+    return bool(abs(evaluate_grid(b, np.array([centre]))[0]) - delta <= 0.0)
+
+
 def _random_product(rng):
     pts, degree = [], rng.integers(1, 7)
     while len(pts) < degree:
@@ -290,10 +306,12 @@ class TestMarchingSquares:
 
     def test_matches_the_reference_route_on_sign_fields(self):
         # random signs make saddles, one-node islands and, without a positive
-        # border, level sets that leave the grid
+        # border, level sets that leave the grid.  On a loop whose first cell
+        # is a case-10 saddle with the centre below, the reference starts two
+        # crossings further along; every other loop starts where it does
         rng = np.random.default_rng(4)
         b = ZeroList.from_points([0.3 - 0.2j, -0.4j])
-        closed = 0
+        closed = rotated = 0
         for k in range(300):
             n = int(rng.integers(2, 40))
             xs = np.linspace(-0.9, 0.9, n + 1)
@@ -303,9 +321,15 @@ class TestMarchingSquares:
                 vals[0, :] = vals[-1, :] = vals[:, 0] = vals[:, -1] = 1.0
             delta = float(rng.uniform(0.1, 0.9))
             got = _outcome(contours._level_loops, b, delta, grid, vals)
-            _assert_same_loops(got, _outcome(_reference_loops, b, delta, grid, vals))
+            want = _outcome(_reference_loops, b, delta, grid, vals)
+            if isinstance(want, list):
+                low = [_opens_at_low_case_10(q, b, delta, grid, vals) for q in want]
+                want = [np.roll(q, 2) if r else q for q, r in zip(want, low)]
+                rotated += sum(low)
+            _assert_same_loops(got, want)
             closed += isinstance(got, list)
         assert 150 <= closed < 300
+        assert rotated > 100
 
     def test_level_set_leaving_the_grid_does_not_close(self):
         xs = np.linspace(-0.9, 0.9, 5)
@@ -383,6 +407,27 @@ class TestHarmonicMeasure:
         masses = harmonic_measure(0.3, curve, n_samples=2000, rng=rng, method="walk")
         assert masses.sum() == pytest.approx(1.0, abs=1e-3)
 
+    def test_contains_is_defined_on_and_next_to_every_edge(self):
+        # off the vertices the edge angles sum to a multiple of 2 pi, so the
+        # winding sum never fails to be near an integer, even on an edge
+        rng = np.random.default_rng(8)
+        tried = 0
+        for _ in range(20):
+            n = int(rng.integers(8, 40))
+            curve = JordanCurveApprox(
+                0.1 + rng.uniform(0.2, 0.6, n) * np.exp(1j * np.sort(rng.uniform(0.0, 2.0 * math.pi, n)))
+            )
+            v, e = curve.points, curve.edge_ends()
+            on = v[:, None] + rng.random((n, 5)) * (e - v)[:, None]
+            normal = (1j * (e - v) / np.abs(e - v))[:, None]
+            for off in (0.0, 1e-300, 1e-17, -1e-17, 1e-15, -1e-15):
+                for z in (on + off * normal).ravel():
+                    if np.abs(v - z).min() > 0.0:
+                        winding_number(v - z)
+                        assert curve.contains(z) in (True, False)
+                        tried += 1
+        assert tried > 10_000
+
     def test_source_outside_rejected(self):
         c = JordanCurveApprox.circle(0.0, 0.3, n=32)
         with pytest.raises(ValueError):
@@ -433,6 +478,26 @@ class TestSplitZeros:
                 assert complex(p) in deep.expanded_points()
             else:
                 assert complex(p) in rest.expanded_points()
+
+    def test_seeded_splits_equal_the_scalar_distances(self):
+        rng = np.random.default_rng(13)
+        n_deep = 0
+        for _ in range(20):
+            curves = [
+                JordanCurveApprox.circle(complex(*rng.uniform(-0.15, 0.15, 2)), float(rng.uniform(0.5, 0.8)), n=128)
+                for _ in range(int(rng.integers(1, 3)))
+            ]
+            zl = ZeroList.from_points([complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(12)])
+            want_deep = []
+            for p in zl.expanded_points():
+                c = next((c for c in curves if c.contains(p)), None)
+                if c is not None and min(hyper_distance(p, q) for q in c.points) > 1.0:
+                    want_deep.append(p)
+            deep, rest = split_zeros_by_contour(zl, curves)
+            assert deep.expanded_points() == want_deep
+            assert deep.degree + rest.degree == zl.degree
+            n_deep += deep.degree
+        assert 40 < n_deep < 200
 
 
 class TestAtlasAndRepresentatives:
@@ -538,6 +603,19 @@ class TestLogQuotient:
         for start in (0, 255):
             log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[start])
 
+    def test_start_vertices_must_be_integers(self):
+        u = ZeroList(m=1)
+        b = ZeroList.from_points([0.1])
+        atlas = build_atlas(u, b, [JordanCurveApprox.circle(0.0, 0.4, n=256)], method="exact")
+        for start in (3.7, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="integer"):
+                log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[start])
+        assert atlas._c1_cache == {}
+        want = log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[3])
+        for start in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[start]) == want
+        assert list(atlas._c1_cache) == [((3,), None)]
+
     def test_interior_point_rejected(self):
         u = ZeroList(m=1)
         circ = JordanCurveApprox.circle(0.0, 0.4, n=128)
@@ -597,6 +675,17 @@ class TestArcDiameterInequality:
         for c in trossos_check(u, circ, nu, arcs):
             if not c.skipped:
                 assert c.slack >= -1e-3
+
+    def test_diameter_equals_the_scalar_distances(self):
+        u = ZeroList.from_points([0.05, -0.03 + 0.04j])
+        circ = JordanCurveApprox.circle(0.1j, 0.6, n=64)
+        nu = np.ones(64)
+        rng = np.random.default_rng(6)
+        arcs = [(int(a), int(rng.integers(0, 64))) for a in rng.integers(0, 64, 10)]
+        for (a, b_idx), c in zip(arcs, trossos_check(u, circ, nu, arcs)):
+            n = (b_idx - a) % 64 or 64
+            pts = circ.points[np.arange(a, a + n + 1) % 64]
+            assert c.diameter == pytest.approx(max(pseudo_distance(p, q) for p in pts for q in pts), abs=1e-15)
 
 
 class TestArcMassDiagnostic:

@@ -8,15 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blaschkelab.errors import DegenerateInputError
+from blaschkelab import matching
 from blaschkelab.geometry import (
+    RHO_CAP,
     DiskPoint,
     beta_from_rho,
+    beta_matrix,
+    clamped_beta,
     hyper_distance,
     mobius,
     normalized_mobius,
     pseudo_distance,
     rho_from_beta,
+    rho_matrix,
 )
+
+EPS = np.finfo(float).eps
+# interior points whose pseudohyperbolic distance rounds to 1
+NEAR_ANTIPODES = (1.0 - 2e-12, -(1.0 - 2e-12))
 
 
 def _random_disk_points(rng, n, r_max=0.999):
@@ -118,6 +127,50 @@ class TestMetrics:
             assert beta_from_rho(rho_from_beta(beta)) == pytest.approx(beta, abs=1e-12)
         for rho in (0.0, 0.3, 0.9, 0.999):
             assert rho_from_beta(beta_from_rho(rho)) == pytest.approx(rho, abs=1e-12)
+
+
+def _near_boundary_points(rng, n):
+    return (1.0 - 10.0 ** -rng.uniform(1.0, 11.9, n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+class TestDistanceKernel:
+    def test_near_antipodes_round_to_the_cap(self):
+        z, w = NEAR_ANTIPODES
+        assert pseudo_distance(z, w) == 1.0
+        assert hyper_distance(z, w) == beta_from_rho(RHO_CAP)
+        assert beta_matrix([z], [w])[0, 0] == pytest.approx(hyper_distance(z, w), rel=4 * EPS)
+        with pytest.raises(ValueError, match="rho must lie"):
+            beta_from_rho(1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_and_kernel_agree_near_the_boundary(self, seed):
+        # the routes round 1 - conj(b) a differently, so they agree to that
+        # term's condition number, and beta to rho's through the log
+        rng = np.random.default_rng(seed)
+        a = np.concatenate([_near_boundary_points(rng, 60), NEAR_ANTIPODES, _random_disk_points(rng, 20)])
+        b = np.concatenate([_near_boundary_points(rng, 40), NEAR_ANTIPODES])
+        b[:30] = a[:30] * (1.0 - 10.0 ** -rng.uniform(2.0, 13.0, 30)) + 1e-13j
+        rho, beta = rho_matrix(a, b), beta_matrix(a, b)
+        assert rho.shape == beta.shape == (a.size, b.size)
+        tol_rho = 8.0 * EPS / np.abs(1.0 - np.conj(b)[None, :] * a[:, None])
+        for i, z in enumerate(a):
+            for j, w in enumerate(b):
+                r, h = pseudo_distance(z, w), hyper_distance(z, w)
+                assert abs(rho[i, j] - r) <= tol_rho[i, j]
+                rc = min(r, rho[i, j], RHO_CAP)
+                assert abs(beta[i, j] - h) <= 2.0 * tol_rho[i, j] / ((1.0 - rc) * (1.0 + rc)) + 16.0 * EPS * h
+
+    def test_diagonal_is_exactly_zero(self):
+        pts = np.concatenate([_random_disk_points(np.random.default_rng(5), 50), NEAR_ANTIPODES])
+        for m in (rho_matrix(pts, pts), beta_matrix(pts, pts)):
+            assert np.all(np.diag(m) == 0.0)
+
+    def test_beta_is_the_clamped_transform_of_rho(self):
+        pts = np.concatenate([_random_disk_points(np.random.default_rng(6), 40), NEAR_ANTIPODES])
+        rho = rho_matrix(pts, pts[::-1])
+        np.testing.assert_array_equal(beta_matrix(pts, pts[::-1]), clamped_beta(rho))
+        assert np.all(np.isfinite(clamped_beta(np.array([1.0, RHO_CAP, 0.0]))))
+        assert matching.beta_matrix is beta_matrix
 
 
 @settings(max_examples=200, deadline=None)
