@@ -3,19 +3,15 @@
 from .blaschke import (
     SingularShiftSpec,
     ZeroList,
-    blaschke_condition_sum,
-    bloch_cnbp_tension,
     derivative,
     eval_boundary,
     evaluate,
     floating_factorization,
     jensen_zero_count,
-    little_bloch_seminorm,
     singular_shift_zeros,
 )
 from .carleson import (
     AlphaEstimate,
-    CarlesonBox,
     DiscreteMeasure,
     alpha_b,
     box_carleson_norm,
@@ -29,9 +25,7 @@ from .cauchy import (
     cauchy_segment_closed_form,
     gamma_constant,
     l2_truncation_convergence,
-    maximal_cauchy,
     outer_correction,
-    truncated_cauchy,
     verify_intwin,
 )
 from .config import RunConfig
@@ -43,20 +37,12 @@ from .contours import (
     harmonic_measure,
     level_set_components,
     log_quotient_via_contour,
-    place_representatives,
     split_zeros_by_contour,
     trossos_check,
 )
-from .geometry import DiskPoint, hyper_distance, mobius, normalized_mobius, pseudo_distance
-from .gridfn import BoundaryGridFunction, bmo_norm_estimate, harmonic_conjugate, l2_norm
+from .geometry import DiskPoint, hyper_distance, mobius, pseudo_distance
+from .gridfn import BoundaryGridFunction, harmonic_conjugate
 from .matching import Pairing, bottleneck_match, pairing_diagnostics
-from .pathbuild import (
-    PolygonalPath,
-    build_path,
-    certify_path,
-    choose_partition,
-    interpolate_zeros,
-    rouche_zero_count,
-)
+from .pathbuild import PolygonalPath, build_path, certify_path, choose_partition
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .fixtures import (
     adversarial_pair,
     geometric_zeros,
     random_matched_pair,
-    random_point,
     random_zerolist,
     singular_shift_fixture,
     staged_measure,
@@ -161,13 +160,14 @@ def path_certification_instances(config: RunConfig) -> list[tuple[ZeroList, Zero
 def check_path_certification(config: RunConfig) -> CheckResult:
     """Random paths certify; the one-giant-step fixture must not."""
     fid_tol = config.tolerances["endpoint_fidelity"]
+    functional_tol = config.tolerances["path_functional"]
     t0 = time.perf_counter()
     failures: list[str] = []
     worst_fid = 0.0
     grid = min(config.grid_size, 2048)
     for i, (za, zb_ord) in enumerate(path_certification_instances(config)):
         try:
-            path = build_path(za, zb_ord, n_grid=grid)
+            path = build_path(za, zb_ord, n_grid=grid, functional_tol=functional_tol)
         except Exception as exc:  # noqa: BLE001 - any failure fails the gate
             failures.append(f"instance {i}: build failed: {exc}")
             continue

@@ -2,8 +2,7 @@
 
 A product is lambda * z^m * prod_n [(conj(z_n)/|z_n|) (z_n - z)/(1 - conj(z_n) z)]^mult_n.
 Everything here is exact for finite lists; "infinite" fixtures are generators
-truncated by the caller, with the discarded tail reported through
-``blaschke_condition_sum``.
+truncated by the caller.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class ZeroList:
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple((complex(z), int(k)) for z, k in self.zeros))
         object.__setattr__(self, "lam", complex(self.lam))
-        if abs(abs(self.lam) - 1.0) > 1e-12:
+        if not abs(abs(self.lam) - 1.0) <= 1e-12:
             raise ValueError(f"normalization must be unimodular, got |lambda| = {abs(self.lam)}")
         if self.m < 0:
             raise ValueError("origin order m must be nonnegative")
@@ -48,7 +47,7 @@ class ZeroList:
                 raise ValueError(f"multiplicity must be positive, got {k}")
             if abs(z) == 0.0:
                 raise ValueError("zeros at the origin go into m, not the zero list")
-            if abs(z) >= 1.0 - INTERIOR_GUARD:
+            if not abs(z) < 1.0 - INTERIOR_GUARD:
                 raise ValueError(f"zero must be interior (|z| < 1 - 1e-12), got |z| = {abs(z):.17g}")
 
     @classmethod
@@ -183,11 +182,6 @@ def derivative_grid(b: ZeroList, points: np.ndarray) -> np.ndarray:
     return der
 
 
-def blaschke_condition_sum(b: ZeroList) -> float:
-    """Sum of multiplicity * (1 - |z_n|); the origin zero contributes m * 1."""
-    return float(b.m) + sum(k * (1.0 - abs(z)) for z, k in b.zeros)
-
-
 def jensen_zero_count(b: ZeroList, r: float, start_grid: int = 1024) -> int:
     """Number of zeros in the disk of radius r, from circle quadrature of log|b|.
 
@@ -222,22 +216,6 @@ def jensen_zero_count(b: ZeroList, r: float, start_grid: int = 1024) -> int:
     raise ResolutionError(
         f"quadrature did not stabilize within 0.25 of an integer below {_JENSEN_GRID_CAP} points"
     )
-
-
-def little_bloch_seminorm(b: ZeroList, r: float, n: int = 2048) -> float:
-    """max over |z| = r of (1 - |z|^2) |b'(z)|."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"radius must be in (0, 1), got {r}")
-    pts = r * circle_nodes(n)
-    return float(((1.0 - r * r) * np.abs(derivative_grid(b, pts))).max())
-
-
-def bloch_cnbp_tension(u: ZeroList, b: ZeroList, r: float, n: int = 2048) -> float:
-    """max over |w| = r of |u(w)| (1 - |b(w)|): the vanishing-product diagnostic."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"radius must be in (0, 1), got {r}")
-    pts = r * circle_nodes(n)
-    return float((np.abs(evaluate_grid(u, pts)) * (1.0 - np.abs(evaluate_grid(b, pts)))).max())
 
 
 def singular_shift_zeros(spec: SingularShiftSpec) -> ZeroList:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .blaschke import ZeroList, derivative_grid, evaluate_grid
 from .errors import RegionEmptyError
-from .geometry import beta_from_rho, beta_matrix, clamped_beta, interior_value, rho_from_beta, rho_matrix
+from .geometry import beta_from_rho, beta_matrix, clamped_beta, rho_from_beta, rho_matrix
 
 #: Absolute-constant slack between the dyadic-box estimator and the duality
 #: Carleson norm; every acceptance check involving the norm carries it.
@@ -32,7 +31,7 @@ class DiscreteMeasure:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple((complex(z), complex(w)) for z, w in self.atoms))
         for z, _ in self.atoms:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:
                 raise ValueError(f"atom must lie in the open disk, got |z| = {abs(z)}")
 
     def total_variation(self) -> float:
@@ -58,26 +57,6 @@ class DiscreteMeasure:
                 (complex(a["re"], a["im"]), complex(a["w_re"], a["w_im"])) for a in data["atoms"]
             )
         )
-
-
-@dataclass(frozen=True)
-class CarlesonBox:
-    """The box {r e^{i theta} : 1 - L <= r < 1, |theta - center| <= L/2}."""
-
-    arc_center: float
-    arc_length: float
-
-    def __post_init__(self):
-        if not 0.0 < self.arc_length <= 2.0 * math.pi:
-            raise ValueError(f"arc length must be in (0, 2 pi], got {self.arc_length}")
-
-    def contains(self, z: complex) -> bool:
-        if 1.0 - abs(z) > self.arc_length:
-            return False
-        d = (math.atan2(z.imag, z.real) - self.arc_center) % (2.0 * math.pi)
-        if d > math.pi:
-            d -= 2.0 * math.pi
-        return abs(d) <= self.arc_length / 2.0
 
 
 def mu_b(zeros: ZeroList) -> DiscreteMeasure:
@@ -180,39 +159,6 @@ def separation_split(zeros: ZeroList, s: float) -> list[ZeroList]:
         else:
             classes.append([i])
     return [ZeroList.from_points([pts[i] for i in cls]) for cls in classes]
-
-
-def minimum_separated_classes(points: Sequence[complex], s: float) -> int:
-    """Brute-force minimum number of pairwise >= s separated classes (n <= ~12)."""
-    n = len(points)
-    if n == 0:
-        return 0
-    pts = [interior_value(p) for p in points]
-    conflict = (beta_matrix(pts, pts) < s).tolist()
-
-    def feasible(k: int) -> bool:
-        color = [-1] * n
-
-        def assign(i: int) -> bool:
-            if i == n:
-                return True
-            # symmetry reduction: a fresh color may only be the next unused one
-            limit = min(k - 1, max(color[:i], default=-1) + 1)
-            for c in range(limit + 1):
-                if any(color[j] == c and conflict[i][j] for j in range(i)):
-                    continue
-                color[i] = c
-                if assign(i + 1):
-                    return True
-                color[i] = -1
-            return False
-
-        return assign(0)
-
-    for k in range(1, n + 1):
-        if feasible(k):
-            return k
-    return n
 
 
 @dataclass(frozen=True)

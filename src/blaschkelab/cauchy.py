@@ -44,30 +44,6 @@ class PathMeasure:
     def reversed(self) -> "PathMeasure":
         return PathMeasure(tuple((b, a) for a, b in self.segments))
 
-    def restricted(self, r: float) -> "PathMeasure":
-        """Exact restriction to the closed disk of radius r (segments are clipped
-        at the circle; the modulus along a chord is a convex quadratic in t)."""
-        kept: list[tuple[complex, complex]] = []
-        for z0, z1 in self.segments:
-            d = z1 - z0
-            if d == 0:
-                if abs(z0) <= r:
-                    kept.append((z0, z1))
-                continue
-            # |z0 + t d|^2 <= r^2  <=>  |d|^2 t^2 + 2 Re(conj(d) z0) t + |z0|^2 - r^2 <= 0
-            a = abs(d) ** 2
-            bb = 2.0 * (d.conjugate() * z0).real
-            c = abs(z0) ** 2 - r * r
-            disc = bb * bb - 4.0 * a * c
-            if disc <= 0.0:
-                continue
-            sq = math.sqrt(disc)
-            t0 = max(0.0, (-bb - sq) / (2.0 * a))
-            t1 = min(1.0, (-bb + sq) / (2.0 * a))
-            if t1 > t0:
-                kept.append((z0 + t0 * d, z0 + t1 * d))
-        return PathMeasure(tuple(kept))
-
     def to_json(self) -> dict:
         return {
             "segments": [
@@ -84,22 +60,6 @@ class PathMeasure:
                 for s in data["segments"]
             )
         )
-
-
-def truncated_cauchy(mu: DiscreteMeasure, theta: float, eps: float) -> complex:
-    """Sum of w / (e^{i theta} - z) over atoms with |z - e^{i theta}| > eps."""
-    if eps <= 0.0:
-        raise ValueError(f"truncation radius must be positive, got {eps}")
-    xi = complex(math.cos(theta), math.sin(theta))
-    return sum((w / (xi - z) for z, w in mu.atoms if abs(z - xi) > eps), 0.0j)
-
-
-def maximal_cauchy(mu: DiscreteMeasure, theta: float, eps_grid: Sequence[float]) -> float:
-    """max over the supplied truncation radii of |truncated transform|; a lower
-    bound for the maximal transform."""
-    if not eps_grid:
-        raise ValueError("need at least one truncation radius")
-    return max(abs(truncated_cauchy(mu, theta, eps)) for eps in eps_grid)
 
 
 def cauchy_segment_closed_form(z0, z1, theta: float) -> complex:
@@ -255,16 +215,10 @@ def outer_correction(
     return OuterCorrection(h=h, v=v, report=report)
 
 
-def l2_truncation_convergence(
-    mu: DiscreteMeasure | PathMeasure, radii: Sequence[float], n: int = 4096
-) -> list[float]:
+def l2_truncation_convergence(mu: DiscreteMeasure, radii: Sequence[float], n: int = 4096) -> list[float]:
     """Grid L2 distances ||C(mu_r) - C(mu)||_2 for the given radii."""
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing")
-    if isinstance(mu, PathMeasure):
-        full = cauchy_on_circle(mu, n).samples
-        parts = [cauchy_on_circle(mu.restricted(r), n).samples for r in radii]
-    else:
-        full = cauchy_measure_on_circle(mu, n).samples
-        parts = [cauchy_measure_on_circle(mu.restricted(r), n).samples for r in radii]
+    full = cauchy_measure_on_circle(mu, n).samples
+    parts = [cauchy_measure_on_circle(mu.restricted(r), n).samples for r in radii]
     return [float(np.sqrt(np.mean(np.abs(p - full) ** 2))) for p in parts]

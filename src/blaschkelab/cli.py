@@ -122,8 +122,12 @@ def _cmd_cauchy(args, config: RunConfig, out: Path) -> int:
             },
         },
     )
-    print(f"identity error {err:.3e} (tolerance {tol:.0e}) -> {out / 'cauchy.json'}")
-    return 0 if err < tol else 1
+    functional_tol = config.tolerances["outer_functional"]
+    print(
+        f"identity error {err:.3e} (tolerance {tol:.0e}), conjugation functional "
+        f"{oc.report.functional_sup:.3e} (tolerance {functional_tol:.0e}) -> {out / 'cauchy.json'}"
+    )
+    return 0 if err < tol and oc.report.functional_sup < functional_tol else 1
 
 
 def _cmd_match(args, config: RunConfig, out: Path) -> int:
@@ -151,7 +155,13 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
     pairing = bottleneck_match(z, z_star)
     pts = z_star.expanded_points()
     z_star_ordered = ZeroList.from_points([pts[j] for j in pairing.permutation])
-    path = build_path(z, z_star_ordered, alpha=args.alpha, n_grid=config.grid_size)
+    path = build_path(
+        z,
+        z_star_ordered,
+        alpha=args.alpha,
+        n_grid=config.grid_size,
+        functional_tol=config.tolerances["path_functional"],
+    )
     report = path.certification or certify_path(path)
     path.certification = report
     _write_json(

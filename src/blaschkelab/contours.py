@@ -674,15 +674,6 @@ class HarmonicMeasureAtlas:
                         f"curve {c.component_id}: nu_{name} total {total} is not an integer within {tol}"
                     )
 
-    def max_arc_mass(self, i: int) -> float:
-        """Largest |nu| mass of any arc from the start vertex: the observed
-        value of the boundedness hypothesis on the difference measure.
-        Reported per fixture, never assumed."""
-        start = self.curves[i].start_vertex()
-        order = np.roll(np.arange(self.curves[i].n_edges), -start)
-        cum = np.cumsum(self.nu(i)[order])
-        return float(np.abs(cum).max())
-
     def to_json(self) -> dict:
         return {
             "curves": [c.to_json() for c in self.curves],
@@ -747,31 +738,6 @@ def split_zeros_by_contour(u: ZeroList, curves: Sequence[JordanCurveApprox]) -> 
                 break
         chosen.append(p)
     return ZeroList.from_points(deep), ZeroList.from_points(rest)
-
-
-def place_representatives(atlas: HarmonicMeasureAtlas) -> ZeroList:
-    """One representative per unit of nu_u mass: split each curve into unit-mass
-    arcs from the fixed start vertex and take each arc's mass median."""
-    atlas.validate_totals()
-    reps: list[complex] = []
-    for i, curve in enumerate(atlas.curves):
-        total = atlas.u_count(i)
-        n_k = round(total)
-        if n_k == 0:
-            continue
-        start = curve.start_vertex()
-        order = np.roll(np.arange(curve.n_edges), -start)
-        masses = atlas.nu_u[i][order] * (n_k / total)
-        starts = curve.edge_starts()[order]
-        ends = curve.edge_ends()[order]
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        for j in range(n_k):
-            target = j + 0.5
-            e = int(np.searchsorted(cum, target, side="right") - 1)
-            e = min(e, curve.n_edges - 1)
-            frac = (target - cum[e]) / masses[e] if masses[e] > 0 else 0.5
-            reps.append(complex(starts[e] + frac * (ends[e] - starts[e])))
-    return ZeroList.from_points(reps)
 
 
 def log_quotient_via_contour(

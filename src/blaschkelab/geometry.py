@@ -1,10 +1,9 @@
 """Hyperbolic geometry of the unit disk.
 
-The two Mobius maps used throughout (the involution interchanging 0 and z,
-and its unimodular normalization) together with the pseudohyperbolic and
-hyperbolic metrics, as scalars and as the array kernel ``rho_matrix`` /
-``beta_matrix`` that every pairwise distance goes through; the
-``DiskPoint`` wrapper exists to make the interior guard explicit.
+The Mobius involution interchanging 0 and z together with the
+pseudohyperbolic and hyperbolic metrics, as scalars and as the array kernel
+``rho_matrix`` / ``beta_matrix`` that every pairwise distance goes through;
+the ``DiskPoint`` wrapper exists to make the interior guard explicit.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ class DiskPoint:
         object.__setattr__(self, "value", complex(self.value))
         r = abs(self.value)
         if self.boundary:
-            if r > 1.0 + INTERIOR_GUARD:
+            if not r <= 1.0 + INTERIOR_GUARD:
                 raise ValueError(f"boundary-flagged point outside closed disk: |z| = {r}")
-        elif r >= 1.0 - INTERIOR_GUARD:
+        elif not r < 1.0 - INTERIOR_GUARD:
             raise ValueError(
                 f"interior point requires |z| < 1 - 1e-12, got |z| = {r:.17g}; "
                 "flag boundary=True for circle points"
@@ -61,7 +60,7 @@ def as_complex(z) -> complex:
 def interior_value(z) -> complex:
     """Unwrap and enforce the interior guard."""
     w = as_complex(z)
-    if abs(w) >= 1.0 - INTERIOR_GUARD:
+    if not abs(w) < 1.0 - INTERIOR_GUARD:
         raise ValueError(f"point must be interior (|z| < 1 - 1e-12), got |z| = {abs(w):.17g}")
     return w
 
@@ -80,23 +79,6 @@ def mobius(z, w) -> complex:
     if abs(den) < DEGENERATE_DENOMINATOR:
         raise DegenerateInputError(f"mobius denominator {abs(den):.3e} below 1e-14")
     return (zz - ww) / den
-
-
-def normalized_mobius(z, w) -> complex:
-    """(conj(z)/|z|) (z - w) / (1 - conj(z) w): the unimodular-normalized factor.
-
-    Undefined at z = 0; callers wanting the origin factor use the convention
-    that the prefactor is -1, i.e. the factor degenerates to w itself.
-    """
-    zz = as_complex(z)
-    ww = as_complex(w)
-    r = abs(zz)
-    if r == 0.0:
-        raise ValueError("normalized_mobius requires z != 0 (origin factor is w itself)")
-    den = 1.0 - zz.conjugate() * ww
-    if abs(den) < DEGENERATE_DENOMINATOR:
-        raise DegenerateInputError(f"normalized_mobius denominator {abs(den):.3e} below 1e-14")
-    return (zz.conjugate() / r) * (zz - ww) / den
 
 
 def pseudo_distance(z, w) -> float:

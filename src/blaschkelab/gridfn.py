@@ -1,8 +1,8 @@
 """Functions sampled on a uniform grid of the unit circle.
 
 Carries boundary traces and the analysis kernels acting on them: harmonic
-conjugation (the -i sgn(n) Fourier multiplier), a dyadic-arc BMO estimator,
-the normalized L2 norm, and winding numbers of sampled curves.
+conjugation (the -i sgn(n) Fourier multiplier) and winding numbers of
+sampled curves.
 """
 
 from __future__ import annotations
@@ -97,30 +97,6 @@ def harmonic_conjugate(f: BoundaryGridFunction) -> BoundaryGridFunction:
     if f.n % 2 == 0:
         coeffs[-1] = 0.0
     return BoundaryGridFunction(np.fft.irfft(coeffs, n=f.n))
-
-
-def l2_norm(f: BoundaryGridFunction) -> float:
-    """Normalized grid L2 norm (mean of |f|^2)^(1/2)."""
-    return float(np.sqrt(np.mean(np.abs(f.samples) ** 2)))
-
-
-def bmo_norm_estimate(f: BoundaryGridFunction) -> float:
-    """Max mean oscillation over dyadic arcs of length >= 4 grid cells.
-
-    A lower bound for the true BMO seminorm within grid resolution; constants
-    are translation invariant by construction.
-    """
-    x = f.samples
-    n = f.n
-    best = 0.0
-    depth = 0
-    while n >> depth >= 4 and (n % (1 << depth)) == 0:
-        arcs = x.reshape(1 << depth, n >> depth)
-        means = arcs.mean(axis=1, keepdims=True)
-        osc = np.abs(arcs - means).mean(axis=1)
-        best = max(best, float(osc.max()))
-        depth += 1
-    return best
 
 
 def winding_number(values: np.ndarray) -> int:

@@ -29,13 +29,6 @@ _MAX_PTS_PER_LOOP = 1 << 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def interpolate_zeros(pairs: Sequence[tuple[complex, complex]], t: float) -> ZeroList:
-    """Pointwise convex combination of the matched zeros at parameter t."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return ZeroList.from_points(interpolate_points(pairs, t))
-
-
 def interpolate_points(pairs: Sequence[tuple[complex, complex]], t: float) -> list[complex]:
     if t == 0.0:
         return [as_complex(a) for a, _ in pairs]
@@ -406,25 +399,6 @@ def neighborhood_contours(
         arcs = _boundary_arcs([disks[i] for i in members], pts_per_circle)
         out.append(ContourGroup(tuple(members), tuple(arcs), len(members)))
     return out
-
-
-def rouche_zero_count(
-    f: Callable[[np.ndarray], np.ndarray],
-    contour: np.ndarray,
-    eta: float = 0.5,
-    max_points: int = 1 << 17,
-) -> int:
-    """Zero count inside a closed polygonal contour by the argument principle,
-    refined as the certification refines: an edge is bisected while the
-    relative jump of f across it exceeds eta.  A sample on a zero of f raises
-    ContourThroughZeroError, as does a count that needs more than
-    ``max_points`` points or whose phase sum is not near an integer."""
-    pts = np.asarray(contour, dtype=np.complex128)
-    pts = np.append(pts, pts[:1])  # one arc, closed by repeating its first point
-    low, count = _loop_margin_count(f, [pts], f(pts), eta, max_points)
-    if low == 0.0:
-        raise ContourThroughZeroError("f vanishes at a contour sample")
-    return count
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ import pytest
 from blaschkelab.blaschke import (
     SingularShiftSpec,
     ZeroList,
-    blaschke_condition_sum,
-    bloch_cnbp_tension,
     derivative,
     derivative_grid,
     eval_boundary,
@@ -17,7 +15,6 @@ from blaschkelab.blaschke import (
     evaluate_grid,
     floating_factorization,
     jensen_zero_count,
-    little_bloch_seminorm,
     singular_shift_zeros,
 )
 from blaschkelab.errors import IllConditionedBoundaryError
@@ -34,6 +31,11 @@ class TestZeroList:
     def test_rejects_non_unimodular_lambda(self):
         with pytest.raises(ValueError):
             ZeroList((), lam=0.5)
+
+    @pytest.mark.parametrize("zeros, lam", [(((math.nan, 1),), 1.0), (((0.3, 1),), math.nan), ((), complex(math.nan, 0.0))])
+    def test_rejects_nan(self, zeros, lam):
+        with pytest.raises(ValueError):
+            ZeroList(zeros, lam=lam)
 
     def test_from_points_folds_origin(self):
         zl = ZeroList.from_points([0.0, 0.3, 0.3, 1e-16])
@@ -197,21 +199,6 @@ class TestDerivativeGrid:
         assert derivative_grid(zl, np.array([0.0]))[0] == pytest.approx(at_origin, rel=1e-13)
 
 
-class TestConditionSum:
-    def test_geometric_sum(self):
-        zl = geometric_zeros(20)
-        assert blaschke_condition_sum(zl) == pytest.approx(1.0 - 2.0**-20, rel=1e-14)
-
-    def test_empty(self):
-        assert blaschke_condition_sum(ZeroList()) == 0.0
-
-    def test_single(self):
-        assert blaschke_condition_sum(ZeroList.from_points([0.5])) == pytest.approx(0.5)
-
-    def test_origin_counts_fully(self):
-        assert blaschke_condition_sum(ZeroList(m=3)) == pytest.approx(3.0)
-
-
 class TestJensenCount:
     def test_two_zero_example(self):
         zl = ZeroList.from_points([0.1, 0.2])
@@ -286,34 +273,6 @@ class TestFloatingFactorization:
     def test_strictly_increasing_targets_required(self):
         with pytest.raises(ValueError):
             floating_factorization(ZeroList.from_points([0.5]), (0.8, 0.8))
-
-
-class TestSeminorms:
-    def test_little_bloch_monomial(self):
-        assert little_bloch_seminorm(ZeroList(m=1), 0.9) == pytest.approx(0.19, abs=1e-12)
-
-    def test_little_bloch_square(self):
-        assert little_bloch_seminorm(ZeroList(m=2), 0.5) == pytest.approx(0.75, abs=1e-12)
-
-    def test_finite_product_sweep_to_zero(self):
-        zl = ZeroList.from_points([0.3, -0.2 + 0.4j])
-        values = [little_bloch_seminorm(zl, r) for r in (0.9, 0.99, 0.999, 0.9999)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert values[-1] < 0.01
-
-    def test_tension_self(self):
-        zl = ZeroList.from_points([0.4, 0.2j])
-        assert bloch_cnbp_tension(zl, zl, 0.7) <= 0.25 + 1e-12
-
-    def test_tension_constant_vs_product(self):
-        const = ZeroList()
-        zl = ZeroList.from_points([0.5])
-        pts = 0.8 * np.exp(2j * np.pi * np.arange(2048) / 2048)
-        expected = float((1.0 - np.abs(evaluate_grid(zl, pts))).max())
-        assert bloch_cnbp_tension(const, zl, 0.8) == pytest.approx(expected, rel=1e-12)
-
-    def test_tension_monomials(self):
-        assert bloch_cnbp_tension(ZeroList(m=1), ZeroList(m=1), 0.9) == pytest.approx(0.09, abs=1e-12)
 
 
 class TestSingularShift:

@@ -10,19 +10,17 @@ from blaschkelab import carleson
 from blaschkelab.blaschke import ZeroList
 from blaschkelab.carleson import (
     AlphaEstimate,
-    CarlesonBox,
     DiscreteMeasure,
     alpha_b,
     box_carleson_norm,
     interpolation_constant,
-    minimum_separated_classes,
     mu_b,
     separation_split,
     suggested_box_depth,
 )
 from blaschkelab.errors import RegionEmptyError
 from blaschkelab.fixtures import geometric_zeros, random_zerolist
-from blaschkelab.geometry import hyper_distance, pseudo_distance, rho_from_beta
+from blaschkelab.geometry import beta_matrix, hyper_distance, interior_value, pseudo_distance, rho_from_beta
 
 # interior zeros whose pseudohyperbolic distance rounds to 1 (beta ~ 37.4)
 NEAR_ANTIPODES = (1.0 - 2e-12, -(1.0 - 2e-12))
@@ -58,6 +56,40 @@ def _scalar_separation_split(zeros, s):
     return [ZeroList.from_points(cls) for cls in classes]
 
 
+def minimum_separated_classes(points, s):
+    """Brute-force minimum number of pairwise >= s separated classes (n <= ~12):
+    the oracle of the greedy ``separation_split``."""
+    n = len(points)
+    if n == 0:
+        return 0
+    pts = [interior_value(p) for p in points]
+    conflict = (beta_matrix(pts, pts) < s).tolist()
+
+    def feasible(k: int) -> bool:
+        color = [-1] * n
+
+        def assign(i: int) -> bool:
+            if i == n:
+                return True
+            # symmetry reduction: a fresh color may only be the next unused one
+            limit = min(k - 1, max(color[:i], default=-1) + 1)
+            for c in range(limit + 1):
+                if any(color[j] == c and conflict[i][j] for j in range(i)):
+                    continue
+                color[i] = c
+                if assign(i + 1):
+                    return True
+                color[i] = -1
+            return False
+
+        return assign(0)
+
+    for k in range(1, n + 1):
+        if feasible(k):
+            return k
+    return n
+
+
 def _scalar_minimum_separated_classes(points, s):
     """Fewest s-separated classes by exhaustive colouring on scalar distances."""
     n = len(points)
@@ -90,6 +122,13 @@ class TestMuB:
     def test_origin_weight(self):
         m = mu_b(ZeroList(m=2))
         assert m.atoms == ((0j, 2 + 0j),)
+
+
+class TestDiscreteMeasure:
+    @pytest.mark.parametrize("z", [1.0, complex(math.nan, 0.0)])
+    def test_rejects_atoms_off_the_open_disk(self, z):
+        with pytest.raises(ValueError):
+            DiscreteMeasure(((z, 1.0 + 0j),))
 
 
 class TestBoxNorm:
@@ -148,18 +187,6 @@ class TestBoxNorm:
             tracemalloc.stop()
         assert norm == pytest.approx(1.0)
         assert peak < 4e6
-
-
-class TestCarlesonBox:
-    def test_membership(self):
-        box = CarlesonBox(0.0, 0.5)
-        assert box.contains(0.6 + 0.0j)
-        assert not box.contains(0.3 + 0.0j)  # too deep
-        assert not box.contains(0.6j)  # wrong angle
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            CarlesonBox(0.0, 7.0)
 
 
 class TestInterpolationConstant:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -249,6 +250,36 @@ class TestExitCodes:
     def test_points_file_of_wrong_shape_is_input_error(self, tmp_path):
         bare = _write(tmp_path / "bare.json", [{"re": 0.1, "im": 0.0}])
         assert main(["--out", str(tmp_path), "geom", "--points", bare]) == 2
+
+    @pytest.mark.parametrize(
+        "command, zeros, lam",
+        [("eval", math.nan, 1.0), ("match", math.nan, 1.0), ("carleson", 0.3, math.nan), ("match", 0.3, math.nan)],
+        ids=["eval-nan-zero", "match-nan-zero", "carleson-nan-lambda", "match-nan-lambda"],
+    )
+    def test_nan_in_a_zeros_file_is_input_error(self, tmp_path, command, zeros, lam):
+        payload = {"zeros": [{"re": zeros, "im": 0.0, "mult": 1}], "lambda": {"re": lam, "im": 0.0}, "m": 0}
+        path = _write(tmp_path / "nan.json", payload)
+        args = ["--zeros", path] + (["--zeros-star", path] if command == "match" else [])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--grid", "256", command, *args]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_path_functional_tolerance_is_read(self, tmp_path, zeros_file, zeros_star_file):
+        args = ["path", "--zeros", zeros_file, "--zeros-star", zeros_star_file]
+        code = main(["--out", str(tmp_path), "--grid", "1024", "--tol", "path_functional=1e-30", *args])
+        assert code == 1
+        error = json.loads((tmp_path / "error.json").read_text())["error"]
+        assert error["type"] == "RefinementExhaustedError"
+        assert "accumulated conjugation functional" in error["message"]
+        assert not (tmp_path / "path.json").exists()
+
+    def test_outer_functional_tolerance_is_read(self, tmp_path, zeros_file, zeros_star_file):
+        args = ["cauchy", "--zeros", zeros_file, "--zeros-star", zeros_star_file]
+        assert main(["--out", str(tmp_path), "--grid", "1024", *args]) == 0
+        residual = json.loads((tmp_path / "cauchy.json").read_text())["outer"]["conjugation_residual"]
+        assert 0.0 < residual
+        override = f"outer_functional={residual}"
+        assert main(["--out", str(tmp_path), "--grid", "1024", "--tol", override, *args]) == 1
 
 
 class TestDeterminism:

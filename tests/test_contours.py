@@ -1,4 +1,4 @@
-"""Tests for level sets, harmonic measure, representatives and the contour log."""
+"""Tests for level sets, harmonic measure, atlases and the contour log."""
 
 import itertools
 import math
@@ -27,7 +27,6 @@ from blaschkelab.contours import (
     harmonic_measure_paired,
     level_set_components,
     log_quotient_via_contour,
-    place_representatives,
     split_zeros_by_contour,
     trossos_check,
 )
@@ -511,34 +510,11 @@ class TestAtlasAndRepresentatives:
         assert atlas.nu(0).sum() == pytest.approx(0.0, abs=1e-9)
         atlas.validate_totals()
 
-    def test_single_zero_single_representative(self):
-        u = ZeroList.from_points([0.1])
-        circ = JordanCurveApprox.circle(0.0, 0.5, n=128)
-        atlas = build_atlas(u, ZeroList.from_points([0.1]), [circ], method="exact")
-        reps = place_representatives(atlas)
-        assert reps.degree == 1
-        assert abs(abs(reps.expanded_points()[0]) - 0.5) < 0.01
-
-    def test_double_zero_antipodal_representatives(self):
-        u = ZeroList(m=2)
-        circ = JordanCurveApprox.circle(0.0, 0.5, n=256)
-        atlas = build_atlas(u, ZeroList(m=2), [circ], method="exact")
-        reps = place_representatives(atlas)
-        pts = reps.expanded_points()
-        assert len(pts) == 2
-        assert abs(pts[0] + pts[1]) < 0.02  # antipodal on the circle
-
-    def test_representative_count_matches_mass(self):
-        u = ZeroList.from_points([0.1, -0.15, 0.2j])
-        circ = JordanCurveApprox.circle(0.0, 0.55, n=256)
-        atlas = build_atlas(u, u, [circ], method="exact")
-        assert place_representatives(atlas).degree == 3
-
     def test_inconsistent_totals_detected(self):
         circ = JordanCurveApprox.circle(0.0, 0.5, n=16)
         bad = HarmonicMeasureAtlas((circ,), (np.full(16, 1.3 / 16),), (np.zeros(16),))
         with pytest.raises(AtlasInconsistencyError):
-            place_representatives(bad)
+            bad.validate_totals()
 
 
 class TestLogQuotient:
@@ -686,24 +662,6 @@ class TestArcDiameterInequality:
             n = (b_idx - a) % 64 or 64
             pts = circ.points[np.arange(a, a + n + 1) % 64]
             assert c.diameter == pytest.approx(max(pseudo_distance(p, q) for p in pts for q in pts), abs=1e-15)
-
-
-class TestArcMassDiagnostic:
-    def test_max_arc_mass_reported(self):
-        # the boundedness hypothesis on the difference measure is observed,
-        # never assumed: for one zero each the prefix mass stays below 1
-        u = ZeroList(m=1)
-        b = ZeroList.from_points([0.1])
-        circ = JordanCurveApprox.circle(0.0, 0.4, n=256)
-        atlas = build_atlas(u, b, [circ], method="exact")
-        observed = atlas.max_arc_mass(0)
-        assert 0.0 < observed < 1.0
-
-    def test_equal_sources_have_zero_mass(self):
-        u = ZeroList.from_points([0.1])
-        circ = JordanCurveApprox.circle(0.0, 0.4, n=128)
-        atlas = build_atlas(u, u, [circ], method="exact")
-        assert atlas.max_arc_mass(0) < 1e-12
 
 
 def _reference_distance(p, curve):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blaschkelab.blaschke import ZeroList, evaluate_grid
 from blaschkelab.errors import DegenerateInputError
 from blaschkelab import matching
 from blaschkelab.geometry import (
@@ -16,8 +17,8 @@ from blaschkelab.geometry import (
     beta_matrix,
     clamped_beta,
     hyper_distance,
+    interior_value,
     mobius,
-    normalized_mobius,
     pseudo_distance,
     rho_from_beta,
     rho_matrix,
@@ -46,6 +47,13 @@ class TestDiskPoint:
         p = DiskPoint(np.exp(0.3j), boundary=True)
         assert abs(abs(p.value) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_nan_rejected(self, boundary):
+        with pytest.raises(ValueError):
+            DiskPoint(complex(math.nan, 0.1), boundary=boundary)
+        with pytest.raises(ValueError):
+            interior_value(complex(0.1, math.nan))
+
     def test_outside_rejected_even_with_flag(self):
         with pytest.raises(ValueError):
             DiskPoint(1.5, boundary=True)
@@ -69,24 +77,22 @@ class TestMobius:
             assert abs(mobius(z, w)) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_denominator(self):
-        # interior guard makes mobius denominators >= 1e-12; the normalized
-        # factor accepts circle-adjacent zeros and must refuse the collision
-        w = np.exp(0.4j)
+        # |z| < 1 - 1e-12 and |w| <= 1 + 1e-12 still leave 1 - conj(z) w
+        # room to fall below 1e-14
         with pytest.raises(DegenerateInputError):
-            normalized_mobius(DiskPoint(w, boundary=True), w)
+            mobius(1.0 - 1.005e-12, 1.0 + 1e-12)
 
 
 class TestNormalizedMobius:
+    """The normalized factor (conj(z)/|z|) (z - w)/(1 - conj(z) w) is the
+    one-zero product."""
+
     def test_value_at_origin_is_modulus(self):
-        assert normalized_mobius(0.5, 0.0) == pytest.approx(0.5)
-        assert normalized_mobius(0.5j, 0.0) == pytest.approx(0.5)
+        assert evaluate_grid(ZeroList.from_points([0.5]), 0.0) == pytest.approx(0.5)
+        assert evaluate_grid(ZeroList.from_points([0.5j]), 0.0) == pytest.approx(0.5)
 
     def test_hand_value_real(self):
-        assert normalized_mobius(0.5, 0.25) == pytest.approx((0.5 - 0.25) / (1 - 0.125))
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            normalized_mobius(0.0, 0.3)
+        assert evaluate_grid(ZeroList.from_points([0.5]), 0.25) == pytest.approx((0.5 - 0.25) / (1 - 0.125))
 
 
 class TestMetrics:

@@ -5,10 +5,8 @@ import pytest
 
 from blaschkelab.gridfn import (
     BoundaryGridFunction,
-    bmo_norm_estimate,
     circle_nodes,
     harmonic_conjugate,
-    l2_norm,
     winding_number,
 )
 
@@ -54,34 +52,6 @@ class TestHarmonicConjugate:
     def test_rejects_complex(self):
         with pytest.raises(ValueError):
             harmonic_conjugate(BoundaryGridFunction(np.exp(1j * THETA)))
-
-
-class TestL2Norm:
-    def test_constant(self):
-        assert l2_norm(BoundaryGridFunction(np.full(N, 2.0 - 1.0j))) == pytest.approx(abs(2.0 - 1.0j))
-
-    def test_unimodular(self):
-        assert l2_norm(BoundaryGridFunction(np.exp(1j * THETA))) == pytest.approx(1.0)
-
-    def test_cosine_parseval(self):
-        assert l2_norm(BoundaryGridFunction(np.cos(THETA))) == pytest.approx(1 / np.sqrt(2))
-
-
-class TestBMOEstimate:
-    def test_constant_zero(self):
-        assert bmo_norm_estimate(BoundaryGridFunction(np.full(N, 4.2))) < 1e-14
-
-    def test_step_function(self):
-        f = np.where(THETA < np.pi, 1.0, -1.0)
-        val = bmo_norm_estimate(BoundaryGridFunction(f))
-        assert 0.5 <= val <= 1.0
-
-    def test_translation_invariance(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal(N)
-        a = bmo_norm_estimate(BoundaryGridFunction(f))
-        b = bmo_norm_estimate(BoundaryGridFunction(f + 17.0))
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestWindingNumber:

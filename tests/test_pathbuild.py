@@ -24,9 +24,7 @@ from blaschkelab.pathbuild import (
     choose_partition,
     hyperbolic_circle_euclid,
     interpolate_points,
-    interpolate_zeros,
     neighborhood_contours,
-    rouche_zero_count,
 )
 
 
@@ -37,7 +35,7 @@ class TestInterpolation:
         assert interpolate_points(pairs, 1.0) == [-0.3j]
 
     def test_midpoint(self):
-        zl = interpolate_zeros([(0.0j, 0.5 + 0j)], 0.5)
+        zl = ZeroList.from_points(interpolate_points([(0.0j, 0.5 + 0j)], 0.5))
         assert zl.zeros == ((0.25 + 0j, 1),)
 
     def test_interior_preserved(self):
@@ -46,10 +44,6 @@ class TestInterpolation:
         pairs = list(zip(za.expanded_points(), zb.expanded_points()))
         for t in np.linspace(0, 1, 7):
             assert all(abs(p) < 1 for p in interpolate_points(pairs, float(t)))
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            interpolate_zeros([(0.1, 0.2)], 1.5)
 
 
 class TestChoosePartition:
@@ -92,25 +86,36 @@ class TestChoosePartition:
             choose_partition([(0.1, 0.2)], math.nan)
 
 
+def _polygon_margin_count(f, contour, max_pts=1 << 17):
+    """(min |f|, winding count) of f along a closed polygon, passed to the
+    certification's refinement as one arc closed by repeating its first point."""
+    pts = np.append(contour, contour[:1])
+    return pathbuild._loop_margin_count(f, [pts], f(pts), 0.5, max_pts)
+
+
 class TestRoucheCount:
     def test_double_zero(self):
         contour = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
-        assert rouche_zero_count(lambda z: z**2, contour) == 2
+        assert _polygon_margin_count(lambda z: z**2, contour)[1] == 2
 
     def test_zero_free(self):
         contour = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
-        assert rouche_zero_count(lambda z: z + 2.0, contour) == 0
+        assert _polygon_margin_count(lambda z: z + 2.0, contour)[1] == 0
 
     def test_degree_five_product_near_circle(self):
-        rng = np.random.default_rng(1)
         zl = ZeroList.from_points([0.6 * np.exp(2j * np.pi * k / 5) + 0.05 for k in range(5)])
         contour = 0.99 * np.exp(2j * np.pi * np.arange(256) / 256)
-        assert rouche_zero_count(lambda z: evaluate_grid(zl, z), contour) == 5
+        assert _polygon_margin_count(lambda z: evaluate_grid(zl, z), contour)[1] == 5
 
     def test_through_zero_detected(self):
         contour = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
-        with pytest.raises(ContourThroughZeroError):
-            rouche_zero_count(lambda z: z - 0.5, contour, max_points=2048)
+        assert _polygon_margin_count(lambda z: z - 0.5, contour, max_pts=2048) == (0.0, 0)
+
+    def test_point_budget_exhausted(self):
+        # a zero 1e-7 off the contour needs far more than 64 points
+        contour = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
+        with pytest.raises(ContourThroughZeroError, match="needs more than 64 points"):
+            _polygon_margin_count(lambda z: z - 0.5000001, contour, max_pts=64)
 
 
 def _arc_count(f, group):
