@@ -34,12 +34,6 @@ class DiscreteMeasure:
             if not abs(z) < 1.0:
                 raise ValueError(f"atom must lie in the open disk, got |z| = {abs(z)}")
 
-    def total_variation(self) -> float:
-        return sum(abs(w) for _, w in self.atoms)
-
-    def scaled(self, c: complex) -> "DiscreteMeasure":
-        return DiscreteMeasure(tuple((z, c * w) for z, w in self.atoms))
-
     def restricted(self, r: float) -> "DiscreteMeasure":
         return DiscreteMeasure(tuple((z, w) for z, w in self.atoms if abs(z) <= r))
 

@@ -104,7 +104,9 @@ def _cmd_cauchy(args, config: RunConfig, out: Path) -> int:
     b_star = _load_zeros(args.zeros_star)
     err = verify_intwin(b, b_star, n=config.grid_size)
     pairs = list(zip(b.expanded_points(), b_star.expanded_points()))
-    oc = outer_correction(pairs, config.grid_size)
+    functional_tol = config.tolerances["outer_functional"]
+    # a looser stamped tolerance also loosens the conjugation-residual guard
+    oc = outer_correction(pairs, config.grid_size, residual_tol=max(1e-6, functional_tol))
     oc.h.write_csv(out / "outer_h.csv")
     oc.v.write_csv(out / "outer_v.csv")
     tol = config.tolerances["intwin"]
@@ -122,7 +124,6 @@ def _cmd_cauchy(args, config: RunConfig, out: Path) -> int:
             },
         },
     )
-    functional_tol = config.tolerances["outer_functional"]
     print(
         f"identity error {err:.3e} (tolerance {tol:.0e}), conjugation functional "
         f"{oc.report.functional_sup:.3e} (tolerance {functional_tol:.0e}) -> {out / 'cauchy.json'}"

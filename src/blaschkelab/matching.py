@@ -2,8 +2,13 @@
 
 Finds the bijection minimizing the maximum hyperbolic displacement: sort the
 pairwise distances, binary-search the smallest threshold whose bipartite graph
-has a perfect matching, then pick the lexicographically smallest optimal
-permutation for reproducibility.
+has a perfect matching (one Hopcroft-Karp per probe), then pick the
+lexicographically smallest optimal permutation for reproducibility.  That
+refinement starts from the last feasible probe's matching and fixes the rows
+in order: a row may take a smaller column exactly when the column's current
+row reaches it along an alternating path of unfixed rows, so one reverse BFS
+per row finds the smallest such column and the matching is rotated along
+that cycle (the matching-reuse idea of Gabow & Tarjan 1988).
 """
 
 from __future__ import annotations
@@ -52,13 +57,17 @@ def maximum_bipartite_matching(graph, perm_type: str = "row") -> np.ndarray:
     return match(graph, perm_type=perm_type)
 
 
-def _has_perfect_matching(adj: np.ndarray) -> bool:
+def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
+    """Column matched to each row in a perfect matching of adj, or None."""
     from scipy.sparse import csr_matrix
 
     n = adj.shape[0]
-    graph = csr_matrix(adj)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(adj, axis=1), out=indptr[1:])
+    indices = np.nonzero(adj)[1].astype(np.int32)
+    graph = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=adj.shape)
     match = maximum_bipartite_matching(graph, perm_type="column")
-    return int((match >= 0).sum()) == n
+    return match if int((match >= 0).sum()) == n else None
 
 
 def bottleneck_match(z: ZeroList, z_star: ZeroList) -> Pairing:
@@ -76,41 +85,56 @@ def bottleneck_match(z: ZeroList, z_star: ZeroList) -> Pairing:
     dist = beta_matrix(pts_a, pts_b)
     values = np.unique(dist)
     lo, hi = 0, values.size - 1
-    if not _has_perfect_matching(dist <= values[hi]):
+    match = _perfect_matching(dist <= values[hi])
+    if match is None:
         raise AssertionError("complete bipartite graph must admit a perfect matching")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(dist <= values[mid]):
-            hi = mid
+        probe = _perfect_matching(dist <= values[mid])
+        if probe is not None:
+            hi, match = mid, probe
         else:
             lo = mid + 1
-    threshold = float(values[lo])
-    adj = dist <= threshold
+    adj = dist <= values[lo]
 
-    perm = _lexicographically_smallest(adj)
+    perm = _lexicographically_smallest(adj, match)
     cost = float(dist[np.arange(n), perm].max())
     return Pairing(tuple(perm), cost)
 
 
-def _lexicographically_smallest(adj: np.ndarray) -> list[int]:
-    """Smallest permutation (row by row) among perfect matchings of adj."""
+def _lexicographically_smallest(adj: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Smallest permutation (row by row) among perfect matchings of adj,
+    refined from any one of them, ``match`` (the column of each row)."""
     n = adj.shape[0]
-    perm: list[int] = []
-    free_cols = list(range(n))
-    for row in range(n):
-        chosen = None
-        for j in free_cols:
-            if not adj[row, j]:
-                continue
-            rest_cols = [c for c in free_cols if c != j]
-            rest = adj[np.ix_(range(row + 1, n), rest_cols)]
-            if rest.shape[0] == 0 or _has_perfect_matching(rest):
-                chosen = j
-                break
-        if chosen is None:
-            raise AssertionError("matching feasibility lost during lexicographic refinement")
-        perm.append(chosen)
-        free_cols.remove(chosen)
+    perm = np.array(match, dtype=np.intp)
+    owner = np.empty(n, dtype=np.intp)  # row holding each column
+    owner[perm] = np.arange(n)
+    toward_r = np.empty(n, dtype=np.intp)  # BFS successor on the way to r
+    for r in range(n):
+        # columns below r's own that r is adjacent to and an unfixed row holds
+        cols = np.flatnonzero(adj[r, : perm[r]])
+        cols = cols[owner[cols] > r]
+        if cols.size == 0:
+            continue
+        # reverse BFS over unfixed rows, x -> y when x can take y's column
+        reached = np.zeros(n, dtype=bool)
+        reached[: r + 1] = True
+        frontier = np.array([r])
+        while frontier.size and not reached[owner[cols[0]]]:
+            rest = np.flatnonzero(~reached)
+            hits = adj[np.ix_(rest, perm[frontier])]
+            found = hits.any(axis=1)
+            toward_r[rest[found]] = frontier[hits[found].argmax(axis=1)]
+            frontier = rest[found]
+            reached[frontier] = True
+        cols = cols[reached[owner[cols]]]
+        if cols.size == 0:
+            continue
+        cycle = [owner[cols[0]]]
+        while cycle[-1] != r:
+            cycle.append(toward_r[cycle[-1]])
+        perm[cycle] = perm[cycle[1:] + cycle[:1]]
+        owner[perm[cycle]] = cycle
     return perm
 
 

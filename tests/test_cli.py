@@ -281,6 +281,21 @@ class TestExitCodes:
         override = f"outer_functional={residual}"
         assert main(["--out", str(tmp_path), "--grid", "1024", "--tol", override, *args]) == 1
 
+    def test_outer_functional_tolerance_loosens_the_residual_guard(self, tmp_path):
+        # at 0.92 -> 0.925 on 256 points the conjugation residual is about 4.5e-6,
+        # above the 1e-6 floor of the guard but below the stamped 1e-4
+        unit = {"re": 1.0, "im": 0.0}
+        files = [
+            _write(tmp_path / f"{name}.json", {"zeros": [{"re": x, "im": 0.0, "mult": 1}], "lambda": unit, "m": 0})
+            for name, x in (("z", 0.92), ("z_star", 0.925))
+        ]
+        args = ["cauchy", "--zeros", files[0], "--zeros-star", files[1]]
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--grid", "256", "--tol", "outer_functional=1e-4", *args]) == 0
+        residual = json.loads((out / "cauchy.json").read_text())["outer"]["conjugation_residual"]
+        assert 1e-6 < residual < 1e-4
+        assert main(["--out", str(tmp_path / "default"), "--grid", "256", *args]) == 1
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, zeros_file):

@@ -1,18 +1,24 @@
 """Tests for the bottleneck zero matching."""
 
+import math
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blaschkelab import matching
 from blaschkelab.blaschke import ZeroList
+from blaschkelab.config import RunConfig
 from blaschkelab.errors import CardinalityError
-from blaschkelab.fixtures import random_point, random_zerolist
+from blaschkelab.fixtures import random_matched_pair, random_point, random_zerolist
 from blaschkelab.geometry import hyper_distance, mobius
 from blaschkelab.matching import (
     Pairing,
+    _lexicographically_smallest,
+    _perfect_matching,
     beta_matrix,
     bottleneck_match,
     brute_force_bottleneck,
@@ -70,17 +76,17 @@ class TestBottleneckMatch:
     def test_threshold_monotonicity(self):
         # feasibility under a distance threshold is monotone: below the optimal
         # cost there is no perfect matching, at it there is
-        from blaschkelab.matching import _has_perfect_matching
+        from blaschkelab.matching import _perfect_matching
 
         rng = np.random.default_rng(3)
         za = random_zerolist(rng, 5)
         zb = random_zerolist(rng, 5)
         cost = bottleneck_match(za, zb).cost
         dist = beta_matrix(za.expanded_points(), zb.expanded_points())
-        assert _has_perfect_matching(dist <= cost)
+        assert _perfect_matching(dist <= cost) is not None
         below = dist[dist < cost]
         if below.size:
-            assert not _has_perfect_matching(dist <= below.max())
+            assert _perfect_matching(dist <= below.max()) is None
 
     def test_multiplicities_expand(self):
         za = ZeroList(((0.3 + 0j, 2),))
@@ -101,6 +107,123 @@ class TestBottleneckMatch:
         za = ZeroList.from_points([0.2, -0.2])
         p = bottleneck_match(za, za)
         assert p.permutation == (0, 1)
+
+
+def _feasible(adj: np.ndarray) -> bool:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    return bool((maximum_bipartite_matching(csr_matrix(adj), perm_type="column") >= 0).all())
+
+
+def _reference_lexicographically_smallest(adj: np.ndarray) -> list[int]:
+    """The former route: one fresh maximum matching per candidate column of each row."""
+    n = adj.shape[0]
+    perm: list[int] = []
+    free_cols = list(range(n))
+    for row in range(n):
+        for j in free_cols:
+            if not adj[row, j]:
+                continue
+            rest = adj[np.ix_(range(row + 1, n), [c for c in free_cols if c != j])]
+            if rest.shape[0] == 0 or _feasible(rest):
+                perm.append(j)
+                free_cols.remove(j)
+                break
+        else:
+            raise AssertionError("no feasible column")
+    return perm
+
+
+def _threshold_graph(za: ZeroList, zb: ZeroList) -> tuple[np.ndarray, Pairing]:
+    pairing = bottleneck_match(za, zb)
+    return beta_matrix(za.expanded_points(), zb.expanded_points()) <= pairing.cost, pairing
+
+
+def _with_multiplicities(rng, n: int) -> tuple[ZeroList, ZeroList]:
+    """A matched pair of n >= 2 zeros per side whose lists repeat some of their zeros."""
+    za, zb = random_matched_pair(rng, n, beta_max=1.0)
+    pa, pb = za.expanded_points(), zb.expanded_points()
+    k = max(1, n // 4)
+    pa[-k:] = pa[:k]  # the first k zeros become double (or higher) zeros
+    pb[-k:] = [pb[0]] * k
+    a, b = ZeroList.from_points(pa), ZeroList.from_points(pb)
+    assert any(m > 1 for _, m in a.zeros) and any(m > 1 for _, m in b.zeros)
+    return a, b
+
+
+def _enumeration_oracle(za: ZeroList, zb: ZeroList) -> tuple[int, ...]:
+    """Lexicographically first permutation of optimal bottleneck cost (n <= 7)."""
+    dist = beta_matrix(za.expanded_points(), zb.expanded_points())
+    rows = np.arange(dist.shape[0])
+    costs = {p: float(dist[rows, list(p)].max()) for p in permutations(range(dist.shape[0]))}
+    best = min(costs.values())
+    return next(p for p, c in costs.items() if c == best)
+
+
+class TestLexicographicRefinement:
+    """The alternating-cycle refinement against the per-candidate route it replaced."""
+
+    def test_random_adjacency_matrices(self):
+        # n from 1 to 40, densities from a bare (planted) permutation to the full matrix
+        rng = np.random.default_rng(12)
+        densities = np.linspace(0.0, 1.0, 11)
+        for case in range(330):
+            n = 1 + case % 40
+            adj = rng.random((n, n)) < densities[case % 11]
+            planted = rng.permutation(n)
+            adj[np.arange(n), planted] = True
+            want = _reference_lexicographically_smallest(adj)
+            # the result must not depend on the starting perfect matching
+            for start in (_perfect_matching(adj), planted):
+                assert _lexicographically_smallest(adj, start).tolist() == want
+
+    def test_criterion_3_instances(self):
+        # the same stream as acceptance.check_matching_oracle; n <= 7, so the
+        # enumeration oracle applies as well
+        rng = np.random.default_rng((RunConfig().seed, 2))
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            za, zb = random_zerolist(rng, n), random_zerolist(rng, n)
+            adj, pairing = _threshold_graph(za, zb)
+            assert list(pairing.permutation) == _reference_lexicographically_smallest(adj)
+            assert pairing.permutation == _enumeration_oracle(za, zb)
+
+    @pytest.mark.parametrize("n", [1, 3, 17, 60, 120, 200])
+    def test_matched_pairs(self, n):
+        rng = np.random.default_rng((14, n))
+        pairs = [random_matched_pair(rng, n, beta_max=1.0)] + ([_with_multiplicities(rng, n)] if n > 1 else [])
+        for za, zb in pairs:
+            adj, pairing = _threshold_graph(za, zb)
+            assert list(pairing.permutation) == _reference_lexicographically_smallest(adj)
+
+    def test_enumeration_oracle_small_n(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 8):
+            for k in range(6):
+                repeated = k >= 3 and n > 1
+                za, zb = _with_multiplicities(rng, n) if repeated else random_matched_pair(rng, n, beta_max=1.0)
+                pairing = bottleneck_match(za, zb)
+                assert pairing.permutation == _enumeration_oracle(za, zb)
+                assert pairing.cost == brute_force_bottleneck(za.expanded_points(), zb.expanded_points())
+
+
+def test_feasibility_calls_stay_within_the_threshold_search(monkeypatch):
+    # one Hopcroft-Karp per probe of the binary search plus the full-graph
+    # probe; the refinement reuses the last feasible probe's matching
+    calls = []
+    inner = matching.maximum_bipartite_matching
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "maximum_bipartite_matching", counted)
+    rng = np.random.default_rng(16)
+    za, zb = random_matched_pair(rng, 120, beta_max=1.0)
+    bottleneck_match(za, zb)
+    distinct = np.unique(beta_matrix(za.expanded_points(), zb.expanded_points())).size
+    assert 1 <= len(calls) <= math.ceil(math.log2(distinct)) + 1
 
 
 class TestPairing:
