@@ -28,14 +28,13 @@ from .geometry import as_complex, beta_matrix, interior_value, rho_matrix
 from .gridfn import winding_number
 
 ORIGIN_CLEARANCE = 1e-6
+# a point this close to an edge is on it: its rounded points lie within 1e-16
+_ON_CURVE = 1e-15
 # each row block of the level-set sampling grid holds at least this many points:
 # numpy reuses a temporary of 256 KB (2^14 complex points) or more in place,
 # swapping the operands of a product, so blocks this large round as the whole grid does
 _LEVEL_BLOCK = 1 << 14
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-# the Gauss-Legendre rule moved to [0, 1]
-_GL8_T = 0.5 * (_GL8_NODES + 1.0)
-_GL8_HALF_WEIGHTS_C = (0.5 * _GL8_WEIGHTS).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -631,10 +630,12 @@ class _CellIndex:
 class HarmonicMeasureAtlas:
     """Per-curve edge masses of the zero measures of the two products.
 
-    The masses are held as read-only copies, so the tables cached from them
-    (the calibration constants and the contour-integral nodes, keyed by the
-    start vertices) cannot go stale.  ``walk_stragglers`` counts the walkers
-    that settled at the step cap; it is not part of ``to_json``.
+    The masses are held as read-only copies, so what is cached from them (the
+    zero counts, the closed vertex arrays, and the calibration constants and
+    contour-integral coefficients keyed by the start vertices) cannot go
+    stale.
+    ``walk_stragglers`` counts the walkers that settled at the step cap; it is
+    not part of ``to_json``.
     """
 
     curves: tuple[JordanCurveApprox, ...]
@@ -659,6 +660,21 @@ class HarmonicMeasureAtlas:
 
     def nu(self, i: int) -> np.ndarray:
         return self.nu_u[i] - self.nu_b[i]
+
+    @cached_property
+    def _counts(self) -> tuple[tuple[float, float], ...]:
+        return tuple((self.u_count(i), self.b_count(i)) for i in range(len(self.curves)))
+
+    @cached_property
+    def _default_starts(self) -> tuple[int, ...]:
+        return tuple(c.start_vertex() for c in self.curves)
+
+    @cached_property
+    def _closed(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per curve, the vertices with the first repeated at the end, their
+        squared moduli, and ``_ON_CURVE`` times the edge lengths."""
+        closed = [(np.append(c.points, c.points[0]), c) for c in self.curves]
+        return [(v, v.real * v.real + v.imag * v.imag, _ON_CURVE * c.edge_lengths()) for v, c in closed]
 
     def u_count(self, i: int) -> float:
         return float(self.nu_u[i].sum())
@@ -750,25 +766,23 @@ def log_quotient_via_contour(
 ) -> complex:
     """A logarithm of u/b at an exterior point from the contour tables.
 
-    Discretizes C1 - sum_j int nu(arc from the start point) [dxi/(xi - z)
+    Evaluates C1 - sum_j int nu(arc from the start point) [dxi/(xi - z)
     + dconj(xi)/((1 - conj(xi) z) conj(xi))], with the cumulative mass linear
-    within each edge and 8-point Gauss-Legendre per edge.  C1 is calibrated
+    within each edge, by closed-form edge integrals whose angles also give the
+    winding number that rejects a point inside or on a curve.  C1 is calibrated
     once per atlas (and per start-point choice) at a reference exterior point
     and then held fixed; the default start of each curve is its vertex of
     minimal principal argument.
     """
     w = interior_value(z)
-    for c in atlas.curves:
-        if c.contains(w):
-            raise ValueError("evaluation point must lie outside every curve")
-    for i, c in enumerate(atlas.curves):
-        uc, bc = atlas.u_count(i), atlas.b_count(i)
+    logs = _edge_logs(atlas, w)
+    for c, (uc, bc) in zip(atlas.curves, atlas._counts):
         if abs(uc - bc) > 1e-3:
             raise HypothesisViolationError(
                 f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
             )
 
-    starts = tuple(c.start_vertex() for c in atlas.curves) if start_vertices is None else tuple(start_vertices)
+    starts = atlas._default_starts if start_vertices is None else tuple(start_vertices)
     if not all(isinstance(s, numbers.Integral) for s in starts):
         raise ValueError(f"start vertices must be integer vertex indices, got {starts}")
     if len(starts) != len(atlas.curves):
@@ -778,59 +792,84 @@ def log_quotient_via_contour(
             raise ValueError(f"start vertex {s} is outside [0, {c.n_edges}) on curve {c.component_id}")
     key = (starts, None if z_ref is None else complex(z_ref))
     if key not in atlas._c1_cache:
-        ref = _default_reference(atlas) if z_ref is None else complex(z_ref)
+        r = 0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in atlas.curves))
+        ref = complex(r) if z_ref is None else complex(z_ref)  # r is beyond every vertex: outside every curve
         direct = complex(np.log(evaluate_grid(u, np.array([ref]))[0] / evaluate_grid(b, np.array([ref]))[0]))
-        atlas._c1_cache[key] = direct - _contour_integrals(atlas, ref, starts)
-    return atlas._c1_cache[key] + _contour_integrals(atlas, w, starts)
+        atlas._c1_cache[key] = direct - _contour_integrals(atlas, ref, starts, _edge_logs(atlas, ref))
+    return atlas._c1_cache[key] + _contour_integrals(atlas, w, starts, logs)
 
 
-def _default_reference(atlas: HarmonicMeasureAtlas) -> complex:
-    r = 0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in atlas.curves))
-    golden = 2.0 * math.pi * (1.0 - 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0))
-    for k in range(64):
-        cand = r * complex(math.cos(k * golden), math.sin(k * golden))
-        if all(not c.contains(cand) for c in atlas.curves):
-            return cand
-    raise ValueError("no exterior reference point found; pass z_ref explicitly")
+def _edge_logs(atlas: HarmonicMeasureAtlas, z: complex) -> list[np.ndarray]:
+    """Per curve, the rows 2 Re L, 2 Re conj(M), Im conj(M), Im L over the
+    edges [s, e] in vertex order, where L = Log((e - z)/(s - z)) and
+    conj(M) = Log((1 - conj(z) e)/(1 - conj(z) s)): steps of log-moduli and
+    angles between the vertices.  L's angle steps are wrapped into (-pi, pi],
+    so they sum to 2 pi times the winding number about z; M's need no wrap,
+    as Re(1 - conj(z) v) > 0.  Raises ``ValueError`` unless z lies outside
+    every curve, at no vertex and on no edge (up to ``_ON_CURVE``).
+    """
+    logs = []
+    for curve, (v, v_sq, cross_tol) in zip(atlas.curves, atlas._closed):
+        a, zbar_v = v - z, v * z.conjugate()
+        dist_sq = a.real * a.real + a.imag * a.imag
+        steps = np.empty((4, curve.n_edges))
+        angle = np.arctan2(a.imag, a.real)
+        turn = np.subtract(angle[1:], angle[:-1], out=steps[3])
+        up, down = turn <= -math.pi, turn > math.pi
+        turn[up] += 2.0 * math.pi
+        turn[down] -= 2.0 * math.pi
+        # z on an edge sees it at an obtuse angle; |Im conj(s - z)(e - z)| is its distance times |e - s|
+        obtuse = np.flatnonzero(np.abs(turn) > 0.5 * math.pi)
+        cross = (np.conj(a[obtuse]) * a[obtuse + 1]).imag
+        winding = np.count_nonzero(up) - np.count_nonzero(down)
+        if not dist_sq.min() > 0.0 or winding != 0 or (np.abs(cross) <= cross_tol[obtuse]).any():
+            raise ValueError("evaluation point must lie outside every curve")
+        vals = np.empty((3, v.size))
+        np.log(dist_sq, out=vals[0])
+        np.log1p(abs(z) ** 2 * v_sq - 2.0 * zbar_v.real, out=vals[1])  # keeps its digits at small |z|
+        np.arctan2(-zbar_v.imag, 1.0 - zbar_v.real, out=vals[2])
+        np.subtract(vals[:, 1:], vals[:, :-1], out=steps[:3])
+        logs.append(steps)
+    return logs
 
 
-def _contour_integrals(atlas: HarmonicMeasureAtlas, z: complex, starts: Sequence[int]) -> complex:
+def _contour_integrals(
+    atlas: HarmonicMeasureAtlas, z: complex, starts: Sequence[int], logs: list[np.ndarray]
+) -> complex:
+    """Minus the sum of the edge integrals at z, from ``_edge_logs(atlas, z)``.
+
+    With c + nu t the mass on the edge [s, e = s + d], the kernels integrate
+    to c L + nu (1 - (a/d) L) and c (M1 - M) - nu ((conj(s)/conj(d)) M1
+    + (q/(z conj(d))) M), where a = s - z, q = 1 - z conj(s) and
+    M1 = Log(conj(e)/conj(s)) (product integration on panels, Helsing &
+    Ojala 2008).  Expanding a/d and q/z leaves const + A.L + z B.L
+    - conj(A).M - conj(B).M / z; the last term tends to sum(nu) as z -> 0.
+    """
     total = 0.0j
-    for d, conj_d, xi, conj_xi, nu_at in _contour_tables(atlas, starts):
-        # nu_at * (k1 + k2) * weights with k1 = d / (xi - z) and
-        # k2 = conj(d) / ((1 - conj(xi) z) conj(xi)), in two buffers; the real
-        # factors are stored as complex, the cast numpy would make anyway
-        k1 = np.subtract(xi, z)
-        np.divide(d, k1, out=k1)
-        k2 = np.multiply(conj_xi, z)
-        np.subtract(1.0, k2, out=k2)
-        np.multiply(k2, conj_xi, out=k2)
-        np.divide(conj_d, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.multiply(nu_at, k1, out=k1)
-        np.multiply(k1, _GL8_HALF_WEIGHTS_C, out=k1)
-        total += -complex(k1.sum())
+    for steps, (const, coef, nu_total) in zip(logs, _contour_tables(atlas, starts)):
+        g = coef @ steps.T
+        g = g[:2] + 1j * g[2:]  # A and B times each row of steps
+        (a_l, a_m), (b_l, b_m) = (0.5 * g[:, :2] + 1j * g[:, :1:-1]).tolist()  # A.L, A.conj(M); B...
+        total -= const + a_l + z * b_l - a_m.conjugate() - (b_m.conjugate() / z if z else -nu_total)
     return total
 
 
-def _contour_tables(atlas: HarmonicMeasureAtlas, starts: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
-    """Per curve, the z-independent factors of the contour integrals: the edge
-    vectors d and conj(d) as columns, the Gauss nodes xi and conj(xi), and the
-    cumulative mass nu_at at each node, all in edge order from the start vertex.
-    They are built once per atlas and start-vertex choice."""
+def _contour_tables(atlas: HarmonicMeasureAtlas, starts: Sequence[int]) -> list[tuple]:
+    """Per curve, cached per start-vertex choice: const = sum(nu)
+    + sum (c - nu conj(s/d)) M1, the real and imaginary parts of A = c - nu s/d
+    and B = nu/d in vertex order, and sum(nu); c is the mass cumulated from
+    the start vertex to each edge."""
     key = tuple(int(s) for s in starts)
     if key not in atlas._table_cache:
         tables = []
         for i, curve in enumerate(atlas.curves):
-            order = np.roll(np.arange(curve.n_edges), -key[i])
-            nu_edges = atlas.nu(i)[order]
-            edge_starts = curve.edge_starts()[order]
-            d = (curve.edge_ends() - curve.edge_starts())[order]
-            cum0 = np.concatenate([[0.0], np.cumsum(nu_edges)])[:-1]
-            # t in (0, 1) along each edge; cumulative mass cum0 + t * nu_edge
-            xi = edge_starts[:, None] + _GL8_T[None, :] * d[:, None]
-            nu_at = cum0[:, None] + _GL8_T[None, :] * nu_edges[:, None]
-            tables.append((d[:, None], np.conj(d)[:, None], xi, np.conj(xi), nu_at.astype(np.complex128)))
+            nu, order = atlas.nu(i), np.roll(np.arange(curve.n_edges), -key[i])
+            cum = np.empty(curve.n_edges)
+            cum[order] = np.concatenate([[0.0], np.cumsum(nu[order])])[:-1]
+            s, e = curve.edge_starts(), curve.edge_ends()
+            coef = np.stack([cum - nu * (s / (e - s)), nu / (e - s)])
+            const = nu.sum() + np.conj(coef[0]) @ np.log(np.conj(e) / np.conj(s))
+            tables.append((complex(const), np.concatenate([coef.real, coef.imag]), float(nu.sum())))
         atlas._table_cache[key] = tables
     return atlas._table_cache[key]
 

@@ -4,11 +4,12 @@ Finds the bijection minimizing the maximum hyperbolic displacement: sort the
 pairwise distances, binary-search the smallest threshold whose bipartite graph
 has a perfect matching (one Hopcroft-Karp per probe), then pick the
 lexicographically smallest optimal permutation for reproducibility.  That
-refinement starts from the last feasible probe's matching and fixes the rows
-in order: a row may take a smaller column exactly when the column's current
-row reaches it along an alternating path of unfixed rows, so one reverse BFS
-per row finds the smallest such column and the matching is rotated along
-that cycle (the matching-reuse idea of Gabow & Tarjan 1988).
+refinement starts from the last feasible probe's matching (the identity, a
+matching of the complete graph, when no probe was) and fixes the rows in
+order: a row may take a smaller column exactly when the column's current row
+reaches it along an alternating path of unfixed rows, so one reverse BFS per
+row finds the smallest such column and the matching is rotated along that
+cycle (the matching-reuse idea of Gabow & Tarjan 1988).
 """
 
 from __future__ import annotations
@@ -84,10 +85,8 @@ def bottleneck_match(z: ZeroList, z_star: ZeroList) -> Pairing:
 
     dist = beta_matrix(pts_a, pts_b)
     values = np.unique(dist)
-    lo, hi = 0, values.size - 1
-    match = _perfect_matching(dist <= values[hi])
-    if match is None:
-        raise AssertionError("complete bipartite graph must admit a perfect matching")
+    # every distance is finite, so the identity matches the complete graph
+    lo, hi, match = 0, values.size - 1, np.arange(n)
     while lo < hi:
         mid = (lo + hi) // 2
         probe = _perfect_matching(dist <= values[mid])

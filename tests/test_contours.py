@@ -18,6 +18,7 @@ from blaschkelab.contours import (
     _coupled_step,
     _dense_distance,
     _distance_to_curve,
+    _edge_logs,
     _level_values,
     _poisson_edge_masses,
     JordanCurveApprox,
@@ -562,11 +563,11 @@ class TestLogQuotient:
         z, starts = 0.2 + 0.6j, (5, 40)
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            both = _contour_integrals(atlas, z, starts)
-        one_by_one = sum(
-            _contour_integrals(HarmonicMeasureAtlas((c,), (atlas.nu_u[i],), (atlas.nu_b[i],)), z, (s,))
-            for i, (c, s) in enumerate(zip(curves, starts))
-        )
+            both = _contour_integrals(atlas, z, starts, _edge_logs(atlas, z))
+        one_by_one = 0.0j
+        for i, (c, s) in enumerate(zip(curves, starts)):
+            single = HarmonicMeasureAtlas((c,), (atlas.nu_u[i],), (atlas.nu_b[i],))
+            one_by_one += _contour_integrals(single, z, (s,), _edge_logs(single, z))
         assert abs(both - one_by_one) < 1e-14
 
     def test_start_vertex_out_of_range_rejected(self):
@@ -598,6 +599,41 @@ class TestLogQuotient:
         atlas = build_atlas(u, u, [circ], method="exact")
         with pytest.raises(ValueError):
             log_quotient_via_contour(u, u, atlas, 0.1)
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_points_on_the_curve_rejected(self, n):
+        u = ZeroList(m=1)
+        b = ZeroList.from_points([0.1])
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=n)
+        atlas = build_atlas(u, b, [circ], method="exact")
+        pts = circ.points
+        # every vertex, and every edge's midpoint and a point a third of the way
+        # along it, each rounded to the nearest representable complex
+        on_curve = [*pts, *(0.5 * (pts + np.roll(pts, -1))), *(pts + (np.roll(pts, -1) - pts) / 3.0)]
+        for z in on_curve[:: max(1, n // 64)] + [0.5 * (pts[10] + pts[11])]:
+            with pytest.raises(ValueError, match="outside every curve"):
+                log_quotient_via_contour(u, b, atlas, z)
+        # a point beside an edge's midpoint is still evaluated
+        mid = 0.5 * (pts[10] + pts[11])
+        assert np.isfinite(log_quotient_via_contour(u, b, atlas, mid * (1.0 + 1e-9)))
+
+    def test_errors_keep_their_order(self):
+        # interior point, then unequal counts, then the start vertices
+        u = ZeroList.from_points([0.1, -0.1])
+        b = ZeroList.from_points([0.1])
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=128)
+        atlas = build_atlas(u, b, [circ], method="exact")
+        for z in (0.1, circ.points[5]):
+            with pytest.raises(ValueError, match="outside every curve"):
+                log_quotient_via_contour(u, b, atlas, z, start_vertices=[500])
+        with pytest.raises(HypothesisViolationError):
+            log_quotient_via_contour(u, b, atlas, 0.7, start_vertices=[500])
+        balanced = build_atlas(u, u, [circ], method="exact")
+        with pytest.raises(ValueError, match="outside \\[0, 128\\)"):
+            log_quotient_via_contour(u, u, balanced, 0.7, start_vertices=[500])
+        # a reference point inside a curve cannot calibrate the constant
+        with pytest.raises(ValueError, match="outside every curve"):
+            log_quotient_via_contour(u, u, balanced, 0.7, z_ref=0.2)
 
     def test_count_mismatch_rejected(self):
         u = ZeroList.from_points([0.1, -0.1])
@@ -1124,7 +1160,8 @@ class TestAtlasTables:
 
 
 def _uncached_integrals(atlas, z, starts):
-    """The contour integrals with every node table rebuilt per point."""
+    """The contour integrals by 8-point Gauss-Legendre on every edge, with the
+    node tables rebuilt per point: the former route, kept as the reference."""
     total = 0.0j
     for i, curve in enumerate(atlas.curves):
         order = np.roll(np.arange(curve.n_edges), -int(starts[i]))
@@ -1143,6 +1180,8 @@ def _uncached_integrals(atlas, z, starts):
 
 
 class TestCachedContourIntegrals:
+    """The cached closed-form edge integrals against the Gauss-Legendre reference."""
+
     @pytest.mark.parametrize("case", ["exact-4096", "walk-256", "two-curves"])
     def test_log_quotient_equals_the_uncached_integral(self, case):
         if case == "two-curves":
@@ -1175,4 +1214,42 @@ class TestCachedContourIntegrals:
             c1 = direct - _uncached_integrals(atlas, z_ref, s)
             for z in points:
                 got = log_quotient_via_contour(u, b, atlas, z, z_ref=z_ref, start_vertices=starts)
-                assert got == c1 + _uncached_integrals(atlas, z, s)
+                assert abs(got - (c1 + _uncached_integrals(atlas, z, s))) < 1e-13
+
+    def test_small_and_zero_evaluation_points(self):
+        # z = 0 takes the limit of the conj(B).M / z term; log1p keeps M's
+        # digits as z -> 0
+        u = ZeroList.from_points([0.5, 0.45])
+        b = ZeroList.from_points([0.55, 0.5 + 0.05j])
+        atlas = build_atlas(u, b, [JordanCurveApprox.circle(0.5, 0.2, n=256)], method="exact")
+        starts = (17,)
+        for r in (0.0, 1e-12, 1e-9, 1e-4):
+            for z in (r, r * 1j, -r * (0.6 + 0.8j)):
+                got = _contour_integrals(atlas, z, starts, _edge_logs(atlas, z))
+                assert abs(got - _uncached_integrals(atlas, z, starts)) < 1e-12
+
+    def test_far_points_on_many_short_edges(self):
+        # 1 - (a/d) L cancels most of its digits on edges short against |a|
+        u, b = ZeroList(m=1), ZeroList.from_points([0.03 - 0.02j])
+        atlas = build_atlas(u, b, [JordanCurveApprox.circle(0.0, 0.4, n=4096)], method="exact")
+        starts = atlas._default_starts
+        for k in range(16):
+            z = 0.95 * np.exp(2j * math.pi * (k + 0.3) / 16)
+            got = _contour_integrals(atlas, z, starts, _edge_logs(atlas, z))
+            assert abs(got - _uncached_integrals(atlas, z, starts)) < 1e-13
+
+    def test_near_the_curve_no_worse_than_gauss_legendre(self):
+        u, b = ZeroList(m=1), ZeroList.from_points([0.03 - 0.02j])
+        atlas = build_atlas(u, b, [JordanCurveApprox.circle(0.0, 0.4, n=256)], method="exact")
+        starts = atlas._default_starts
+        z_ref = 0.7 - 0.65j
+        direct = complex(np.log(evaluate_grid(u, np.array([z_ref]))[0] / evaluate_grid(b, np.array([z_ref]))[0]))
+        c1 = direct - _uncached_integrals(atlas, z_ref, starts)
+        rng = np.random.default_rng(31)
+        err_closed = err_gl8 = 0.0
+        for _ in range(200):
+            z = (0.401 + 0.099 * rng.random()) * np.exp(2j * math.pi * rng.random())
+            ratio = evaluate_grid(u, np.array([z]))[0] / evaluate_grid(b, np.array([z]))[0]
+            err_closed = max(err_closed, abs(np.exp(log_quotient_via_contour(u, b, atlas, z, z_ref=z_ref)) - ratio))
+            err_gl8 = max(err_gl8, abs(np.exp(c1 + _uncached_integrals(atlas, z, starts)) - ratio))
+        assert err_closed <= err_gl8

@@ -208,9 +208,29 @@ class TestLexicographicRefinement:
                 assert pairing.cost == brute_force_bottleneck(za.expanded_points(), zb.expanded_points())
 
 
+def _identity_batch_pairs(seed: int, ops: int = 25, n_max: int = 200):
+    """The zero lists the benchmark's identity-batch deck matches at ``seed``."""
+    rng = np.random.default_rng((seed, 3))
+    width = n_max // ops
+    for k in range(ops):
+        n = 1 + k * width + int(rng.integers(0, width))
+        za, zb = random_matched_pair(rng, n, beta_max=1.0, r_max=0.95)
+        pb = zb.expanded_points()
+        yield za, ZeroList.from_points([pb[j] for j in rng.permutation(len(pb))])
+
+
+@pytest.mark.parametrize("seed", [7, 12001, 12002])
+def test_identity_batch_decks_against_the_reference_route(seed):
+    # the threshold search starts from the identity matching, not from a probe
+    # of the complete graph; the refinement must not depend on that start
+    for za, zb in _identity_batch_pairs(seed):
+        adj, pairing = _threshold_graph(za, zb)
+        assert list(pairing.permutation) == _reference_lexicographically_smallest(adj)
+
+
 def test_feasibility_calls_stay_within_the_threshold_search(monkeypatch):
-    # one Hopcroft-Karp per probe of the binary search plus the full-graph
-    # probe; the refinement reuses the last feasible probe's matching
+    # one Hopcroft-Karp per probe of the binary search; the search starts from
+    # the identity and the refinement reuses the last feasible matching
     calls = []
     inner = matching.maximum_bipartite_matching
 
@@ -223,7 +243,7 @@ def test_feasibility_calls_stay_within_the_threshold_search(monkeypatch):
     za, zb = random_matched_pair(rng, 120, beta_max=1.0)
     bottleneck_match(za, zb)
     distinct = np.unique(beta_matrix(za.expanded_points(), zb.expanded_points())).size
-    assert 1 <= len(calls) <= math.ceil(math.log2(distinct)) + 1
+    assert 1 <= len(calls) <= math.ceil(math.log2(distinct))
 
 
 class TestPairing:
