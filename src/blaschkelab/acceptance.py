@@ -62,9 +62,9 @@ class CheckResult:
         }
 
 
-def _intwin_instances(config: RunConfig, count: int = 100):
+def _intwin_instances(config: RunConfig):
     rng = np.random.default_rng((config.seed, 1))
-    for _ in range(count):
+    for _ in range(100):
         n = int(rng.integers(1, 51))
         yield random_matched_pair(rng, n, beta_max=1.0, r_max=0.95)
 

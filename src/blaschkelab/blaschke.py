@@ -22,6 +22,12 @@ BOUNDARY_ZERO_GUARD = 1e-10
 ZERO_HIT = 1e-14
 RADIUS_SCAN_FLOOR = 1e-10
 _JENSEN_GRID_CAP = 1 << 20
+# the first quadrature grid of jensen_zero_count
+_JENSEN_START_GRID = 1024
+# floating_factorization: candidate gaps 1 - r shrink by this ratio, and each
+# circle minimum is sampled at this many nodes
+_SCAN_RATIO = 0.85
+_CIRCLE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class ZeroList:
                 raise ValueError(f"zero must be interior (|z| < 1 - 1e-12), got |z| = {abs(z):.17g}")
 
     @classmethod
-    def from_points(cls, points: Iterable[complex], lam: complex = 1.0) -> "ZeroList":
+    def from_points(cls, points: Iterable[complex]) -> "ZeroList":
         """Build a list from raw points, folding near-origin points into m."""
         m = 0
         grouped: dict[complex, int] = {}
@@ -61,15 +67,15 @@ class ZeroList:
                 m += 1
             else:
                 grouped[z] = grouped.get(z, 0) + 1
-        return cls(tuple(grouped.items()), lam, m)
+        return cls(tuple(grouped.items()), m=m)
 
     @property
     def degree(self) -> int:
         return self.m + sum(k for _, k in self.zeros)
 
-    def expanded_points(self, include_origin: bool = True) -> list[complex]:
+    def expanded_points(self) -> list[complex]:
         """Zeros repeated by multiplicity; the origin zero first, m times."""
-        pts: list[complex] = [0.0j] * self.m if include_origin else []
+        pts: list[complex] = [0.0j] * self.m
         for z, k in self.zeros:
             pts.extend([z] * k)
         return pts
@@ -182,13 +188,14 @@ def derivative_grid(b: ZeroList, points: np.ndarray) -> np.ndarray:
     return der
 
 
-def jensen_zero_count(b: ZeroList, r: float, start_grid: int = 1024) -> int:
+def jensen_zero_count(b: ZeroList, r: float) -> int:
     """Number of zeros in the disk of radius r, from circle quadrature of log|b|.
 
     The log-mean of a single normalized factor over the circle |z| = r is
     log max(|z_n|, r), so the quadrature equals n_r log r plus the log-moduli
     of the listed zeros outside; dividing out the tail isolates the count.
-    The grid doubles until the value stabilizes within 0.25 of an integer.
+    The grid doubles from ``_JENSEN_START_GRID`` points until the value
+    stabilizes within 0.25 of an integer.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must be in (0, 1), got {r}")
@@ -199,7 +206,7 @@ def jensen_zero_count(b: ZeroList, r: float, start_grid: int = 1024) -> int:
         if abs(z) >= r:
             tail += k * math.log(abs(z))
 
-    n = start_grid
+    n = _JENSEN_START_GRID
     prev_count = None
     while n <= _JENSEN_GRID_CAP:
         vals = evaluate_grid(b, r * circle_nodes(n))
@@ -247,21 +254,19 @@ class FloatingFactorization:
     checks: tuple[tuple[int, str, float, float], ...]
 
 
-def _circle_min(zeros: Sequence[tuple[complex, int]], r: float, n: int = 4096, m: int = 0) -> float:
+def _circle_min(zeros: Sequence[tuple[complex, int]], r: float, m: int = 0) -> float:
     if not zeros and m == 0:
         return 1.0
     b = ZeroList(tuple(zeros), m=m)
-    return float(np.abs(evaluate_grid(b, r * circle_nodes(n))).min())
+    return float(np.abs(evaluate_grid(b, r * circle_nodes(_CIRCLE_NODES))).min())
 
 
-def floating_factorization(
-    b: ZeroList, beta_seq: Sequence[float], scan_ratio: float = 0.85, n_circle: int = 4096
-) -> FloatingFactorization:
+def floating_factorization(b: ZeroList, beta_seq: Sequence[float]) -> FloatingFactorization:
     """Split the zeros into two products whose moduli clear the targets on
     alternating checkpoint circles.
 
     Radii are placed one at a time: candidate circles scan a geometric grid in
-    1 - r, and r_k is the first candidate where (a) the zeros at or below the
+    1 - r (ratio ``_SCAN_RATIO``), and r_k is the first candidate where (a) the zeros at or below the
     previous radius clear sqrt(beta_k) on the circle |z| = r_k, and (b) the
     zeros at or beyond r_k clear sqrt(beta_{k-1}) on the previous circle.  The
     two square roots multiply into the full target for the annulus-excluded
@@ -298,18 +303,18 @@ def floating_factorization(
         beta_k = target(k)
         prev_r = radii[-1] if radii else 0.0
         prev_beta = targets[-1] if targets else None
-        gap = 0.5 if not radii else (1.0 - prev_r) * scan_ratio
+        gap = 0.5 if not radii else (1.0 - prev_r) * _SCAN_RATIO
         found = None
         while gap >= RADIUS_SCAN_FLOOR:
             cand = 1.0 - gap
             if cand > prev_r and all(abs(cand - mod) > 1e-9 for mod in moduli):
-                ok = _circle_min(below(prev_r), cand, n_circle, m=b.m) > math.sqrt(beta_k) if radii else True
+                ok = _circle_min(below(prev_r), cand, m=b.m) > math.sqrt(beta_k) if radii else True
                 if ok and prev_beta is not None:
-                    ok = _circle_min(at_or_beyond(cand), prev_r, n_circle) > math.sqrt(prev_beta)
+                    ok = _circle_min(at_or_beyond(cand), prev_r) > math.sqrt(prev_beta)
                 if ok:
                     found = cand
                     break
-            gap *= scan_ratio
+            gap *= _SCAN_RATIO
         if found is None:
             raise ConstructionExhaustedError(
                 f"no radius below 1 - {RADIUS_SCAN_FLOOR} clears target {beta_k} at step {k}",
@@ -338,8 +343,8 @@ def floating_factorization(
     for idx in range(1, len(radii) + 1):
         if idx >= 6 and idx % 4 == 2:
             checks.append(
-                (idx, "b1", targets[idx - 1], _circle_min(tuple(z1.zeros), radii[idx - 1], n_circle, m=z1.m))
+                (idx, "b1", targets[idx - 1], _circle_min(tuple(z1.zeros), radii[idx - 1], m=z1.m))
             )
         elif idx >= 4 and idx % 4 == 0:
-            checks.append((idx, "b2", targets[idx - 1], _circle_min(tuple(z2.zeros), radii[idx - 1], n_circle)))
+            checks.append((idx, "b2", targets[idx - 1], _circle_min(tuple(z2.zeros), radii[idx - 1])))
     return FloatingFactorization(z1, z2, tuple(radii), tuple(targets), tuple(checks))

@@ -20,6 +20,10 @@ from .geometry import beta_from_rho, beta_matrix, clamped_beta, rho_from_beta, r
 #: Absolute-constant slack between the dyadic-box estimator and the duality
 #: Carleson norm; every acceptance check involving the norm carries it.
 BOX_NORM_SLACK = 8.0
+# alpha_b's resolution: the hyperbolic cell of its sample rings, and the
+# excluded band 1 - edge_gap < |z| < 1
+_CELL_BETA = 0.1
+_EDGE_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -167,15 +171,10 @@ class AlphaEstimate:
     argmin: complex
 
 
-def alpha_b(
-    zeros: ZeroList,
-    r: float,
-    cell_beta: float = 0.1,
-    edge_gap: float = 1e-4,
-    max_points: int = 20_000_000,
-) -> AlphaEstimate:
+def alpha_b(zeros: ZeroList, r: float) -> AlphaEstimate:
     """min |b| over a hyperbolically quasi-uniform sample of the far-from-zeros
-    region, restricted to |z| <= 1 - edge_gap.
+    region, restricted to |z| <= 1 - ``_EDGE_GAP``: rings ``_CELL_BETA`` apart
+    in beta, each sampled about every ``_CELL_BETA`` along it.
 
     An upper bound for the true infimum over the sampled region; nondecreasing
     in r at fixed resolution.
@@ -185,6 +184,7 @@ def alpha_b(
     pts = np.array(zeros.expanded_points())
     if pts.size == 0:
         raise ValueError("alpha functional needs at least one zero")
+    cell_beta, edge_gap = _CELL_BETA, _EDGE_GAP
     beta_max = beta_from_rho(1.0 - edge_gap)
     n_rings = int(math.ceil(beta_max / cell_beta))
     best = math.inf
@@ -195,10 +195,6 @@ def alpha_b(
         rad = rho_from_beta(beta_i)
         n_i = max(8, int(math.ceil(2.0 * math.pi * math.sinh(beta_i) / cell_beta))) if beta_i > 0 else 1
         total += n_i
-        if total > max_points:
-            raise ValueError(
-                f"sampling budget {max_points} exceeded; coarsen cell_beta or edge_gap"
-            )
         ring = rad * np.exp(2j * math.pi * np.arange(n_i) / n_i)
         beta_to_set = clamped_beta(rho_matrix(ring, pts).min(axis=1))
         keep = ring[beta_to_set > r]

@@ -29,7 +29,7 @@ from .fixtures import adversarial_pair, geometric_zeros, staged_measure
 from .geometry import beta_matrix, interior_value, rho_matrix
 from .gridfn import circle_nodes
 from .matching import bottleneck_match, pairing_diagnostics
-from .pathbuild import build_path, certify_path
+from .pathbuild import SEGMENT_S_SAMPLES, build_path, certify_path
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -206,7 +206,7 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
         for j, step in enumerate(path.steps):
             from_trace = eval_boundary(path.vertices[j].zeros_t, config.grid_size).samples
             to_trace = eval_boundary(path.vertices[j + 1].zeros_t, config.grid_size).samples * step.g_interior(nodes)
-            for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for s in SEGMENT_S_SAMPLES:
                 mods = np.abs(from_trace + s * (to_trace - from_trace))
                 fh.write(f"{j},{s!r},{float(mods.min())!r},{float(mods.max())!r}\n")
     status = "certified" if report.ok else "CERTIFICATION FAILED"

@@ -10,7 +10,6 @@ from the cumulative difference measure.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -34,6 +33,8 @@ _ON_CURVE = 1e-15
 # numpy reuses a temporary of 256 KB (2^14 complex points) or more in place,
 # swapping the operands of a product, so blocks this large round as the whole grid does
 _LEVEL_BLOCK = 1 << 14
+# a level-set curve's samples of |b| stay within this fraction of the level
+_LEVEL_TOL = 0.1
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -74,16 +75,9 @@ class JordanCurveApprox:
         )
 
     @classmethod
-    def circle(
-        cls,
-        center: complex,
-        radius: float,
-        n: int = 256,
-        component_id: int = 0,
-        enclosed_zeros: Sequence[tuple[complex, int]] = (),
-    ) -> "JordanCurveApprox":
+    def circle(cls, center: complex, radius: float, n: int = 256) -> "JordanCurveApprox":
         pts = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-        return cls(pts, component_id, tuple(enclosed_zeros), disk_center=complex(center), disk_radius=float(radius))
+        return cls(pts, disk_center=complex(center), disk_radius=float(radius))
 
     @property
     def is_disk_fixture(self) -> bool:
@@ -106,12 +100,37 @@ class JordanCurveApprox:
         return sum(k for _, k in self.enclosed_zeros)
 
     def contains(self, z: complex) -> bool:
-        vals = self.points - as_complex(z)
-        if float(np.abs(vals).min()) == 0.0:
-            return False
-        # the edge angles sum to a multiple of 2 pi up to rounding, so the
-        # winding number is defined at every point off the vertices
-        return winding_number(vals) != 0
+        """Whether z lies strictly inside: off the curve, with a nonzero winding number."""
+        return bool(self._turns(as_complex(z), np.empty(self.n_edges))[1])
+
+    @cached_property
+    def _closed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The vertices with the first repeated at the end, their squared
+        moduli, and ``_ON_CURVE`` times the edge lengths."""
+        v = np.append(self.points, self.points[0])
+        return v, v.real * v.real + v.imag * v.imag, _ON_CURVE * self.edge_lengths()
+
+    def _turns(self, z: complex, turn: np.ndarray) -> tuple[np.ndarray, int | None]:
+        """Write into ``turn`` the angle steps about z between consecutive
+        vertices, wrapped into (-pi, pi], so that they sum to 2 pi times the
+        winding number.  Returns the squared distances from z to the closed
+        vertices, and the winding number, or None when z lies on the curve: at
+        a vertex or within ``_ON_CURVE`` of an edge.
+        """
+        v, _, cross_tol = self._closed
+        a = v - z
+        dist_sq = a.real * a.real + a.imag * a.imag
+        angle = np.arctan2(a.imag, a.real)
+        np.subtract(angle[1:], angle[:-1], out=turn)
+        up, down = turn <= -math.pi, turn > math.pi
+        turn[up] += 2.0 * math.pi
+        turn[down] -= 2.0 * math.pi
+        # z on an edge sees it at an obtuse angle; |Im conj(s - z)(e - z)| is its distance times |e - s|
+        obtuse = np.flatnonzero(np.abs(turn) > 0.5 * math.pi)
+        cross = (np.conj(a[obtuse]) * a[obtuse + 1]).imag
+        if not dist_sq.min() > 0.0 or (np.abs(cross) <= cross_tol[obtuse]).any():
+            return dist_sq, None
+        return dist_sq, int(np.count_nonzero(up) - np.count_nonzero(down))
 
     def start_vertex(self) -> int:
         """Index of the splitting start point: minimal principal argument,
@@ -156,16 +175,14 @@ _SEGMENTS[5] = [[(1, 0), (3, 2)], [(3, 0), (1, 2)]]
 _SEGMENTS[10] = [[(0, 3), (2, 1)], [(0, 1), (2, 3)]]
 
 
-def level_set_components(
-    b: ZeroList, delta: float, resolution: int = 512, level_tol: float = 0.1
-) -> list[JordanCurveApprox]:
+def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> list[JordanCurveApprox]:
     """Closed polylines approximating the boundary of {|b| < delta}.
 
     The loops come from marching squares on a square of ``resolution`` x
     ``resolution`` cells (``_level_loops``) and are sorted by their lowest
     real, then imaginary, coordinate.  Each curve's enclosed zeros are
     determined by winding counts; one evaluation of b on its points checks
-    that it stays within ``level_tol * delta`` of the level and that b winds
+    that it stays within ``_LEVEL_TOL`` times delta of the level and that b winds
     once around it per enclosed zero.  The union of enclosed zeros must
     exhaust the zeros of b, else the topology at this resolution is
     ambiguous and the caller should perturb delta.
@@ -210,7 +227,7 @@ def level_set_components(
                 count_inside += k
                 del remaining[z]
         on_curve = evaluate_grid(b, pts)
-        if float(np.abs(np.abs(on_curve) - delta).max()) > level_tol * delta:
+        if float(np.abs(np.abs(on_curve) - delta).max()) > _LEVEL_TOL * delta:
             raise AmbiguousTopologyError("curve samples stray from the level; refine the resolution")
         try:
             curve = JordanCurveApprox(pts, component_id=cid, enclosed_zeros=tuple(enclosed))
@@ -294,9 +311,9 @@ def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
     return vals
 
 
-def arclength_carleson_norm(curves: Sequence[JordanCurveApprox], max_depth: int | None = None) -> float:
+def arclength_carleson_norm(curves: Sequence[JordanCurveApprox]) -> float:
     """Dyadic-box norm of the polyline arclength measure (atoms at edge
-    midpoints weighted by edge length)."""
+    midpoints weighted by edge length), to its ``suggested_box_depth``."""
     atoms: list[tuple[complex, complex]] = []
     for c in curves:
         mids = 0.5 * (c.edge_starts() + c.edge_ends())
@@ -304,7 +321,7 @@ def arclength_carleson_norm(curves: Sequence[JordanCurveApprox], max_depth: int 
     if not atoms:
         return 0.0
     mu = DiscreteMeasure(tuple(atoms))
-    return box_carleson_norm(mu, max_depth if max_depth is not None else suggested_box_depth(mu))
+    return box_carleson_norm(mu, suggested_box_depth(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +334,6 @@ def harmonic_measure(
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
     method: str = "auto",
-    absorb: float = 1e-4,
-    max_steps: int = 10_000,
     return_stragglers: bool = False,
 ):
     """Exit distribution over the curve's edges of Brownian motion from z.
@@ -327,9 +342,10 @@ def harmonic_measure(
     "auto" (exact when available).  Walks jump to a uniform point of the
     largest circle about the walker inside the curve (walk on spheres, the
     first jump from a shifted lattice, see ``_walk``) and absorb within the
-    1e-4 band; a walker still out at ``max_steps`` settles at its nearest
-    edge.  With ``return_stragglers`` the result is (masses, stragglers),
-    the count of such walkers.
+    ``_ABSORB`` = 1e-4 band; a walker still out after ``_MAX_STEPS`` = 10,000
+    steps settles at its nearest edge.  A source on the curve is not inside
+    it.  With ``return_stragglers`` the result is (masses, stragglers), the
+    count of such walkers.
     """
     z0 = interior_value(z)
     if not curve.contains(z0):
@@ -341,7 +357,7 @@ def harmonic_measure(
     if method in ("auto", "exact") and curve.is_disk_fixture:
         masses, stragglers = _poisson_edge_masses(z0, curve), 0
     else:
-        masses, _, stragglers = _walk(z0, None, curve, n_samples, rng, absorb, max_steps)
+        masses, _, stragglers = _walk(z0, None, curve, n_samples, rng)
     return (masses, stragglers) if return_stragglers else masses
 
 
@@ -351,8 +367,6 @@ def harmonic_measure_paired(
     curve: JordanCurveApprox,
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-    absorb: float = 1e-4,
-    max_steps: int = 10_000,
     return_stragglers: bool = False,
 ):
     """Exit masses of coupled walks from two sources, as (masses_u, masses_b).
@@ -363,14 +377,14 @@ def harmonic_measure_paired(
     one walker from then on, so its two tallies cancel in the difference
     measure.  Each marginal is an unbiased walk (see ``_walk``).  With
     ``return_stragglers`` a third entry counts the walkers still out at
-    ``max_steps``.
+    ``_MAX_STEPS``.
     """
     zu = interior_value(z_u)
     zb = interior_value(z_b)
     for z0 in (zu, zb):
         if not curve.contains(z0):
             raise ValueError("both source points must lie strictly inside the curve")
-    masses_u, masses_b, stragglers = _walk(zu, zb, curve, n_samples, rng, absorb, max_steps)
+    masses_u, masses_b, stragglers = _walk(zu, zb, curve, n_samples, rng)
     return (masses_u, masses_b, stragglers) if return_stragglers else (masses_u, masses_b)
 
 
@@ -393,6 +407,10 @@ def _poisson_edge_masses(z: complex, curve: JordanCurveApprox) -> np.ndarray:
 
 # pairs walked at once
 _WALK_CHUNK = 20_000
+# a walker this close to the curve is absorbed at its nearest edge
+_ABSORB = 1e-4
+# steps after which a walker still out settles at its nearest edge
+_MAX_STEPS = 10_000
 # second generator of the rank-1 lattice of first steps
 _INV_GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 
@@ -403,17 +421,15 @@ def _walk(
     curve: JordanCurveApprox,
     n_samples: int,
     rng: np.random.Generator | None,
-    absorb: float,
-    max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Edge masses of ``n_samples`` walkers from zu, each paired with a
     walker from zb (``None``: no partners, and no second mass vector), and
-    the count of walkers still out after ``max_steps`` steps, which settle at
-    the nearest edge of their last position.  Bad walk arguments raise
+    the count of walkers still out after ``_MAX_STEPS`` steps, which settle
+    at the nearest edge of their last position.  ``n_samples < 1`` raises
     ``ValueError``.
 
     Every step measures each walker's distance to the curve and absorbs the
-    walkers within ``absorb`` at their nearest edge.  A pair of live, unfused
+    walkers within ``_ABSORB`` at their nearest edge.  A pair of live, unfused
     walkers then steps by ``_coupled_step`` in balls of radius
     min(dist_u, dist_b); a fused pair or a lone walker jumps to a uniform
     point of its circle of radius dist (Muller's walk on spheres).  Each
@@ -424,10 +440,7 @@ def _walk(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if not absorb > 0.0:
-        raise ValueError(f"absorb must be positive, got {absorb}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    absorb, max_steps = _ABSORB, _MAX_STEPS
     if rng is None:
         rng = np.random.default_rng(0)
     n_edges = curve.n_edges
@@ -626,14 +639,17 @@ class _CellIndex:
         return d[at], edges[at]
 
 
+# an atlas's per-curve mass totals lie this close to integers
+_TOTAL_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class HarmonicMeasureAtlas:
     """Per-curve edge masses of the zero measures of the two products.
 
     The masses are held as read-only copies, so what is cached from them (the
-    zero counts, the closed vertex arrays, and the calibration constants and
-    contour-integral coefficients keyed by the start vertices) cannot go
-    stale.
+    zero counts, the contour-integral coefficients and the calibration
+    constant of ``log_quotient_via_contour``) cannot go stale.
     ``walk_stragglers`` counts the walkers that settled at the step cap; it is
     not part of ``to_json``.
     """
@@ -642,8 +658,7 @@ class HarmonicMeasureAtlas:
     nu_u: tuple[np.ndarray, ...]
     nu_b: tuple[np.ndarray, ...]
     walk_stragglers: int = 0
-    _c1_cache: dict = field(default_factory=dict, repr=False)
-    _table_cache: dict = field(default_factory=dict, repr=False)
+    _c1: list = field(default_factory=list, repr=False)  # the calibration constant, once computed
 
     def __post_init__(self):
         if not (len(self.curves) == len(self.nu_u) == len(self.nu_b)):
@@ -666,15 +681,21 @@ class HarmonicMeasureAtlas:
         return tuple((self.u_count(i), self.b_count(i)) for i in range(len(self.curves)))
 
     @cached_property
-    def _default_starts(self) -> tuple[int, ...]:
-        return tuple(c.start_vertex() for c in self.curves)
-
-    @cached_property
-    def _closed(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per curve, the vertices with the first repeated at the end, their
-        squared moduli, and ``_ON_CURVE`` times the edge lengths."""
-        closed = [(np.append(c.points, c.points[0]), c) for c in self.curves]
-        return [(v, v.real * v.real + v.imag * v.imag, _ON_CURVE * c.edge_lengths()) for v, c in closed]
+    def _tables(self) -> list[tuple[complex, np.ndarray, float]]:
+        """Per curve: const = sum(nu) + sum (c - nu conj(s/d)) M1, the real and
+        imaginary parts of A = c - nu s/d and B = nu/d in vertex order, and
+        sum(nu); c is the mass cumulated from the curve's ``start_vertex`` to
+        each edge."""
+        tables = []
+        for i, curve in enumerate(self.curves):
+            nu, order = self.nu(i), np.roll(np.arange(curve.n_edges), -curve.start_vertex())
+            cum = np.empty(curve.n_edges)
+            cum[order] = np.concatenate([[0.0], np.cumsum(nu[order])])[:-1]
+            s, e = curve.edge_starts(), curve.edge_ends()
+            coef = np.stack([cum - nu * (s / (e - s)), nu / (e - s)])
+            const = nu.sum() + np.conj(coef[0]) @ np.log(np.conj(e) / np.conj(s))
+            tables.append((complex(const), np.concatenate([coef.real, coef.imag]), float(nu.sum())))
+        return tables
 
     def u_count(self, i: int) -> float:
         return float(self.nu_u[i].sum())
@@ -682,12 +703,12 @@ class HarmonicMeasureAtlas:
     def b_count(self, i: int) -> float:
         return float(self.nu_b[i].sum())
 
-    def validate_totals(self, tol: float = 1e-3) -> None:
+    def validate_totals(self) -> None:
         for i, c in enumerate(self.curves):
             for name, total in (("u", self.u_count(i)), ("b", self.b_count(i))):
-                if abs(total - round(total)) > tol:
+                if abs(total - round(total)) > _TOTAL_TOL:
                     raise AtlasInconsistencyError(
-                        f"curve {c.component_id}: nu_{name} total {total} is not an integer within {tol}"
+                        f"curve {c.component_id}: nu_{name} total {total} is not an integer within {_TOTAL_TOL}"
                     )
 
     def to_json(self) -> dict:
@@ -756,23 +777,17 @@ def split_zeros_by_contour(u: ZeroList, curves: Sequence[JordanCurveApprox]) -> 
     return ZeroList.from_points(deep), ZeroList.from_points(rest)
 
 
-def log_quotient_via_contour(
-    u: ZeroList,
-    b: ZeroList,
-    atlas: HarmonicMeasureAtlas,
-    z,
-    z_ref: complex | None = None,
-    start_vertices: Sequence[int] | None = None,
-) -> complex:
+def log_quotient_via_contour(u: ZeroList, b: ZeroList, atlas: HarmonicMeasureAtlas, z) -> complex:
     """A logarithm of u/b at an exterior point from the contour tables.
 
     Evaluates C1 - sum_j int nu(arc from the start point) [dxi/(xi - z)
     + dconj(xi)/((1 - conj(xi) z) conj(xi))], with the cumulative mass linear
     within each edge, by closed-form edge integrals whose angles also give the
-    winding number that rejects a point inside or on a curve.  C1 is calibrated
-    once per atlas (and per start-point choice) at a reference exterior point
-    and then held fixed; the default start of each curve is its vertex of
-    minimal principal argument.
+    winding number that rejects a point inside or on a curve.  Each curve's
+    start point is its ``start_vertex``, of minimal principal argument.  C1
+    is calibrated at the first call on the atlas, at the reference point
+    r = (1 + max |vertex|)/2 on the real axis, beyond every vertex and so
+    outside every curve, and then held fixed.
     """
     w = interior_value(z)
     logs = _edge_logs(atlas, w)
@@ -781,49 +796,29 @@ def log_quotient_via_contour(
             raise HypothesisViolationError(
                 f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
             )
-
-    starts = atlas._default_starts if start_vertices is None else tuple(start_vertices)
-    if not all(isinstance(s, numbers.Integral) for s in starts):
-        raise ValueError(f"start vertices must be integer vertex indices, got {starts}")
-    if len(starts) != len(atlas.curves):
-        raise ValueError("need one start vertex per curve")
-    for s, c in zip(starts, atlas.curves):
-        if not 0 <= s < c.n_edges:
-            raise ValueError(f"start vertex {s} is outside [0, {c.n_edges}) on curve {c.component_id}")
-    key = (starts, None if z_ref is None else complex(z_ref))
-    if key not in atlas._c1_cache:
-        r = 0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in atlas.curves))
-        ref = complex(r) if z_ref is None else complex(z_ref)  # r is beyond every vertex: outside every curve
+    if not atlas._c1:
+        ref = complex(0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in atlas.curves)))
         direct = complex(np.log(evaluate_grid(u, np.array([ref]))[0] / evaluate_grid(b, np.array([ref]))[0]))
-        atlas._c1_cache[key] = direct - _contour_integrals(atlas, ref, starts, _edge_logs(atlas, ref))
-    return atlas._c1_cache[key] + _contour_integrals(atlas, w, starts, logs)
+        atlas._c1.append(direct - _contour_integrals(atlas, ref, _edge_logs(atlas, ref)))
+    return atlas._c1[0] + _contour_integrals(atlas, w, logs)
 
 
 def _edge_logs(atlas: HarmonicMeasureAtlas, z: complex) -> list[np.ndarray]:
     """Per curve, the rows 2 Re L, 2 Re conj(M), Im conj(M), Im L over the
     edges [s, e] in vertex order, where L = Log((e - z)/(s - z)) and
     conj(M) = Log((1 - conj(z) e)/(1 - conj(z) s)): steps of log-moduli and
-    angles between the vertices.  L's angle steps are wrapped into (-pi, pi],
-    so they sum to 2 pi times the winding number about z; M's need no wrap,
-    as Re(1 - conj(z) v) > 0.  Raises ``ValueError`` unless z lies outside
-    every curve, at no vertex and on no edge (up to ``_ON_CURVE``).
+    angles between the vertices.  L's angle steps are those of
+    ``JordanCurveApprox._turns``; M's need no wrap, as Re(1 - conj(z) v) > 0.
+    Raises ``ValueError`` unless z lies outside every curve and on none.
     """
     logs = []
-    for curve, (v, v_sq, cross_tol) in zip(atlas.curves, atlas._closed):
-        a, zbar_v = v - z, v * z.conjugate()
-        dist_sq = a.real * a.real + a.imag * a.imag
+    for curve in atlas.curves:
         steps = np.empty((4, curve.n_edges))
-        angle = np.arctan2(a.imag, a.real)
-        turn = np.subtract(angle[1:], angle[:-1], out=steps[3])
-        up, down = turn <= -math.pi, turn > math.pi
-        turn[up] += 2.0 * math.pi
-        turn[down] -= 2.0 * math.pi
-        # z on an edge sees it at an obtuse angle; |Im conj(s - z)(e - z)| is its distance times |e - s|
-        obtuse = np.flatnonzero(np.abs(turn) > 0.5 * math.pi)
-        cross = (np.conj(a[obtuse]) * a[obtuse + 1]).imag
-        winding = np.count_nonzero(up) - np.count_nonzero(down)
-        if not dist_sq.min() > 0.0 or winding != 0 or (np.abs(cross) <= cross_tol[obtuse]).any():
+        dist_sq, winding = curve._turns(z, steps[3])
+        if winding != 0:
             raise ValueError("evaluation point must lie outside every curve")
+        v, v_sq, _ = curve._closed
+        zbar_v = v * z.conjugate()
         vals = np.empty((3, v.size))
         np.log(dist_sq, out=vals[0])
         np.log1p(abs(z) ** 2 * v_sq - 2.0 * zbar_v.real, out=vals[1])  # keeps its digits at small |z|
@@ -833,9 +828,7 @@ def _edge_logs(atlas: HarmonicMeasureAtlas, z: complex) -> list[np.ndarray]:
     return logs
 
 
-def _contour_integrals(
-    atlas: HarmonicMeasureAtlas, z: complex, starts: Sequence[int], logs: list[np.ndarray]
-) -> complex:
+def _contour_integrals(atlas: HarmonicMeasureAtlas, z: complex, logs: list[np.ndarray]) -> complex:
     """Minus the sum of the edge integrals at z, from ``_edge_logs(atlas, z)``.
 
     With c + nu t the mass on the edge [s, e = s + d], the kernels integrate
@@ -846,7 +839,7 @@ def _contour_integrals(
     - conj(A).M - conj(B).M / z; the last term tends to sum(nu) as z -> 0.
     """
     total = 0.0j
-    for steps, (const, coef, nu_total) in zip(logs, _contour_tables(atlas, starts)):
+    for steps, (const, coef, nu_total) in zip(logs, atlas._tables):
         g = coef @ steps.T
         g = g[:2] + 1j * g[2:]  # A and B times each row of steps
         (a_l, a_m), (b_l, b_m) = (0.5 * g[:, :2] + 1j * g[:, :1:-1]).tolist()  # A.L, A.conj(M); B...
@@ -854,24 +847,8 @@ def _contour_integrals(
     return total
 
 
-def _contour_tables(atlas: HarmonicMeasureAtlas, starts: Sequence[int]) -> list[tuple]:
-    """Per curve, cached per start-vertex choice: const = sum(nu)
-    + sum (c - nu conj(s/d)) M1, the real and imaginary parts of A = c - nu s/d
-    and B = nu/d in vertex order, and sum(nu); c is the mass cumulated from
-    the start vertex to each edge."""
-    key = tuple(int(s) for s in starts)
-    if key not in atlas._table_cache:
-        tables = []
-        for i, curve in enumerate(atlas.curves):
-            nu, order = atlas.nu(i), np.roll(np.arange(curve.n_edges), -key[i])
-            cum = np.empty(curve.n_edges)
-            cum[order] = np.concatenate([[0.0], np.cumsum(nu[order])])[:-1]
-            s, e = curve.edge_starts(), curve.edge_ends()
-            coef = np.stack([cum - nu * (s / (e - s)), nu / (e - s)])
-            const = nu.sum() + np.conj(coef[0]) @ np.log(np.conj(e) / np.conj(s))
-            tables.append((complex(const), np.concatenate([coef.real, coef.imag]), float(nu.sum())))
-        atlas._table_cache[key] = tables
-    return atlas._table_cache[key]
+# an arc with at most this much mass is vacuous in ``trossos_check``
+_MASS_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -890,14 +867,13 @@ def trossos_check(
     curve: JordanCurveApprox,
     nu_curve: np.ndarray,
     arcs: Sequence[tuple[int, int]],
-    mass_floor: float = 1e-9,
 ) -> list[ArcCheck]:
     """Per-arc check of diam_rho(L) >= (inf_L |u|)^(1 / nu(L)).
 
     ``nu_curve`` holds the per-edge masses of the harmonic-measure sum over
     the zeros of u inside the curve.  Arcs are (start, stop) vertex index
     ranges, wrapping; (a, a) denotes the whole closed curve.  Arcs with no
-    mass are vacuous and reported as skipped.
+    mass (at most ``_MASS_FLOOR``) are vacuous and reported as skipped.
     """
     if nu_curve.shape != (curve.n_edges,):
         raise ValueError("nu vector must have one entry per edge")
@@ -915,7 +891,7 @@ def trossos_check(
         pts = curve.points[idx]
         edge_idx = idx[:-1] if idx.size > 1 else idx[:0]
         mass = float(nu_curve[edge_idx].sum())
-        if mass <= mass_floor:
+        if mass <= _MASS_FLOOR:
             out.append(ArcCheck((a, b_idx), 0.0, 0.0, mass, 0.0, 0.0, True))
             continue
         diam = float(rho_matrix(pts, pts).max())

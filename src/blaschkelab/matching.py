@@ -27,6 +27,8 @@ from .geometry import beta_matrix
 
 #: Exact matching is practical up to this many expanded zeros.
 MATCH_SIZE_CAP = 2000
+# bins of the displacement histogram of pairing_diagnostics
+_HISTOGRAM_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class PairingDiagnostics:
     path: PathMeasure
 
 
-def pairing_diagnostics(p: Pairing, z: ZeroList, z_star: ZeroList, bins: int = 20) -> PairingDiagnostics:
+def pairing_diagnostics(p: Pairing, z: ZeroList, z_star: ZeroList) -> PairingDiagnostics:
     """Displacement histogram, sup, and the induced path measure of matched segments."""
     pts_a = z.expanded_points()
     pts_b = z_star.expanded_points()
@@ -176,7 +178,7 @@ def pairing_diagnostics(p: Pairing, z: ZeroList, z_star: ZeroList, bins: int = 2
     sup = max(disp, default=0.0)
     if abs(sup - p.cost) > 1e-12:
         raise ValueError(f"stored cost {p.cost} does not match recomputed sup {sup}")
-    counts, edges = np.histogram(disp, bins=bins, range=(0.0, max(sup, 1e-12)))
+    counts, edges = np.histogram(disp, bins=_HISTOGRAM_BINS, range=(0.0, max(sup, 1e-12)))
     path = PathMeasure.from_pairs([(pts_a[k], pts_b[j]) for k, j in enumerate(p.permutation)])
     return PairingDiagnostics(
         displacements=tuple(disp),

@@ -23,9 +23,16 @@ from .geometry import as_complex
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 
 _PARTITION_CAP = 1 << 20
-# contour sampling of the certification, shared by build_path's start margin
+# step-size halvings of build_path's auto-refinement
+_MAX_REFINEMENTS = 12
+# the certification's settings, shared by build_path's start margin: the cap on
+# the relative jump of f between consecutive contour samples (winding safety),
+# the points per neighborhood circle and the distinct points per component
+_ETA = 0.5
 _PTS_PER_CIRCLE = 256
 _MAX_PTS_PER_LOOP = 1 << 16
+#: The s-samples of each certified segment, as Python floats (``path_moduli.csv`` prints them).
+SEGMENT_S_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -154,16 +161,14 @@ def build_path(
     z_star: ZeroList,
     alpha: float | None = None,
     n_grid: int = 4096,
-    eta: float = 0.5,
-    samples_per_segment: int = 5,
-    max_refinements: int = 12,
     functional_tol: float = 1e-6,
 ) -> PolygonalPath:
     """Build the polygonal path from z to the reordered z_star.
 
     The zero lists must already be matched: the k-th expanded point of z pairs
-    with the k-th expanded point of z_star.  With alpha=None the step size is
-    halved until certification succeeds and every step norm is below half the
+    with the k-th expanded point of z_star.  With alpha=None the step size
+    starts at 0.5 and is halved, at most ``_MAX_REFINEMENTS`` = 12 times,
+    until ``certify_path`` succeeds and every step norm is below half the
     observed margin constant.
 
     Step norms use the closed-form factor ``PathStep.g_interior``, and a
@@ -201,19 +206,19 @@ def build_path(
 
     start = ZeroList.from_points(interpolate_points(pairs, 0.0))
     m0 = min(
-        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, r in _vertex_margins(start, eta)),
+        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, r in _vertex_margins(start)),
         default=math.inf,
     )
     alphas: list[float] = []
     last_failures: tuple[str, ...] = ()
     alpha_cur = 0.5
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         alphas.append(alpha_cur)
         built = _build_once(pairs, alpha_cur, n_grid, functional_tol, start_margin=m0)
         if isinstance(built, str):
             last_failures = (built,)
         else:
-            report = certify_path(built, eta=eta, samples_per_segment=samples_per_segment)
+            report = certify_path(built)
             eps = report.eps_observed
             if report.ok and all(s.step_norm < eps / 2.0 for s in built.steps):
                 built.certification = report
@@ -225,7 +230,7 @@ def build_path(
             )
         alpha_cur /= 2.0
     raise RefinementExhaustedError(
-        f"step norms did not drop below half the observed margin within {max_refinements} halvings",
+        f"step norms did not drop below half the observed margin within {_MAX_REFINEMENTS} halvings",
         alphas=tuple(alphas),
         last_failures=last_failures,
     )
@@ -369,12 +374,11 @@ class ContourGroup:
     expected_count: int
 
 
-def neighborhood_contours(
-    centers: Sequence[complex], beta_radius: float = 1.0, pts_per_circle: int = _PTS_PER_CIRCLE
-) -> list[ContourGroup]:
-    """Boundary arcs of {beta(z, centers) <= beta_radius}, grouped by
-    component: each runs counterclockwise on its own circle (``_boundary_arcs``)."""
-    disks = [hyperbolic_circle_euclid(as_complex(c), beta_radius) for c in centers]
+def neighborhood_contours(centers: Sequence[complex]) -> list[ContourGroup]:
+    """Boundary arcs of the hyperbolic unit neighborhood {beta(z, centers) <= 1},
+    grouped by component: each runs counterclockwise on its own circle
+    (``_boundary_arcs``), sampled at ``_PTS_PER_CIRCLE`` points per full circle."""
+    disks = [hyperbolic_circle_euclid(as_complex(c), 1.0) for c in centers]
     n = len(disks)
     parent = list(range(n))
 
@@ -396,7 +400,7 @@ def neighborhood_contours(
         groups.setdefault(find(i), []).append(i)
     out = []
     for members in groups.values():
-        arcs = _boundary_arcs([disks[i] for i in members], pts_per_circle)
+        arcs = _boundary_arcs([disks[i] for i in members], _PTS_PER_CIRCLE)
         out.append(ContourGroup(tuple(members), tuple(arcs), len(members)))
     return out
 
@@ -420,29 +424,18 @@ class CertificationReport:
     checks: tuple[SampleCheck, ...]
 
 
-def certify_path(
-    path: PolygonalPath,
-    eta: float = 0.5,
-    samples_per_segment: int = 5,
-    pts_per_circle: int = _PTS_PER_CIRCLE,
-    max_pts_per_loop: int = _MAX_PTS_PER_LOOP,
-) -> CertificationReport:
+def certify_path(path: PolygonalPath) -> CertificationReport:
     """Certify every segment of the path by margins and winding counts.
 
-    For each step j and each s in [0, 1], the function
+    For each step j and each s of ``SEGMENT_S_SAMPLES``, the function
     b_{t_j} + s (b_{t_{j+1}} g_{j+1} - b_{t_j}) is sampled on the boundary of
     the hyperbolic unit neighborhood of Z(b_{t_j}): its modulus on the sampled
     set must stay positive and its winding count on each component must equal
     the zeros of b_{t_j} there, summed over the component's boundary arcs.
-    eta in (0, 1) caps the relative jump of f between consecutive contour
-    samples (winding safety); smaller eta samples more densely.
-    ``max_pts_per_loop`` caps a component's distinct boundary points.
+    ``_ETA`` = 0.5 caps the relative jump of f between consecutive contour
+    samples (winding safety), and ``_MAX_PTS_PER_LOOP`` caps a component's
+    distinct boundary points (``_loop_margin_count``).
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if samples_per_segment < 2 and path.steps:
-        raise ValueError("need at least the two endpoint samples per segment")
-
     checks: list[SampleCheck] = []
     failures: list[str] = []
     eps_observed = math.inf
@@ -451,8 +444,7 @@ def certify_path(
     if not path.steps:
         # constant path: verify the single vertex against its own contours,
         # the segment function with A = B at s = 0
-        vertex_margins = _vertex_margins(path.vertices[0].zeros_t, eta, pts_per_circle, max_pts_per_loop)
-        for gi, (group, result) in enumerate(vertex_margins):
+        for gi, (group, result) in enumerate(_vertex_margins(path.vertices[0].zeros_t)):
             if isinstance(result, ContourThroughZeroError):
                 raise result
             margin, count = result
@@ -463,12 +455,11 @@ def certify_path(
                 failures.append(f"vertex group {gi}: count {count} != {group.expected_count}")
         return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
 
-    s_values = [float(s) for s in np.linspace(0.0, 1.0, samples_per_segment)]
     for j, step in enumerate(path.steps):
         zeros_from = path.vertices[j].zeros_t
         zeros_to = path.vertices[j + 1].zeros_t
         centers = zeros_from.expanded_points()
-        groups = neighborhood_contours(centers, 1.0, pts_per_circle)
+        groups = neighborhood_contours(centers)
 
         def base(w: np.ndarray) -> np.ndarray:
             return evaluate_grid(zeros_from, w)
@@ -477,8 +468,8 @@ def certify_path(
             return evaluate_grid(zeros_to, w) * step.g_interior(w)
 
         for gi, group in enumerate(groups):
-            results = _group_margin_count(base, target, group, s_values, eta, max_pts_per_loop)
-            for s, result in zip(s_values, results):
+            results = _group_margin_count(base, target, group, SEGMENT_S_SAMPLES)
+            for s, result in zip(SEGMENT_S_SAMPLES, results):
                 if isinstance(result, ContourThroughZeroError):
                     failures.append(f"segment {j}, s={s:.3f}, group {gi}: {result}")
                     eps_observed = 0.0
@@ -495,19 +486,13 @@ def certify_path(
     return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
 
 
-def _vertex_margins(
-    zeros: ZeroList,
-    eta: float,
-    pts_per_circle: int = _PTS_PER_CIRCLE,
-    max_pts_per_loop: int = _MAX_PTS_PER_LOOP,
-) -> list[tuple[ContourGroup, tuple[float, int] | ContourThroughZeroError]]:
+def _vertex_margins(zeros: ZeroList) -> list[tuple[ContourGroup, tuple[float, int] | ContourThroughZeroError]]:
     """Each group of the neighborhood contours of Z(b), with the margin and
     winding count of b itself on it: the segment function at s = 0, computed
     exactly as ``certify_path`` computes it for a segment starting at b."""
-    groups = neighborhood_contours(zeros.expanded_points(), 1.0, pts_per_circle)
     return [
-        (group, _group_margin_count(lambda w: evaluate_grid(zeros, w), None, group, (0.0,), eta, max_pts_per_loop)[0])
-        for group in groups
+        (group, _group_margin_count(lambda w: evaluate_grid(zeros, w), None, group, (0.0,))[0])
+        for group in neighborhood_contours(zeros.expanded_points())
     ]
 
 
@@ -516,8 +501,6 @@ def _group_margin_count(
     target: Callable[[np.ndarray], np.ndarray] | None,
     group: ContourGroup,
     s_values: Sequence[float],
-    eta: float,
-    max_pts_per_loop: int,
 ) -> list[tuple[float, int] | ContourThroughZeroError]:
     """Min modulus over the group's arcs plus the winding total, for each
     segment function f_s = A + s (B - A), A = base(w), B = target(w).
@@ -526,7 +509,7 @@ def _group_margin_count(
     s-sample is formed from them; s = 0 is A itself and never needs the
     target (None is allowed when s_values is (0.0,)).  Each s refines the
     arcs on its own by ``_loop_margin_count``.  An s whose samples hit a zero
-    of f_s gets (0.0, 0); one that needs more than ``max_pts_per_loop``
+    of f_s gets (0.0, 0); one that needs more than ``_MAX_PTS_PER_LOOP``
     distinct points, or whose phase sum is not near an integer, gets its
     ContourThroughZeroError instead.
     """
@@ -537,7 +520,7 @@ def _group_margin_count(
     for s in s_values:
         f, vals = (base, a) if s == 0.0 else (_segment_fn(base, target, s), a + s * (b - a))
         try:
-            out.append(_loop_margin_count(f, group.arcs, vals, eta, max_pts_per_loop))
+            out.append(_loop_margin_count(f, group.arcs, vals))
         except ContourThroughZeroError as exc:
             out.append(exc)
     return out
@@ -554,7 +537,7 @@ def _segment_fn(base, target, s: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _loop_margin_count(
-    f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray, eta: float, max_pts: int
+    f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray
 ) -> tuple[float, int]:
     """Min |f| over arcs that together form closed curves, and the winding
     number of f along them, given the values ``vals`` of f at the arcs' points
@@ -562,12 +545,13 @@ def _loop_margin_count(
 
     No edge joins one arc's last point to the next arc's first.  An edge is
     bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|) on it
-    exceeds eta, which caps every phase increment at arcsin(eta) and makes
+    exceeds ``_ETA``, which caps every phase increment at arcsin(eta) and makes
     the sum of the increments unambiguous; f is evaluated at the inserted
     midpoints only.  A sample on a zero of f gives (0.0, 0).  Needing more
-    than ``max_pts`` distinct points (the arcs' shared ends count once), or a
+    than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends count once), or a
     phase sum farther than 0.1 from an integer, raises ContourThroughZeroError.
     """
+    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
     pts = np.concatenate(arcs)
     last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
     last[np.cumsum([arc.size for arc in arcs]) - 1] = True

@@ -297,21 +297,30 @@ class TestSeparationSplit:
             assert exact <= greedy <= zl.degree
 
 
+def _resolution(monkeypatch, cell_beta, edge_gap):
+    """Set ``alpha_b``'s sample resolution."""
+    monkeypatch.setattr(carleson, "_CELL_BETA", cell_beta)
+    monkeypatch.setattr(carleson, "_EDGE_GAP", edge_gap)
+
+
 class TestAlphaB:
-    def test_monomial_matches_tanh(self):
+    def test_monomial_matches_tanh(self, monkeypatch):
+        _resolution(monkeypatch, 0.05, 1e-2)
         zl = ZeroList(m=1)
         for r in (0.5, 1.0, 2.0):
-            est = alpha_b(zl, r, cell_beta=0.05, edge_gap=1e-2)
+            est = alpha_b(zl, r)
             assert est.value == pytest.approx(math.tanh(r / 2.0), abs=0.05)
             assert est.value >= rho_from_beta(r)  # sampled min cannot undershoot
 
-    def test_nondecreasing_in_r(self):
+    def test_nondecreasing_in_r(self, monkeypatch):
+        _resolution(monkeypatch, 0.1, 1e-3)
         zl = ZeroList.from_points([0.2, -0.3 + 0.4j])
-        vals = [alpha_b(zl, r, cell_beta=0.1, edge_gap=1e-3).value for r in (0.5, 1.0, 1.5, 2.0)]
+        vals = [alpha_b(zl, r).value for r in (0.5, 1.0, 1.5, 2.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_small_r_near_zero_set(self):
-        est = alpha_b(ZeroList(m=1), 0.05, cell_beta=0.02, edge_gap=5e-2)
+    def test_small_r_near_zero_set(self, monkeypatch):
+        _resolution(monkeypatch, 0.02, 5e-2)
+        est = alpha_b(ZeroList(m=1), 0.05)
         assert est.value < 0.06
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
@@ -319,19 +328,22 @@ class TestAlphaB:
         with pytest.raises(ValueError, match="threshold must be positive"):
             alpha_b(ZeroList.from_points([0.3, 0.31, -0.5 + 0.1j]), r)
 
-    def test_region_empty(self):
+    def test_region_empty(self, monkeypatch):
+        _resolution(monkeypatch, 0.5, 1e-2)
         with pytest.raises(RegionEmptyError):
-            alpha_b(ZeroList(m=1), 25.0, cell_beta=0.5, edge_gap=1e-2)
+            alpha_b(ZeroList(m=1), 25.0)
 
     def test_equals_the_arctanh_transform(self, monkeypatch):
         # beta = 2 artanh(rho) of the clamped minimum, as the ring scan wrote it
         rng = np.random.default_rng(41)
+        _resolution(monkeypatch, 0.1, 1e-3)
         cases = [(random_zerolist(rng, int(rng.integers(1, 6)), 0.9), float(rng.uniform(0.3, 1.5))) for _ in range(6)]
-        got = [alpha_b(zl, r, cell_beta=0.1, edge_gap=1e-3) for zl, r in cases]
+        got = [alpha_b(zl, r) for zl, r in cases]
         monkeypatch.setattr(carleson, "clamped_beta", lambda rho: 2.0 * np.arctanh(np.minimum(rho, 1.0 - 1e-16)))
-        assert got == [alpha_b(zl, r, cell_beta=0.1, edge_gap=1e-3) for zl, r in cases]
+        assert got == [alpha_b(zl, r) for zl, r in cases]
 
-    def test_reports_resolution(self):
-        est = alpha_b(ZeroList(m=1), 0.5, cell_beta=0.2, edge_gap=1e-3)
+    def test_reports_resolution(self, monkeypatch):
+        _resolution(monkeypatch, 0.2, 1e-3)
+        est = alpha_b(ZeroList(m=1), 0.5)
         assert isinstance(est, AlphaEstimate)
-        assert est.cell_beta == 0.2 and est.n_samples > 0
+        assert (est.cell_beta, est.edge_gap) == (0.2, 1e-3) and est.n_samples > 0

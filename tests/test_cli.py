@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blaschkelab import cli
+from blaschkelab import pathbuild
 from blaschkelab.carleson import BOX_NORM_SLACK
 from blaschkelab.cli import main
 from blaschkelab.config import RunConfig
@@ -194,8 +194,7 @@ class TestExitCodes:
         assert "no partition" in doc["error"]["message"]
 
     def test_halving_exhaustion_reports_alphas(self, tmp_path, monkeypatch, zeros_file):
-        real = cli.build_path
-        monkeypatch.setattr(cli, "build_path", lambda *args, **kwargs: real(*args, max_refinements=1, **kwargs))
+        monkeypatch.setattr(pathbuild, "_MAX_REFINEMENTS", 1)
         far = _write(
             tmp_path / "far.json",
             {"zeros": [{"re": -0.6, "im": 0.0, "mult": 1}], "lambda": {"re": 1.0, "im": 0.0}, "m": 0},

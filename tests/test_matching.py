@@ -265,10 +265,11 @@ class TestDiagnostics:
         assert all(x == 0.0 for x in d.displacements)
         assert all(a == b for (a, b) in d.path.segments)
 
-    def test_single_pair_histogram(self):
+    def test_single_pair_histogram(self, monkeypatch):
+        monkeypatch.setattr(matching, "_HISTOGRAM_BINS", 1)
         za, zb = ZeroList.from_points([0.2]), ZeroList.from_points([0.3])
         p = bottleneck_match(za, zb)
-        d = pairing_diagnostics(p, za, zb, bins=1)
+        d = pairing_diagnostics(p, za, zb)
         assert sum(d.histogram_counts) == 1
         assert d.sup == pytest.approx(hyper_distance(0.2, 0.3))
 

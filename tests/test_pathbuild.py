@@ -86,11 +86,11 @@ class TestChoosePartition:
             choose_partition([(0.1, 0.2)], math.nan)
 
 
-def _polygon_margin_count(f, contour, max_pts=1 << 17):
+def _polygon_margin_count(f, contour):
     """(min |f|, winding count) of f along a closed polygon, passed to the
     certification's refinement as one arc closed by repeating its first point."""
     pts = np.append(contour, contour[:1])
-    return pathbuild._loop_margin_count(f, [pts], f(pts), 0.5, max_pts)
+    return pathbuild._loop_margin_count(f, [pts], f(pts))
 
 
 class TestRoucheCount:
@@ -107,30 +107,32 @@ class TestRoucheCount:
         contour = 0.99 * np.exp(2j * np.pi * np.arange(256) / 256)
         assert _polygon_margin_count(lambda z: evaluate_grid(zl, z), contour)[1] == 5
 
-    def test_through_zero_detected(self):
+    def test_through_zero_detected(self, monkeypatch):
+        monkeypatch.setattr(pathbuild, "_MAX_PTS_PER_LOOP", 2048)
         contour = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
-        assert _polygon_margin_count(lambda z: z - 0.5, contour, max_pts=2048) == (0.0, 0)
+        assert _polygon_margin_count(lambda z: z - 0.5, contour) == (0.0, 0)
 
-    def test_point_budget_exhausted(self):
+    def test_point_budget_exhausted(self, monkeypatch):
         # a zero 1e-7 off the contour needs far more than 64 points
+        monkeypatch.setattr(pathbuild, "_MAX_PTS_PER_LOOP", 64)
         contour = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
         with pytest.raises(ContourThroughZeroError, match="needs more than 64 points"):
-            _polygon_margin_count(lambda z: z - 0.5000001, contour, max_pts=64)
+            _polygon_margin_count(lambda z: z - 0.5000001, contour)
 
 
 def _arc_count(f, group):
     """(min |f|, winding count) of f along a group's boundary arcs."""
-    return pathbuild._group_margin_count(f, None, group, (0.0,), 0.5, 1 << 16)[0]
+    return pathbuild._group_margin_count(f, None, group, (0.0,))[0]
 
 
 class TestNeighborhoodContours:
     def test_disjoint_centers_two_groups(self):
-        groups = neighborhood_contours([-0.6, 0.6], beta_radius=1.0)
+        groups = neighborhood_contours([-0.6, 0.6])
         assert len(groups) == 2
         assert all(len(g.arcs) == 1 and g.expected_count == 1 for g in groups)
 
     def test_overlapping_pair_merges(self):
-        groups = neighborhood_contours([0.0, 0.1], beta_radius=1.0)
+        groups = neighborhood_contours([0.0, 0.1])
         assert len(groups) == 1
         assert groups[0].expected_count == 2
         # merged boundary: one uncovered arc on each circle, meeting end to start
@@ -145,7 +147,7 @@ class TestNeighborhoodContours:
     def test_merged_contour_counts_zeros(self):
         centers = [0.0, 0.12 + 0.05j, -0.1 + 0.08j]
         zl = ZeroList.from_points(centers)
-        groups = neighborhood_contours(centers, beta_radius=1.0)
+        groups = neighborhood_contours(centers)
         assert len(groups) == 1
         assert _arc_count(lambda z: evaluate_grid(zl, z), groups[0])[1] == 3
 
@@ -154,7 +156,7 @@ class TestNeighborhoodContours:
         # the hole's arcs subtract whatever the ring does not contain
         r = 0.48
         centers = [r * np.exp(2j * np.pi * k / 3) for k in range(3)]
-        groups = neighborhood_contours(centers, beta_radius=1.0)
+        groups = neighborhood_contours(centers)
         assert len(groups) == 1
         disks = [hyperbolic_circle_euclid(c, 1.0) for c in centers]
         assert all(abs(o) > rad for o, rad in disks)  # the origin lies in the hole
@@ -167,16 +169,22 @@ class TestNeighborhoodContours:
 
 def _random_groups(count):
     """The groups of the unit neighborhoods of 1 to 11 random centers, each
-    with its members' Euclidean disks; about a third have several members."""
+    with its members' Euclidean disks; about a third have several members.
+    The arcs take the library's ``_PTS_PER_CIRCLE``, which
+    ``TestBoundaryArcs`` sets to 64."""
     for seed in range(count):
         rng = np.random.default_rng(300 + seed)
         centers = [random_point(rng, 0.9) for _ in range(int(rng.integers(1, 12)))]
         disks = [hyperbolic_circle_euclid(c, 1.0) for c in centers]
-        for group in neighborhood_contours(centers, 1.0, 64):
+        for group in neighborhood_contours(centers):
             yield [disks[i] for i in group.member_indices], group
 
 
 class TestBoundaryArcs:
+    @pytest.fixture(autouse=True)
+    def _coarse_circles(self, monkeypatch):
+        monkeypatch.setattr(pathbuild, "_PTS_PER_CIRCLE", 64)
+
     def test_arc_points_on_own_circle_outside_the_others(self):
         n_arcs = 0
         for disks, group in _random_groups(40):
@@ -196,7 +204,7 @@ class TestBoundaryArcs:
                 assert np.count_nonzero(np.abs(starts - arc[-1]) < 1e-9) == 1
 
     def test_lone_disk_one_full_circle(self):
-        (group,) = neighborhood_contours([0.3 - 0.2j], 1.0, 64)
+        (group,) = neighborhood_contours([0.3 - 0.2j])
         (arc,) = group.arcs
         o, r = hyperbolic_circle_euclid(0.3 - 0.2j, 1.0)
         np.testing.assert_allclose(arc, o + r * np.exp(2j * np.pi * np.arange(65) / 64), rtol=0, atol=1e-15)
@@ -204,7 +212,7 @@ class TestBoundaryArcs:
     def test_arcs_that_do_not_close_raise(self):
         half = 0.5 * np.exp(1j * np.pi * np.arange(65) / 64)  # phase sum 1/2 for f(z) = z
         with pytest.raises(ContourThroughZeroError, match="not near an integer"):
-            pathbuild._loop_margin_count(lambda z: z, [half], half, 0.5, 1 << 16)
+            pathbuild._loop_margin_count(lambda z: z, [half], half)
 
     def test_winding_counts_zeros_in_the_union(self):
         rng = np.random.default_rng(9)
@@ -385,7 +393,8 @@ def _reference_certify(
     into closed loops (``_splice_loops``), every s refining its own copy of
     each loop and re-evaluating f on the whole loop after each bisection,
     counts by ``winding_number`` and g(step, w) by default the log/exp
-    formula."""
+    formula.  Only the grouping of the zeros comes from
+    ``neighborhood_contours``; the loops take ``pts_per_circle``."""
 
     def margin_count(f, loops):
         margin, total = math.inf, 0
@@ -416,7 +425,7 @@ def _reference_certify(
         zeros_from, zeros_to = path.vertices[j].zeros_t, path.vertices[j + 1].zeros_t
         centers = zeros_from.expanded_points()
         disks = [hyperbolic_circle_euclid(as_complex(c), 1.0) for c in centers]
-        groups = neighborhood_contours(centers, 1.0, pts_per_circle)
+        groups = neighborhood_contours(centers)
 
         def bracket(w, s):
             base = evaluate_grid(zeros_from, w)
@@ -478,11 +487,15 @@ class TestClosedFormKernels:
         [{}, {"eta": 0.3, "pts_per_circle": 16}, {"eta": 0.3, "pts_per_circle": 16, "max_pts_per_loop": 40}],
         ids=["default", "bisecting", "point-cap"],
     )
-    def test_certification_matches_reference_route(self, settings):
+    def test_certification_matches_reference_route(self, settings, monkeypatch):
+        # the library reads each setting from its module constant
+        constants = {"eta": "_ETA", "pts_per_circle": "_PTS_PER_CIRCLE", "max_pts_per_loop": "_MAX_PTS_PER_LOOP"}
+        for name, value in settings.items():
+            monkeypatch.setattr(pathbuild, constants[name], value)
         za, zs = adversarial_pair(3.0)
         paths = list(_seeded_paths(5, alpha=0.25)) + [build_path(za, zs, alpha=3.5, n_grid=512)]
         for path in paths:
-            got = certify_path(path, **settings)
+            got = certify_path(path)
             _assert_same_report(got, _reference_certify(path, **settings))
         assert not got.ok  # the adversarial step still fails
 
@@ -610,10 +623,11 @@ class TestStartMarginBound:
         assert (len(rounds), len(calls)) == (3, 1)  # 0.3 -> -0.6: one certification for three rounds
         assert n_certified < n_rounds
 
-    def test_exhaustion_reports_alphas_and_last_failures(self):
+    def test_exhaustion_reports_alphas_and_last_failures(self, monkeypatch):
+        monkeypatch.setattr(pathbuild, "_MAX_REFINEMENTS", 1)
         za, zb = ZeroList.from_points([0.3]), ZeroList.from_points([-0.6])
         with pytest.raises(RefinementExhaustedError, match="within 1 halvings") as info:
-            build_path(za, zb, n_grid=256, max_refinements=1)
+            build_path(za, zb, n_grid=256)
         assert info.value.alphas == (0.5, 0.25)
         (reason,) = info.value.last_failures
         assert re.fullmatch(r"step \d+ of 16: norm \S+ >= m0/2 = \S+", reason)
