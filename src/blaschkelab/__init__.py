@@ -40,7 +40,7 @@ from .contours import (
     split_zeros_by_contour,
     trossos_check,
 )
-from .geometry import DiskPoint, hyper_distance, mobius, pseudo_distance
+from .geometry import hyper_distance, mobius, pseudo_distance
 from .gridfn import BoundaryGridFunction, harmonic_conjugate
 from .matching import Pairing, bottleneck_match, pairing_diagnostics
 from .pathbuild import PolygonalPath, build_path, certify_path, choose_partition

@@ -204,8 +204,8 @@ def check_singular_shift_displacement(config: RunConfig) -> CheckResult:
     threshold = math.log(2.0) - margin
     t0 = time.perf_counter()
     beta = math.exp(-1.0)
-    z_sq = singular_shift_fixture(beta**2, 50)
-    z_one = singular_shift_fixture(beta, 50)
+    z_sq = singular_shift_fixture(beta**2)
+    z_one = singular_shift_fixture(beta)
     pairing = bottleneck_match(z_sq, z_one)
     return CheckResult(
         "singular-shift displacement (|k| <= 50)", pairing.cost >= threshold, pairing.cost, threshold,
@@ -352,12 +352,10 @@ ALL_CHECKS = (
 )
 
 
-def run_all(config: RunConfig | None = None, verbose: bool = True) -> list[CheckResult]:
-    config = config or RunConfig()
+def run_all(config: RunConfig) -> list[CheckResult]:
     results = []
     for check in ALL_CHECKS:
         result = check(config)
         results.append(result)
-        if verbose:
-            print(result.line())
+        print(result.line())
     return results

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionExhaustedError, IllConditionedBoundaryError, ResolutionError
-from .geometry import INTERIOR_GUARD, ORIGIN_FOLD, as_complex, interior_value
+from .geometry import INTERIOR_GUARD, ORIGIN_FOLD, interior_value
 from .gridfn import BoundaryGridFunction, circle_nodes
 
 BOUNDARY_ZERO_GUARD = 1e-10
@@ -62,7 +62,7 @@ class ZeroList:
         m = 0
         grouped: dict[complex, int] = {}
         for p in points:
-            z = as_complex(p)
+            z = complex(p)
             if abs(z) < ORIGIN_FOLD:
                 m += 1
             else:

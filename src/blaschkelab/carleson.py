@@ -48,14 +48,6 @@ class DiscreteMeasure:
             ]
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DiscreteMeasure":
-        return cls(
-            tuple(
-                (complex(a["re"], a["im"]), complex(a["w_re"], a["w_im"])) for a in data["atoms"]
-            )
-        )
-
 
 def mu_b(zeros: ZeroList) -> DiscreteMeasure:
     """One atom of weight mult * (1 - |z|) per zero; the origin contributes m * 1."""

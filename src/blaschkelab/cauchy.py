@@ -21,7 +21,7 @@ import numpy as np
 from .blaschke import ZeroList, eval_boundary
 from .errors import CardinalityError, GridTooCoarseError, IllConditionedBoundaryError
 from .carleson import DiscreteMeasure
-from .geometry import ORIGIN_FOLD, as_complex, interior_value
+from .geometry import ORIGIN_FOLD, interior_value
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 
 CIRCLE_SEGMENT_GUARD = 1e-8
@@ -39,10 +39,7 @@ class PathMeasure:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[complex, complex]]) -> "PathMeasure":
-        return cls(tuple((as_complex(a), as_complex(b)) for a, b in pairs))
-
-    def reversed(self) -> "PathMeasure":
-        return PathMeasure(tuple((b, a) for a, b in self.segments))
+        return cls(tuple((complex(a), complex(b)) for a, b in pairs))
 
     def to_json(self) -> dict:
         return {
@@ -51,15 +48,6 @@ class PathMeasure:
                 for a, b in self.segments
             ]
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PathMeasure":
-        return cls(
-            tuple(
-                (complex(s["z0"]["re"], s["z0"]["im"]), complex(s["z1"]["re"], s["z1"]["im"]))
-                for s in data["segments"]
-            )
-        )
 
 
 def cauchy_segment_closed_form(z0, z1, theta: float) -> complex:
@@ -121,7 +109,7 @@ def gamma_constant(pairs: Sequence[tuple[complex, complex]]) -> complex:
     """prod_k (z_k / z*_k) (|z*_k| / |z_k|), a unimodular constant."""
     out = 1.0 + 0.0j
     for z, zs in pairs:
-        out *= _phase_or_convention(as_complex(z)) * _phase_or_convention(as_complex(zs)).conjugate()
+        out *= _phase_or_convention(complex(z)) * _phase_or_convention(complex(zs)).conjugate()
     return out
 
 
@@ -186,7 +174,7 @@ def outer_correction(
     residual of that identity, plus the grid norms of b - b* h (closeness) and
     b e^v - b* h (the exact identity behind the construction).
     """
-    pairs = [(as_complex(a), as_complex(bb)) for a, bb in pairs]
+    pairs = [(complex(a), complex(bb)) for a, bb in pairs]
     sigma = PathMeasure.from_pairs(pairs)
     c_sigma = cauchy_on_circle(sigma, n).samples
     v = BoundaryGridFunction(-2.0 * c_sigma.real)

@@ -257,7 +257,7 @@ def _cmd_fixtures(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_acceptance(args, config: RunConfig, out: Path) -> int:
-    results = acceptance.run_all(config, verbose=True)
+    results = acceptance.run_all(config)
     _write_json(out / "acceptance.json", config, {"checks": [r.to_json() for r in results]})
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed -> {out / 'acceptance.json'}")

@@ -23,7 +23,7 @@ from .errors import (
     AtlasInconsistencyError,
     HypothesisViolationError,
 )
-from .geometry import as_complex, beta_matrix, interior_value, rho_matrix
+from .geometry import beta_matrix, interior_value, rho_matrix
 from .gridfn import winding_number
 
 ORIGIN_CLEARANCE = 1e-6
@@ -101,7 +101,7 @@ class JordanCurveApprox:
 
     def contains(self, z: complex) -> bool:
         """Whether z lies strictly inside: off the curve, with a nonzero winding number."""
-        return bool(self._turns(as_complex(z), np.empty(self.n_edges))[1])
+        return bool(self._turns(complex(z), np.empty(self.n_edges))[1])
 
     @cached_property
     def _closed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,28 +333,28 @@ def harmonic_measure(
     curve: JordanCurveApprox,
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-    method: str = "auto",
+    *,
+    method: str,
     return_stragglers: bool = False,
 ):
     """Exit distribution over the curve's edges of Brownian motion from z.
 
-    ``method`` is "exact" (Poisson integral; disk fixtures only), "walk", or
-    "auto" (exact when available).  Walks jump to a uniform point of the
-    largest circle about the walker inside the curve (walk on spheres, the
-    first jump from a shifted lattice, see ``_walk``) and absorb within the
-    ``_ABSORB`` = 1e-4 band; a walker still out after ``_MAX_STEPS`` = 10,000
-    steps settles at its nearest edge.  A source on the curve is not inside
-    it.  With ``return_stragglers`` the result is (masses, stragglers), the
-    count of such walkers.
+    ``method`` is "exact" (Poisson integral; disk fixtures only) or "walk".
+    Walks jump to a uniform point of the largest circle about the walker
+    inside the curve (walk on spheres, the first jump from a shifted lattice,
+    see ``_walk``) and absorb within the ``_ABSORB`` = 1e-4 band; a walker
+    still out after ``_MAX_STEPS`` = 10,000 steps settles at its nearest edge.
+    A source on the curve is not inside it.  With ``return_stragglers`` the
+    result is (masses, stragglers), the count of such walkers.
     """
     z0 = interior_value(z)
     if not curve.contains(z0):
         raise ValueError("source point must lie strictly inside the curve")
-    if method not in ("auto", "exact", "walk"):
+    if method not in ("exact", "walk"):
         raise ValueError(f"unknown method {method!r}")
     if method == "exact" and not curve.is_disk_fixture:
         raise ValueError("exact Poisson masses are only available for disk fixtures")
-    if method in ("auto", "exact") and curve.is_disk_fixture:
+    if method == "exact":
         masses, stragglers = _poisson_edge_masses(z0, curve), 0
     else:
         masses, _, stragglers = _walk(z0, None, curve, n_samples, rng)
@@ -367,25 +367,22 @@ def harmonic_measure_paired(
     curve: JordanCurveApprox,
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-    return_stragglers: bool = False,
 ):
-    """Exit masses of coupled walks from two sources, as (masses_u, masses_b).
+    """Exit masses of coupled walks from two sources, as (masses_u, masses_b,
+    stragglers), the last the count of walkers still out at ``_MAX_STEPS``.
 
     While both walkers of a pair are out and apart, they step uniformly in
     balls of one radius under a maximal coupling: whenever the two uniform
     laws allow, both land on the same point and the pair fuses, moving as
     one walker from then on, so its two tallies cancel in the difference
-    measure.  Each marginal is an unbiased walk (see ``_walk``).  With
-    ``return_stragglers`` a third entry counts the walkers still out at
-    ``_MAX_STEPS``.
+    measure.  Each marginal is an unbiased walk (see ``_walk``).
     """
     zu = interior_value(z_u)
     zb = interior_value(z_b)
     for z0 in (zu, zb):
         if not curve.contains(z0):
             raise ValueError("both source points must lie strictly inside the curve")
-    masses_u, masses_b, stragglers = _walk(zu, zb, curve, n_samples, rng)
-    return (masses_u, masses_b, stragglers) if return_stragglers else (masses_u, masses_b)
+    return _walk(zu, zb, curve, n_samples, rng)
 
 
 def _poisson_edge_masses(z: complex, curve: JordanCurveApprox) -> np.ndarray:
@@ -645,20 +642,21 @@ _TOTAL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class HarmonicMeasureAtlas:
-    """Per-curve edge masses of the zero measures of the two products.
+    """Per-curve edge masses of the zero measures of the products u and b.
 
-    The masses are held as read-only copies, so what is cached from them (the
-    zero counts, the contour-integral coefficients and the calibration
-    constant of ``log_quotient_via_contour``) cannot go stale.
-    ``walk_stragglers`` counts the walkers that settled at the step cap; it is
-    not part of ``to_json``.
+    The masses are held as read-only copies, so what is cached from them and
+    the two products (the zero counts, the contour-integral coefficients and
+    the calibration constant of ``log_quotient_via_contour``) cannot go
+    stale.  ``walk_stragglers`` counts the walkers that settled at the step
+    cap.
     """
 
+    u: ZeroList
+    b: ZeroList
     curves: tuple[JordanCurveApprox, ...]
     nu_u: tuple[np.ndarray, ...]
     nu_b: tuple[np.ndarray, ...]
     walk_stragglers: int = 0
-    _c1: list = field(default_factory=list, repr=False)  # the calibration constant, once computed
 
     def __post_init__(self):
         if not (len(self.curves) == len(self.nu_u) == len(self.nu_b)):
@@ -697,6 +695,15 @@ class HarmonicMeasureAtlas:
             tables.append((complex(const), np.concatenate([coef.real, coef.imag]), float(nu.sum())))
         return tables
 
+    @cached_property
+    def _c1(self) -> complex:
+        """C1 = Log(u/b)(r) minus the contour integrals at r, at the reference
+        point r = (1 + max |vertex|)/2 on the real axis, beyond every vertex
+        and so outside every curve."""
+        ref = complex(0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in self.curves)))
+        direct = complex(np.log(evaluate_grid(self.u, np.array([ref]))[0] / evaluate_grid(self.b, np.array([ref]))[0]))
+        return direct - _contour_integrals(self, ref, _edge_logs(self, ref))
+
     def u_count(self, i: int) -> float:
         return float(self.nu_u[i].sum())
 
@@ -711,13 +718,6 @@ class HarmonicMeasureAtlas:
                         f"curve {c.component_id}: nu_{name} total {total} is not an integer within {_TOTAL_TOL}"
                     )
 
-    def to_json(self) -> dict:
-        return {
-            "curves": [c.to_json() for c in self.curves],
-            "nu_u": [[float(x) for x in v] for v in self.nu_u],
-            "nu_b": [[float(x) for x in v] for v in self.nu_b],
-        }
-
 
 def build_atlas(
     u: ZeroList,
@@ -725,14 +725,16 @@ def build_atlas(
     curves: Sequence[JordanCurveApprox],
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-    method: str = "auto",
+    *,
+    method: str,
     paired: bool = False,
 ) -> HarmonicMeasureAtlas:
-    """Sum the per-zero harmonic measures into the two edge-mass tables.
+    """Sum the per-zero harmonic measures into the two edge-mass tables of an
+    atlas bound to u and b.
 
-    With ``paired=True`` (walk method, equal per-curve counts) the u- and
-    b-zero walks are coupled pairs, which sharply reduces the variance of the
-    difference measure.
+    ``method`` is that of ``harmonic_measure``.  With ``paired=True`` (walk
+    method, equal per-curve counts) the u- and b-zero walks are coupled
+    pairs, which sharply reduces the variance of the difference measure.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -746,19 +748,19 @@ def build_atlas(
         b_in = sorted((p for p in b.expanded_points() if curve.contains(p)), key=lambda w: (w.real, w.imag))
         if paired and method == "walk" and len(u_in) == len(b_in):
             for pu, pb in zip(u_in, b_in):
-                part_u, part_b, stuck = harmonic_measure_paired(pu, pb, curve, n_samples, rng, return_stragglers=True)
+                part_u, part_b, stuck = harmonic_measure_paired(pu, pb, curve, n_samples, rng)
                 mu += part_u
                 mb += part_b
                 stragglers += stuck
         else:
             for sources, masses in ((u_in, mu), (b_in, mb)):
                 for p in sources:
-                    part, stuck = harmonic_measure(p, curve, n_samples, rng, method, return_stragglers=True)
+                    part, stuck = harmonic_measure(p, curve, n_samples, rng, method=method, return_stragglers=True)
                     masses += part
                     stragglers += stuck
         nu_u.append(mu)
         nu_b.append(mb)
-    return HarmonicMeasureAtlas(tuple(curves), tuple(nu_u), tuple(nu_b), stragglers)
+    return HarmonicMeasureAtlas(u, b, tuple(curves), tuple(nu_u), tuple(nu_b), stragglers)
 
 
 def split_zeros_by_contour(u: ZeroList, curves: Sequence[JordanCurveApprox]) -> tuple[ZeroList, ZeroList]:
@@ -778,17 +780,18 @@ def split_zeros_by_contour(u: ZeroList, curves: Sequence[JordanCurveApprox]) -> 
 
 
 def log_quotient_via_contour(u: ZeroList, b: ZeroList, atlas: HarmonicMeasureAtlas, z) -> complex:
-    """A logarithm of u/b at an exterior point from the contour tables.
+    """A logarithm of u/b at an exterior point from the contour tables of an
+    atlas built from u and b; ``ValueError`` for any other u or b.
 
     Evaluates C1 - sum_j int nu(arc from the start point) [dxi/(xi - z)
     + dconj(xi)/((1 - conj(xi) z) conj(xi))], with the cumulative mass linear
     within each edge, by closed-form edge integrals whose angles also give the
     winding number that rejects a point inside or on a curve.  Each curve's
     start point is its ``start_vertex``, of minimal principal argument.  C1
-    is calibrated at the first call on the atlas, at the reference point
-    r = (1 + max |vertex|)/2 on the real axis, beyond every vertex and so
-    outside every curve, and then held fixed.
+    is calibrated once per atlas, from its own u and b (``_c1``).
     """
+    if u != atlas.u or b != atlas.b:
+        raise ValueError("u and b must be the products the atlas was built from")
     w = interior_value(z)
     logs = _edge_logs(atlas, w)
     for c, (uc, bc) in zip(atlas.curves, atlas._counts):
@@ -796,11 +799,7 @@ def log_quotient_via_contour(u: ZeroList, b: ZeroList, atlas: HarmonicMeasureAtl
             raise HypothesisViolationError(
                 f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
             )
-    if not atlas._c1:
-        ref = complex(0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in atlas.curves)))
-        direct = complex(np.log(evaluate_grid(u, np.array([ref]))[0] / evaluate_grid(b, np.array([ref]))[0]))
-        atlas._c1.append(direct - _contour_integrals(atlas, ref, _edge_logs(atlas, ref)))
-    return atlas._c1[0] + _contour_integrals(atlas, w, logs)
+    return atlas._c1 + _contour_integrals(atlas, w, logs)
 
 
 def _edge_logs(atlas: HarmonicMeasureAtlas, z: complex) -> list[np.ndarray]:

@@ -14,6 +14,9 @@ from .blaschke import SingularShiftSpec, ZeroList, singular_shift_zeros
 from .carleson import DiscreteMeasure
 from .geometry import rho_from_beta
 
+# the atoms k of the singular-shift fixture run over |k| <= this span
+SINGULAR_SHIFT_SPAN = 50
+
 
 def geometric_zeros(n: int) -> ZeroList:
     """z_k = 1 - 2^-k for k = 1..n: the standard boundary-accumulating chain."""
@@ -33,9 +36,9 @@ def staged_measure() -> DiscreteMeasure:
     )
 
 
-def singular_shift_fixture(alpha: complex, k_span: int = 50) -> ZeroList:
-    """Zeros of the shifted atomic singular function for |k| <= k_span."""
-    return singular_shift_zeros(SingularShiftSpec(alpha, -k_span, k_span))
+def singular_shift_fixture(alpha: complex) -> ZeroList:
+    """Zeros of the shifted atomic singular function for |k| <= ``SINGULAR_SHIFT_SPAN``."""
+    return singular_shift_zeros(SingularShiftSpec(alpha, -SINGULAR_SHIFT_SPAN, SINGULAR_SHIFT_SPAN))
 
 
 def adversarial_pair(beta_gap: float = 3.0) -> tuple[ZeroList, ZeroList]:

@@ -2,14 +2,13 @@
 
 The Mobius involution interchanging 0 and z together with the
 pseudohyperbolic and hyperbolic metrics, as scalars and as the array kernel
-``rho_matrix`` / ``beta_matrix`` that every pairwise distance goes through;
-the ``DiskPoint`` wrapper exists to make the interior guard explicit.
+``rho_matrix`` / ``beta_matrix`` that every pairwise distance goes through.
+Points are plain complex numbers; ``interior_value`` is the interior guard.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,42 +23,9 @@ ORIGIN_FOLD = 1e-14
 RHO_CAP = 1.0 - 1e-16
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the unit disk.
-
-    Interior points must satisfy |value| < 1 - 1e-12; anything closer to the
-    circle is rejected unless constructed with ``boundary=True``, because
-    evaluation there is ill-conditioned and should fail loudly.
-    """
-
-    value: complex
-    boundary: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        r = abs(self.value)
-        if self.boundary:
-            if not r <= 1.0 + INTERIOR_GUARD:
-                raise ValueError(f"boundary-flagged point outside closed disk: |z| = {r}")
-        elif not r < 1.0 - INTERIOR_GUARD:
-            raise ValueError(
-                f"interior point requires |z| < 1 - 1e-12, got |z| = {r:.17g}; "
-                "flag boundary=True for circle points"
-            )
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
-def as_complex(z) -> complex:
-    """Unwrap a DiskPoint (or accept a raw complex) without any guard."""
-    return z.value if isinstance(z, DiskPoint) else complex(z)
-
-
 def interior_value(z) -> complex:
-    """Unwrap and enforce the interior guard."""
-    w = as_complex(z)
+    """z as a complex number; ValueError unless |z| < 1 - ``INTERIOR_GUARD``."""
+    w = complex(z)
     if not abs(w) < 1.0 - INTERIOR_GUARD:
         raise ValueError(f"point must be interior (|z| < 1 - 1e-12), got |z| = {abs(w):.17g}")
     return w
@@ -72,7 +38,7 @@ def mobius(z, w) -> complex:
     modulus agrees with the variant that conjugates w instead.
     """
     zz = interior_value(z)
-    ww = as_complex(w)
+    ww = complex(w)
     if abs(ww) > 1.0 + INTERIOR_GUARD:
         raise ValueError(f"second argument must satisfy |w| <= 1, got {abs(ww)}")
     den = 1.0 - zz.conjugate() * ww

@@ -49,21 +49,11 @@ class BoundaryGridFunction:
     def thetas(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
-    def mean(self) -> complex:
-        return complex(self.samples.mean())
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "samples": [{"re": float(s.real), "im": float(s.imag)} for s in self.samples],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BoundaryGridFunction":
-        vals = np.array([complex(s["re"], s["im"]) for s in data["samples"]])
-        if np.all(vals.imag == 0.0):
-            vals = vals.real
-        return cls(vals)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -46,18 +46,16 @@ class Pairing:
     def to_json(self) -> dict:
         return {"perm": list(self.permutation), "cost": self.cost}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Pairing":
-        return cls(tuple(data["perm"]), float(data["cost"]))
 
-
-def maximum_bipartite_matching(graph, perm_type: str = "row") -> np.ndarray:
-    """``scipy.sparse.csgraph.maximum_bipartite_matching``, imported on first
-    use (scipy.sparse would be most of the time of ``import blaschkelab``);
-    a module attribute, so ``benchmarks/tracer.py`` can count the calls."""
+def maximum_bipartite_matching(graph) -> np.ndarray:
+    """``scipy.sparse.csgraph.maximum_bipartite_matching`` with
+    ``perm_type="column"`` (the column matched to each row, -1 if none),
+    imported on first use (scipy.sparse would be most of the time of
+    ``import blaschkelab``); a module attribute, so ``benchmarks/tracer.py``
+    can count the calls."""
     from scipy.sparse.csgraph import maximum_bipartite_matching as match
 
-    return match(graph, perm_type=perm_type)
+    return match(graph, perm_type="column")
 
 
 def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
@@ -69,7 +67,7 @@ def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
     np.cumsum(np.count_nonzero(adj, axis=1), out=indptr[1:])
     indices = np.nonzero(adj)[1].astype(np.int32)
     graph = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=adj.shape)
-    match = maximum_bipartite_matching(graph, perm_type="column")
+    match = maximum_bipartite_matching(graph)
     return match if int((match >= 0).sum()) == n else None
 
 

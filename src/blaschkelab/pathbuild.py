@@ -19,7 +19,6 @@ import numpy as np
 from .blaschke import ZeroList, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
-from .geometry import as_complex
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 
 _PARTITION_CAP = 1 << 20
@@ -38,10 +37,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 def interpolate_points(pairs: Sequence[tuple[complex, complex]], t: float) -> list[complex]:
     if t == 0.0:
-        return [as_complex(a) for a, _ in pairs]
+        return [complex(a) for a, _ in pairs]
     if t == 1.0:
-        return [as_complex(b) for _, b in pairs]
-    return [as_complex(a) + t * (as_complex(b) - as_complex(a)) for a, b in pairs]
+        return [complex(b) for _, b in pairs]
+    return [complex(a) + t * (complex(b) - complex(a)) for a, b in pairs]
 
 
 def _subchord_lengths(pairs: Sequence[tuple[complex, complex]], ts: np.ndarray) -> np.ndarray:
@@ -51,8 +50,8 @@ def _subchord_lengths(pairs: Sequence[tuple[complex, complex]], ts: np.ndarray) 
     is integrated with 16-point Gauss-Legendre, which is ample for the smooth
     integrand of a chord between interior points.
     """
-    a = np.array([as_complex(p) for p, _ in pairs])[:, None, None]
-    d = np.array([as_complex(q) - as_complex(p) for p, q in pairs])[:, None, None]
+    a = np.array([complex(p) for p, _ in pairs])[:, None, None]
+    d = np.array([complex(q) - complex(p) for p, q in pairs])[:, None, None]
     t0 = ts[:-1][None, :, None]
     half = 0.5 * (ts[1:] - ts[:-1])[None, :, None]
     nodes = t0 + half * (_GL_NODES[None, None, :] + 1.0)
@@ -378,7 +377,7 @@ def neighborhood_contours(centers: Sequence[complex]) -> list[ContourGroup]:
     """Boundary arcs of the hyperbolic unit neighborhood {beta(z, centers) <= 1},
     grouped by component: each runs counterclockwise on its own circle
     (``_boundary_arcs``), sampled at ``_PTS_PER_CIRCLE`` points per full circle."""
-    disks = [hyperbolic_circle_euclid(as_complex(c), 1.0) for c in centers]
+    disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
     n = len(disks)
     parent = list(range(n))
 

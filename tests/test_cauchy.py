@@ -97,7 +97,7 @@ class TestCauchyOnCircle:
     def test_orientation_antisymmetry(self):
         sigma = PathMeasure(((0.1 + 0.2j, -0.4j), (0.3 + 0j, 0.2 + 0.5j)))
         f = cauchy_on_circle(sigma, 64).samples
-        g = cauchy_on_circle(sigma.reversed(), 64).samples
+        g = cauchy_on_circle(PathMeasure(tuple((b, a) for a, b in sigma.segments)), 64).samples
         np.testing.assert_allclose(f, -g, atol=1e-15)
 
     def test_linearity(self):
@@ -297,13 +297,3 @@ class TestHardyNormBound:
             if ratio > 1.0:
                 report.append(f"ratio {ratio:.3f} for {n} atoms")
         assert worst <= 1.0, f"bound exceeded: worst ratio {worst:.3f}; findings: {report[:5]}"
-
-
-class TestSerializationRoundTrips:
-    def test_path_measure_json(self):
-        sigma = PathMeasure(((0.1 + 0.2j, -0.3j), (0.0j, 0.5 + 0j)))
-        assert PathMeasure.from_json(sigma.to_json()) == sigma
-
-    def test_discrete_measure_json(self):
-        m = DiscreteMeasure(((0.5 + 0j, 0.5 + 0.1j), (0.2j, 1.0 + 0j)))
-        assert DiscreteMeasure.from_json(m.to_json()) == m

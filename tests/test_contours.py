@@ -439,7 +439,7 @@ class TestHarmonicMeasure:
     def test_source_on_an_edge_rejected(self):
         c = JordanCurveApprox.circle(0.0, 0.4, n=256)
         with pytest.raises(ValueError, match="strictly inside"):
-            harmonic_measure(0.5 * (c.points[1] + c.points[2]), c)
+            harmonic_measure(0.5 * (c.points[1] + c.points[2]), c, method="exact")
 
     def test_contains_agrees_with_the_winding_number_off_the_curve(self):
         rng = np.random.default_rng(17)
@@ -465,7 +465,7 @@ class TestHarmonicMeasure:
     def test_source_outside_rejected(self):
         c = JordanCurveApprox.circle(0.0, 0.3, n=32)
         with pytest.raises(ValueError):
-            harmonic_measure(0.8, c)
+            harmonic_measure(0.8, c, method="exact")
 
     def test_exact_needs_disk(self):
         zl = ZeroList.from_points([0.3])
@@ -477,7 +477,7 @@ class TestHarmonicMeasure:
         c = JordanCurveApprox.circle(0.0, 0.4, n=64)
         rng = np.random.default_rng(3)
         n_walks = 30_000
-        mu, mb = harmonic_measure_paired(0.0, 0.1, c, n_samples=n_walks, rng=rng)
+        mu, mb, _ = harmonic_measure_paired(0.0, 0.1, c, n_samples=n_walks, rng=rng)
         ex_u = harmonic_measure(0.0, c, method="exact").reshape(8, -1).sum(axis=1)
         ex_b = harmonic_measure(0.1, c, method="exact").reshape(8, -1).sum(axis=1)
         se = np.sqrt(0.125 * 0.875 / n_walks)
@@ -547,7 +547,7 @@ class TestAtlasAndRepresentatives:
 
     def test_inconsistent_totals_detected(self):
         circ = JordanCurveApprox.circle(0.0, 0.5, n=16)
-        bad = HarmonicMeasureAtlas((circ,), (np.full(16, 1.3 / 16),), (np.zeros(16),))
+        bad = HarmonicMeasureAtlas(ZeroList(m=1), ZeroList(), (circ,), (np.full(16, 1.3 / 16),), (np.zeros(16),))
         with pytest.raises(AtlasInconsistencyError):
             bad.validate_totals()
 
@@ -615,10 +615,25 @@ class TestLogQuotient:
             both = _contour_integrals(atlas, z, _edge_logs(atlas, z))
         one_by_one = 0.0j
         for i, c in enumerate(curves):
-            single = HarmonicMeasureAtlas((c,), (atlas.nu_u[i],), (atlas.nu_b[i],))
+            single = HarmonicMeasureAtlas(u, b, (c,), (atlas.nu_u[i],), (atlas.nu_b[i],))
             one_by_one += _contour_integrals(single, z, _edge_logs(single, z))
         assert abs(both - one_by_one) < 1e-14
         assert abs(both - _uncached_integrals(atlas, z, (5, 40))) < 1e-13
+
+    def test_atlas_is_bound_to_its_products(self):
+        # an atlas answers only for its own products: a C1 calibrated on
+        # u = 1j z and reused for u = z returns 1j u/b
+        b = ZeroList.from_points([0.1])
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=256)
+        z = 0.6 + 0.2j
+        atlas = build_atlas(ZeroList(m=1), b, [circ], method="exact")
+        with pytest.raises(ValueError, match="built from"):
+            log_quotient_via_contour(ZeroList(m=1, lam=1j), b, atlas, z)
+        for u in (ZeroList(m=1), ZeroList(m=1, lam=1j)):
+            own = atlas if u == atlas.u else build_atlas(u, b, [circ], method="exact")
+            ratio = evaluate_grid(u, np.array([z]))[0] / evaluate_grid(b, np.array([z]))[0]
+            # the exact route on 256 edges is 1e-5 off; the old answer was 1j u/b
+            assert abs(np.exp(log_quotient_via_contour(u, b, own, z)) - ratio) < 1e-4
 
     def test_interior_point_rejected(self):
         u = ZeroList(m=1)
@@ -645,11 +660,15 @@ class TestLogQuotient:
         assert np.isfinite(log_quotient_via_contour(u, b, atlas, mid * (1.0 + 1e-9)))
 
     def test_errors_keep_their_order(self):
-        # a point inside or on a curve, then unequal counts
+        # products other than the atlas's, a point inside or on a curve, then
+        # unequal counts
         u = ZeroList.from_points([0.1, -0.1])
         b = ZeroList.from_points([0.1])
         circ = JordanCurveApprox.circle(0.0, 0.4, n=128)
         atlas = build_atlas(u, b, [circ], method="exact")
+        for other_u, other_b in ((b, b), (u, u)):
+            with pytest.raises(ValueError, match="built from"):
+                log_quotient_via_contour(other_u, other_b, atlas, 0.1)
         for z in (0.1, circ.points[5]):
             with pytest.raises(ValueError, match="outside every curve"):
                 log_quotient_via_contour(u, b, atlas, z)
@@ -999,7 +1018,7 @@ class TestWalkEngine:
         theta = np.angle(0.5 * (curve.edge_starts() + curve.edge_ends()))
         n = 400_000
         z_u, z_b = 0.1 + 0.0j, -0.05 + 0.1j
-        mu, mb = harmonic_measure_paired(z_u, z_b, curve, n_samples=n, rng=np.random.default_rng(seed))
+        mu, mb, _ = harmonic_measure_paired(z_u, z_b, curve, n_samples=n, rng=np.random.default_rng(seed))
         _assert_arcs_and_modes_agree(mu, _poisson_edge_masses(z_u, curve), theta, n)
         _assert_arcs_and_modes_agree(mb, _poisson_edge_masses(z_b, curve), theta, n)
 
@@ -1013,7 +1032,7 @@ class TestWalkEngine:
             _reference_walk(z_u, curve, n_ref, np.random.default_rng(2)),
         )
         got = (
-            *harmonic_measure_paired(z_u, z_b, curve, n_samples=n_new, rng=np.random.default_rng(3)),
+            *harmonic_measure_paired(z_u, z_b, curve, n_samples=n_new, rng=np.random.default_rng(3))[:2],
             harmonic_measure(z_u, curve, n_samples=n_new, rng=np.random.default_rng(4), method="walk"),
         )
         for g, r in zip(got, ref):
@@ -1027,13 +1046,13 @@ class TestWalkEngine:
         # exit edge is its first-step angle, uniform only through the shift
         curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
         edges = {
-            int(np.argmax(harmonic_measure(0.0, curve, 1, np.random.default_rng(seed), "walk"))) for seed in range(200)
+            int(np.argmax(harmonic_measure(0.0, curve, 1, np.random.default_rng(seed), method="walk"))) for seed in range(200)
         }
         assert len(edges) > 48
 
     def test_equal_sources_fuse_at_once(self):
         curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
-        mu, mb = harmonic_measure_paired(0.1, 0.1, curve, n_samples=5000, rng=np.random.default_rng(9))
+        mu, mb, _ = harmonic_measure_paired(0.1, 0.1, curve, n_samples=5000, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(mu, mb)
 
     def test_seeded_runs_repeat(self):
@@ -1070,7 +1089,7 @@ class TestIndexedWalks:
             indexed, dense = self._both_routes(
                 monkeypatch,
                 lambda: (
-                    harmonic_measure(z, curve, 400, np.random.default_rng(seed), "walk"),
+                    harmonic_measure(z, curve, 400, np.random.default_rng(seed), method="walk"),
                     *harmonic_measure_paired(z, z - 0.06j, curve, 400, np.random.default_rng(seed)),
                 ),
             )
@@ -1083,7 +1102,7 @@ class TestIndexedWalks:
         curve = _DISTANCE_CURVES["trefoil"]()
         indexed, dense = self._both_routes(
             monkeypatch,
-            lambda: harmonic_measure_paired(0.05, 0.1, curve, 300, np.random.default_rng(8), return_stragglers=True),
+            lambda: harmonic_measure_paired(0.05, 0.1, curve, 300, np.random.default_rng(8)),
         )
         np.testing.assert_array_equal(indexed[0], dense[0])
         np.testing.assert_array_equal(indexed[1], dense[1])
@@ -1095,20 +1114,19 @@ class TestWalkStragglers:
         u, b, circ = contour_log_fixture_mc()
         atlas = build_atlas(u, b, [circ], n_samples=40_000, rng=np.random.default_rng(7), method="walk", paired=True)
         assert atlas.walk_stragglers == 0
-        assert "walk_stragglers" not in atlas.to_json()
 
     def test_counted_at_the_step_cap(self, monkeypatch):
         monkeypatch.setattr(contours, "_MAX_STEPS", 2)
         curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
-        mu, mb, stuck = harmonic_measure_paired(0.0, 0.1, curve, 1000, np.random.default_rng(1), return_stragglers=True)
+        mu, mb, stuck = harmonic_measure_paired(0.0, 0.1, curve, 1000, np.random.default_rng(1))
         assert 0 < stuck <= 2000
         assert mu.sum() == pytest.approx(1.0) and mb.sum() == pytest.approx(1.0)
-        masses, solo = harmonic_measure(0.1, curve, 1000, np.random.default_rng(1), "walk", return_stragglers=True)
+        masses, solo = harmonic_measure(0.1, curve, 1000, np.random.default_rng(1), method="walk", return_stragglers=True)
         assert 0 < solo <= 1000 and masses.sum() == pytest.approx(1.0)
-        assert harmonic_measure(0.1, curve, return_stragglers=True)[1] == 0
+        assert harmonic_measure(0.1, curve, method="exact", return_stragglers=True)[1] == 0
         # equal sources fuse on the first step, and a fused pair still out counts twice
         monkeypatch.setattr(contours, "_MAX_STEPS", 1)
-        _, _, stuck = harmonic_measure_paired(0.1, 0.1, curve, 1000, np.random.default_rng(1), return_stragglers=True)
+        _, _, stuck = harmonic_measure_paired(0.1, 0.1, curve, 1000, np.random.default_rng(1))
         assert stuck == 2000
 
     @pytest.mark.parametrize("paired", [True, False])
@@ -1155,15 +1173,15 @@ class TestWalkArguments:
 
     def test_exact_route_ignores_walk_arguments(self):
         curve = JordanCurveApprox.circle(0.0, 0.4, n=64)
-        exact = harmonic_measure(0.1, curve)
-        np.testing.assert_array_equal(harmonic_measure(0.1, curve, n_samples=0), exact)
+        exact = harmonic_measure(0.1, curve, method="exact")
+        np.testing.assert_array_equal(harmonic_measure(0.1, curve, n_samples=0, method="exact"), exact)
 
 
 class TestAtlasTables:
     def test_masses_are_read_only_copies(self):
         circ = JordanCurveApprox.circle(0.0, 0.4, n=16)
         mu, mb = np.full(16, 1.0 / 16), np.full(16, 1.0 / 16)
-        atlas = HarmonicMeasureAtlas((circ,), (mu,), (mb,))
+        atlas = HarmonicMeasureAtlas(ZeroList(m=1), ZeroList.from_points([0.1]), (circ,), (mu,), (mb,))
         mu[0] = 5.0
         assert atlas.nu_u[0][0] == 1.0 / 16
         for table in (atlas.nu_u[0], atlas.nu_b[0]):
@@ -1224,7 +1242,7 @@ class TestCachedContourIntegrals:
             with monkeypatch.context() as patch:
                 if starts is not None:
                     _start_at(patch, starts)
-                atlas = HarmonicMeasureAtlas(built.curves, built.nu_u, built.nu_b)
+                atlas = HarmonicMeasureAtlas(u, b, built.curves, built.nu_u, built.nu_b)
                 c1 = direct - _uncached_integrals(atlas, ref, s)
                 for z in points:
                     got = log_quotient_via_contour(u, b, atlas, z)

@@ -12,7 +12,6 @@ from blaschkelab.errors import DegenerateInputError
 from blaschkelab import matching
 from blaschkelab.geometry import (
     RHO_CAP,
-    DiskPoint,
     beta_from_rho,
     beta_matrix,
     clamped_beta,
@@ -35,28 +34,19 @@ def _random_disk_points(rng, n, r_max=0.999):
     return r * np.exp(1j * phi)
 
 
-class TestDiskPoint:
+class TestInteriorValue:
     def test_interior_accepted(self):
-        assert DiskPoint(0.3 + 0.4j).value == 0.3 + 0.4j
+        assert interior_value(0.3 + 0.4j) == 0.3 + 0.4j
+        assert type(interior_value(0.5)) is complex
 
     def test_near_boundary_rejected(self):
         with pytest.raises(ValueError):
-            DiskPoint(1.0 - 1e-13)
+            interior_value(1.0 - 1e-13)
 
-    def test_boundary_flag(self):
-        p = DiskPoint(np.exp(0.3j), boundary=True)
-        assert abs(abs(p.value) - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("boundary", [False, True])
-    def test_nan_rejected(self, boundary):
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.1), complex(0.1, math.nan)], ids=["real", "imag"])
+    def test_nan_rejected(self, z):
         with pytest.raises(ValueError):
-            DiskPoint(complex(math.nan, 0.1), boundary=boundary)
-        with pytest.raises(ValueError):
-            interior_value(complex(0.1, math.nan))
-
-    def test_outside_rejected_even_with_flag(self):
-        with pytest.raises(ValueError):
-            DiskPoint(1.5, boundary=True)
+            interior_value(z)
 
 
 class TestMobius:

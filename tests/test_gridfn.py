@@ -70,12 +70,6 @@ class TestWindingNumber:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        f = BoundaryGridFunction(np.exp(1j * THETA[:16]) if False else np.cos(THETA[:64]) + 0.5)
-        g = BoundaryGridFunction.from_json(f.to_json())
-        np.testing.assert_allclose(f.samples, g.samples)
-        assert g.is_real
-
     def test_csv(self, tmp_path):
         f = BoundaryGridFunction(np.exp(1j * 2 * np.pi * np.arange(8) / 8))
         path = tmp_path / "f.csv"

@@ -13,7 +13,7 @@ from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, outer_correction
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
 from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
-from blaschkelab.geometry import as_complex, hyper_distance, rho_from_beta
+from blaschkelab.geometry import hyper_distance, rho_from_beta
 from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 from blaschkelab.matching import bottleneck_match
 from blaschkelab.pathbuild import (
@@ -424,7 +424,7 @@ def _reference_certify(
     for j, step in enumerate(path.steps):
         zeros_from, zeros_to = path.vertices[j].zeros_t, path.vertices[j + 1].zeros_t
         centers = zeros_from.expanded_points()
-        disks = [hyperbolic_circle_euclid(as_complex(c), 1.0) for c in centers]
+        disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
         groups = neighborhood_contours(centers)
 
         def bracket(w, s):
