@@ -5,9 +5,24 @@ Log(1 - z0 e^{-i theta}) - Log(1 - z1 e^{-i theta}); every use site applies
 its own explicit factor of 2.  Principal branches suffice because each Log(1-w)
 with w in the disk has imaginary part in (-pi/2, pi/2).  The difference of the
 two Logs therefore lies in (-pi, pi), so it is the principal Log of the single
-ratio (1 - z0 e^{-i theta}) / (1 - z1 e^{-i theta}): the grid kernel takes one
-real log and one angle per node, and ``cauchy_segment_closed_form`` keeps the
-two-Log form as the independent scalar route.
+ratio (1 - z0 e^{-i theta}) / (1 - z1 e^{-i theta}): the per-segment grid
+kernel ``_segment_grid`` takes one complex division, one real log and one
+angle per node, and ``cauchy_segment_closed_form`` keeps the two-Log form as
+the independent scalar route.
+
+``cauchy_on_circle`` sums the segments whose endpoints lie within
+``_SERIES_RADIUS`` of the origin by the power series
+Sum_k [Log(1 - z0_k w) - Log(1 - z1_k w)] = -Sum_{j>=1} (p_j(z0) - p_j(z1)) w^j / j
+with p_j(z) = Sum_k z_k^j, truncated at J = ceil(log(2^-53) / log max|z|)
+terms.  On the n grid nodes w^j depends only on j mod n, so the coefficients
+are folded mod n and the whole sum is one FFT of length n.  The powers are
+formed in blocks z^(Bq+s) = (z^B)^q z^s, which costs about (q + s) eps per
+term and eps / (1 - |z|) for the sum; real and imaginary parts of the powers
+below ``_SUBNORMAL_FLUSH`` are set to zero, because subnormal operands slow
+the block product many times over.  A segment with an endpoint beyond
+``_SERIES_RADIUS`` (where J grows like 1 / (1 - |z|)) keeps ``_segment_grid``,
+and a segment with z0 == z1 is skipped.  Either route computes the same
+difference of two principal Logs, so the split by segment is branch-safe.
 """
 
 from __future__ import annotations
@@ -25,6 +40,9 @@ from .geometry import ORIGIN_FOLD, interior_value
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 
 CIRCLE_SEGMENT_GUARD = 1e-8
+_SERIES_RADIUS = 0.99  # segments beyond it keep the per-segment kernel
+_POWER_BLOCK = 32  # powers z^(Bq+s) = (z^B)^q z^s
+_SUBNORMAL_FLUSH = 1e-250
 
 
 @dataclass(frozen=True)
@@ -71,17 +89,50 @@ def _segment_grid(z0: complex, z1: complex, nodes_conj: np.ndarray) -> np.ndarra
     return np.log(np.abs(r)) + 1j * np.angle(r)
 
 
+def _power_series_on_circle(z0: np.ndarray, z1: np.ndarray, n: int) -> np.ndarray:
+    """Sum_k Log(1 - z0_k w) - Log(1 - z1_k w) at w = conj(nodes), as
+    -Sum_{j>=1} (p_j(z0) - p_j(z1)) w^j / j folded mod n into one FFT."""
+    z = np.concatenate((z0, z1))
+    n_terms = math.ceil(math.log(2.0**-53) / math.log(float(np.abs(z).max())))
+    low = np.empty((z.size, _POWER_BLOCK), dtype=np.complex128)  # z^s
+    low[:, 0] = 1.0
+    low[:, 1:] = z[:, None]
+    np.cumprod(low, axis=1, out=low)
+    high = np.empty((z.size, n_terms // _POWER_BLOCK + 1), dtype=np.complex128)  # +-(z^B)^q
+    high[: z0.size, 0] = 1.0
+    high[z0.size :, 0] = -1.0
+    high[:, 1:] = (low[:, -1] * z)[:, None]
+    np.cumprod(high, axis=1, out=high)
+    for powers in (low, high):
+        parts = powers.view(np.float64)
+        parts[np.abs(parts) < _SUBNORMAL_FLUSH] = 0.0
+    sums = (high.T @ low).ravel()  # p_j(z0) - p_j(z1) at j = B q + s
+    j = np.arange(1, sums.size)
+    coef = sums[1:] / j
+    residue = j % n
+    folded = np.bincount(residue, coef.real, n) + 1j * np.bincount(residue, coef.imag, n)
+    return -np.fft.fft(folded)
+
+
 def cauchy_on_circle(sigma: PathMeasure, n: int) -> BoundaryGridFunction:
     """Boundary trace of the path-measure transform on the uniform grid."""
+    inner: list[tuple[complex, complex]] = []
+    outer: list[tuple[complex, complex]] = []
     for a, b in sigma.segments:
-        if abs(a) > 1.0 - CIRCLE_SEGMENT_GUARD or abs(b) > 1.0 - CIRCLE_SEGMENT_GUARD:
+        radius = max(abs(a), abs(b))
+        if radius > 1.0 - CIRCLE_SEGMENT_GUARD:
             raise IllConditionedBoundaryError(
                 "segment endpoint within 1e-8 of the circle; transform is ill-conditioned"
             )
+        if a != b:
+            (inner if radius <= _SERIES_RADIUS else outer).append((a, b))
     nodes_conj = np.conj(circle_nodes(n))
     out = np.zeros(n, dtype=np.complex128)
-    for a, b in sigma.segments:
+    for a, b in outer:
         out += _segment_grid(a, b, nodes_conj)
+    if inner:
+        z0, z1 = np.array(inner).T
+        out += _power_series_on_circle(z0, z1, n)
     return BoundaryGridFunction(out)
 
 

@@ -38,7 +38,7 @@ _LEVEL_TOL = 0.1
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanCurveApprox:
     """A closed positively-oriented polyline in the disk, every edge of positive length.
 
@@ -551,7 +551,7 @@ _INDEX_BLOCK = 1 << 16
 _INDEX_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CellIndex:
     """Uniform cells over a polyline's bounding box, each listing (CSR, edge
     order ascending) every edge that can be nearest to a point of the cell.
@@ -640,7 +640,7 @@ class _CellIndex:
 _TOTAL_TOL = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicMeasureAtlas:
     """Per-curve edge masses of the zero measures of the products u and b.
 

@@ -16,7 +16,7 @@ import numpy as np
 MIN_GRID = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryGridFunction:
     """Samples at the n-th roots of unity e^{2 pi i j / n}, j = 0..n-1.
 

@@ -267,7 +267,9 @@ def _build_once(
         steps.append(replace(step, step_norm=step_norm))
         from_pts, from_trace = to_pts, to_trace
 
-    # FFT cross-check of the closed form: 2 Im C(sigma_total) - (log |g|)~
+    # Cross-check of the closed form: 2 Im C(sigma_total) - (log |g|)~.  Within
+    # cauchy._SERIES_RADIUS, C(sigma_total) comes from power sums and one FFT,
+    # while outer_log sums _segment_grid per chord, so two routes meet here.
     c_total = cauchy_on_circle(PathMeasure.from_pairs(pairs), n_grid).samples
     log_modulus = BoundaryGridFunction(vertices[-1].outer_log.samples.real)
     functional = float(np.abs(2.0 * c_total.imag - harmonic_conjugate(log_modulus).samples).max())

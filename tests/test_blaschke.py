@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from blaschkelab.blaschke import (
 )
 from blaschkelab.errors import IllConditionedBoundaryError
 from blaschkelab.fixtures import geometric_zeros, random_point, random_zerolist
-from blaschkelab.gridfn import winding_number
+from blaschkelab.gridfn import circle_nodes, winding_number
 from blaschkelab.matching import bottleneck_match
 
 
@@ -94,6 +95,63 @@ class TestEvalBoundary:
     def test_zero_near_circle_rejected(self):
         with pytest.raises(IllConditionedBoundaryError):
             eval_boundary(ZeroList(((1.0 - 1e-11 + 0j, 1),)), 64)
+
+
+
+def power_sum_boundary_oracle(b: ZeroList, n: int) -> np.ndarray:
+    """b on the n-grid from the power sums p_j of its nonzero zeros, with no
+    factor formed: each factor is -(conj(z)/|z|) w exp(2i Im Log(1 - z conj(w)))
+    on |w| = 1, so b = C w^deg exp(2i Im sum_j conj(p_j) w^j / j) with
+    C = lam prod(-conj(z)/|z|)."""
+    zeros = np.array([z for z, k in b.zeros for _ in range(k)], dtype=np.complex128)
+    nodes = circle_nodes(n)
+    m = np.arange(n)
+    monomial = b.lam * np.prod(-np.conj(zeros) / np.abs(zeros)) * nodes[(b.degree * m) % n]
+    if zeros.size == 0:
+        return monomial
+    n_terms = math.ceil(math.log(2.0**-53) / math.log(float(np.abs(zeros).max())))
+    j = np.arange(1, n_terms + 1)
+    power_sums = np.cumprod(np.tile(zeros, (n_terms, 1)), axis=0).sum(axis=1)
+    series = (np.conj(power_sums) / j) @ nodes[np.outer(j, m) % n]  # w^j looked up mod n
+    return monomial * np.exp(2j * series.imag)
+
+
+def _oracle_products():
+    rng = np.random.default_rng(31)
+    return [
+        ZeroList(((0.3 + 0.2j, 2), (-0.7j, 1)), lam=1j, m=1),
+        random_zerolist(rng, 12, 0.95),
+        ZeroList(random_zerolist(rng, 47, 0.95).zeros, lam=complex(np.exp(1j * rng.uniform(0, 2 * math.pi))), m=3),
+    ]
+
+
+class TestPowerSumOracle:
+    """``eval_boundary`` multiplies factors; the oracle uses power sums only."""
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_eval_boundary_matches_the_oracle(self, k):
+        b = _oracle_products()[k]
+        assert b.degree <= 50
+        got = eval_boundary(b, 1024).samples
+        assert np.abs(got - power_sum_boundary_oracle(b, 1024)).max() <= 1e-12
+
+    def test_forty_digit_spot_check(self):
+        # at the exact roots of unity, so the float nodes' rounding, amplified
+        # by |b'| ~ sum (1 - |z|^2) / |w - z|^2, counts against eval_boundary
+        b = _oracle_products()[2]
+        n = 1024
+        got = eval_boundary(b, n).samples
+        oracle = power_sum_boundary_oracle(b, n)
+        with mpmath.workdps(40):
+            for m in range(0, n, 97):
+                w = mpmath.expjpi(mpmath.mpf(2 * m) / n)
+                exact = mpmath.mpc(b.lam) * w**b.m
+                for z, k in b.zeros:
+                    zz = mpmath.mpc(z)
+                    exact *= (mpmath.conj(zz) / abs(zz) * (zz - w) / (1 - mpmath.conj(zz) * w)) ** k
+                exact = complex(exact)
+                assert abs(got[m] - exact) <= 1e-12
+                assert abs(oracle[m] - exact) <= 1e-13
 
 
 class TestDerivative:

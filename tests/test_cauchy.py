@@ -10,7 +10,9 @@ from scipy.integrate import quad
 from blaschkelab.blaschke import ZeroList
 from blaschkelab.carleson import BOX_NORM_SLACK, DiscreteMeasure, box_carleson_norm, suggested_box_depth
 from blaschkelab.cauchy import (
+    _SERIES_RADIUS,
     PathMeasure,
+    _segment_grid,
     cauchy_measure_on_circle,
     cauchy_on_circle,
     cauchy_segment_closed_form,
@@ -157,6 +159,71 @@ class TestOneLogSegmentKernel:
             two_logs = np.log(1.0 - z0 * nodes_conj) - np.log(1.0 - z1 * nodes_conj)
             assert np.abs(grid - two_logs).max() <= 1e-13
 
+
+
+def per_segment_sum(segments, n: int) -> np.ndarray:
+    """The transform as one ``_segment_grid`` per segment, the route that
+    ``cauchy_on_circle`` keeps only beyond ``_SERIES_RADIUS``."""
+    nodes_conj = np.conj(circle_nodes(n))
+    out = np.zeros(n, dtype=np.complex128)
+    for z0, z1 in segments:
+        out += _segment_grid(z0, z1, nodes_conj)
+    return out
+
+
+def polar(r: float, phi: float) -> complex:
+    return complex(r * math.cos(phi), r * math.sin(phi))
+
+
+class TestPowerSeriesRoute:
+    """Segments within ``_SERIES_RADIUS`` go through the power sums folded
+    mod n and one FFT; they must agree with the per-segment kernel."""
+
+    def _assert_routes_agree(self, segments, n: int):
+        got = cauchy_on_circle(PathMeasure.from_pairs(segments), n).samples
+        assert np.abs(got - per_segment_sum(segments, n)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16, 256])
+    def test_folding_past_the_grid(self, n):
+        # |z| = 0.95 needs J = 717 terms, so every residue mod n collects many
+        rng = np.random.default_rng(20 + n)
+        segments = [(polar(0.95, 2 * math.pi * rng.random()), random_point(rng, 0.9)) for _ in range(6)]
+        self._assert_routes_agree(segments, n)
+
+    def test_identity_batch_size(self):
+        rng = np.random.default_rng(21)
+        za, zb = random_matched_pair(rng, 200, 1.0, 0.95)
+        self._assert_routes_agree(list(zip(za.expanded_points(), zb.expanded_points())), 4096)
+
+    def test_segments_straddling_the_split(self):
+        rng = np.random.default_rng(22)
+        straddling = [
+            (polar(0.995, 2 * math.pi * rng.random()), polar(0.5, 2 * math.pi * rng.random())) for _ in range(4)
+        ]
+        inner = [(random_point(rng, 0.9), random_point(rng, 0.9)) for _ in range(4)]
+        self._assert_routes_agree(straddling + inner, 512)
+        assert max(abs(z) for z in straddling[0]) > _SERIES_RADIUS
+        # a segment beyond the split keeps the per-segment kernel's bits
+        np.testing.assert_array_equal(
+            cauchy_on_circle(PathMeasure(straddling[:1]), 512).samples, per_segment_sum(straddling[:1], 512)
+        )
+
+    def test_origin_endpoints_and_degenerate_segments(self):
+        z = 0.6 - 0.3j
+        self._assert_routes_agree([(0j, z), (0.2j, 0j), (z, z), (0j, 0j)], 64)
+        np.testing.assert_array_equal(cauchy_on_circle(PathMeasure(((z, z),)), 64).samples, 0.0)
+
+    def test_tiny_endpoints_beside_large_ones(self):
+        # |z| = 0.95 sets J = 717, so the powers of |z| ~ 1e-3 pass through the
+        # subnormal range long before the last block and are flushed to zero
+        rng = np.random.default_rng(23)
+        tiny = [
+            (polar(1e-3 * (1 + rng.random()), 2 * math.pi * rng.random()), polar(1e-3, 2 * math.pi * rng.random()))
+            for _ in range(40)
+        ]
+        large = [(polar(0.95, 2 * math.pi * rng.random()), random_point(rng, 0.5)) for _ in range(3)]
+        self._assert_routes_agree(tiny + large, 1024)
+        self._assert_routes_agree(tiny, 1024)
 
 class TestGammaConstant:
     def test_equal_pairs(self):

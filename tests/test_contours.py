@@ -39,7 +39,7 @@ from blaschkelab.errors import (
     VerificationError,
 )
 from blaschkelab.geometry import hyper_distance, interior_value, pseudo_distance
-from blaschkelab.gridfn import winding_number
+from blaschkelab.gridfn import BoundaryGridFunction, winding_number
 
 
 class TestLevelSets:
@@ -551,6 +551,28 @@ class TestAtlasAndRepresentatives:
         with pytest.raises(AtlasInconsistencyError):
             bad.validate_totals()
 
+
+
+def _array_dataclass_pair(name):
+    """Two equal-valued instances of a frozen dataclass with array fields."""
+    if name == "BoundaryGridFunction":
+        return BoundaryGridFunction(np.zeros(8)), BoundaryGridFunction(np.zeros(8))
+    if name == "JordanCurveApprox":
+        return JordanCurveApprox.circle(0.0, 0.4, n=64), JordanCurveApprox.circle(0.0, 0.4, n=64)
+    if name == "_CellIndex":
+        a, b = JordanCurveApprox.circle(0.0, 0.4, n=64), JordanCurveApprox.circle(0.0, 0.4, n=64)
+        return a._cell_index, b._cell_index
+    u, b = ZeroList(m=1), ZeroList.from_points([0.1])
+    circ = JordanCurveApprox.circle(0.0, 0.4, n=64)
+    return build_atlas(u, b, [circ], method="exact"), build_atlas(u, b, [circ], method="exact")
+
+
+@pytest.mark.parametrize("name", ["BoundaryGridFunction", "JordanCurveApprox", "_CellIndex", "HarmonicMeasureAtlas"])
+def test_array_dataclasses_compare_by_identity(name):
+    # a generated __eq__ would compare the array fields and raise ValueError
+    a, b = _array_dataclass_pair(name)
+    assert a == a and a != b
+    assert len({a, a, b}) == 2 and hash(a) == hash(a)
 
 def _start_at(monkeypatch, starts):
     """Start each curve's contour integral at vertex ``starts[component_id]``."""
