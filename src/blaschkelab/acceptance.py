@@ -298,7 +298,7 @@ def check_floating_factorization(config: RunConfig) -> CheckResult:
             "floating factorization (geometric fixture)", False, 0.0, 0.0,
             detail="construction produced no checkpoints", elapsed=time.perf_counter() - t0,
         )
-    worst = min(sampled - target for _, _, target, sampled in result.checks)
+    worst = min(bound - target for _, _, target, bound in result.checks)
     return CheckResult(
         "floating factorization (geometric fixture)", worst >= 0.0, worst, 0.0,
         detail=f"{len(result.checks)} checkpoints over {len(result.radii)} radii",

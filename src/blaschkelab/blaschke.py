@@ -24,10 +24,8 @@ RADIUS_SCAN_FLOOR = 1e-10
 _JENSEN_GRID_CAP = 1 << 20
 # the first quadrature grid of jensen_zero_count
 _JENSEN_START_GRID = 1024
-# floating_factorization: candidate gaps 1 - r shrink by this ratio, and each
-# circle minimum is sampled at this many nodes
+# floating_factorization: candidate gaps 1 - r shrink by this ratio
 _SCAN_RATIO = 0.85
-_CIRCLE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -250,15 +248,15 @@ class FloatingFactorization:
     z2: ZeroList
     radii: tuple[float, ...]
     targets: tuple[float, ...]
-    # (radius index k, factor name, target beta_k, sampled circle min)
+    # (radius index k, factor name, target beta_k, lower bound of the circle min)
     checks: tuple[tuple[int, str, float, float], ...]
 
 
 def _circle_min(zeros: Sequence[tuple[complex, int]], r: float, m: int = 0) -> float:
-    if not zeros and m == 0:
-        return 1.0
-    b = ZeroList(tuple(zeros), m=m)
-    return float(np.abs(evaluate_grid(b, r * circle_nodes(_CIRCLE_NODES))).min())
+    """r^m prod_k rho(|a_k|, r)^mult_k, rho(x, y) = |x - y| / (1 - x y): a lower
+    bound of |b| on |z| = r, since each factor's modulus is at least rho(|a_k|, |z|),
+    and its minimum when every zero has one argument."""
+    return r**m * math.prod((abs(abs(a) - r) / (1.0 - abs(a) * r)) ** k for a, k in zeros)
 
 
 def floating_factorization(b: ZeroList, beta_seq: Sequence[float]) -> FloatingFactorization:
@@ -266,8 +264,9 @@ def floating_factorization(b: ZeroList, beta_seq: Sequence[float]) -> FloatingFa
     alternating checkpoint circles.
 
     Radii are placed one at a time: candidate circles scan a geometric grid in
-    1 - r (ratio ``_SCAN_RATIO``), and r_k is the first candidate where (a) the zeros at or below the
-    previous radius clear sqrt(beta_k) on the circle |z| = r_k, and (b) the
+    1 - r (ratio ``_SCAN_RATIO``), and r_k is the first candidate where, by the
+    lower bound ``_circle_min``, (a) the zeros at or below the previous radius
+    clear sqrt(beta_k) on the circle |z| = r_k, and (b) the
     zeros at or beyond r_k clear sqrt(beta_{k-1}) on the previous circle.  The
     two square roots multiply into the full target for the annulus-excluded
     product, which each factor dominates.  Targets past the end of beta_seq

@@ -21,6 +21,7 @@ from .carleson import DiscreteMeasure, box_carleson_norm, suggested_box_depth
 from .errors import (
     AmbiguousTopologyError,
     AtlasInconsistencyError,
+    ContourThroughZeroError,
     HypothesisViolationError,
 )
 from .geometry import beta_matrix, interior_value, rho_matrix
@@ -180,12 +181,14 @@ def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> li
 
     The loops come from marching squares on a square of ``resolution`` x
     ``resolution`` cells (``_level_loops``) and are sorted by their lowest
-    real, then imaginary, coordinate.  Each curve's enclosed zeros are
-    determined by winding counts; one evaluation of b on its points checks
-    that it stays within ``_LEVEL_TOL`` times delta of the level and that b winds
-    once around it per enclosed zero.  The union of enclosed zeros must
-    exhaust the zeros of b, else the topology at this resolution is
-    ambiguous and the caller should perturb delta.
+    real, then imaginary, coordinate.  Each curve's enclosed zeros are those
+    it ``contains``; one evaluation of b on its points checks that it stays
+    within ``_LEVEL_TOL`` times delta of the level and starts the Rouche
+    count, ``gridfn.winding_number`` on the closed polyline, which evaluates b
+    again only at the midpoints it inserts: b must wind once around the
+    curve per enclosed zero.  The union of enclosed zeros must exhaust the
+    zeros of b, else the topology at this resolution is ambiguous and the
+    caller should perturb delta.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"level must be in (0, 1), got {delta}")
@@ -212,34 +215,26 @@ def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> li
     loops = _level_loops(b, delta, grid, vals)
 
     curves: list[JordanCurveApprox] = []
-    remaining = {z: k for z, k in b.zeros}
-    origin_left = b.m
+    zeros = ([(0j, b.m)] if b.m else []) + list(b.zeros)
     for cid, pts in enumerate(sorted(loops, key=lambda p: (p.real.min(), p.imag.min()))):
-        enclosed: list[tuple[complex, int]] = []
-        count_inside = 0
-        if b.m > 0 and winding_number(pts - 0.0) != 0:
-            enclosed.append((0.0j, b.m))
-            count_inside += b.m
-            origin_left = 0
-        for z, k in list(remaining.items()):
-            if winding_number(pts - z) != 0:
-                enclosed.append((z, k))
-                count_inside += k
-                del remaining[z]
         on_curve = evaluate_grid(b, pts)
         if float(np.abs(np.abs(on_curve) - delta).max()) > _LEVEL_TOL * delta:
             raise AmbiguousTopologyError("curve samples stray from the level; refine the resolution")
         try:
-            curve = JordanCurveApprox(pts, component_id=cid, enclosed_zeros=tuple(enclosed))
-        except ValueError as exc:
+            curve = JordanCurveApprox(pts, component_id=cid)
+            _, rouche = winding_number(
+                lambda w: evaluate_grid(b, w), [np.append(pts, pts[0])], np.append(on_curve, on_curve[0])
+            )
+        except (ValueError, ContourThroughZeroError) as exc:
             raise AmbiguousTopologyError(str(exc)) from exc
-        rouche = winding_number(on_curve)
-        if rouche != count_inside:
+        # the curve is not shared yet: its zeros are set in place rather than by a second construction
+        object.__setattr__(curve, "enclosed_zeros", tuple((z, k) for z, k in zeros if curve.contains(z)))
+        if rouche != curve.total_zero_count():
             raise AmbiguousTopologyError(
-                f"winding count {rouche} disagrees with enclosed zeros {count_inside}; perturb delta"
+                f"winding count {rouche} disagrees with enclosed zeros {curve.total_zero_count()}; perturb delta"
             )
         curves.append(curve)
-    if remaining or origin_left:
+    if len({z for curve in curves for z, _ in curve.enclosed_zeros}) < len(zeros):
         raise AmbiguousTopologyError("some zeros are enclosed by no curve at this resolution")
     return curves
 

@@ -1,8 +1,9 @@
 """Functions sampled on a uniform grid of the unit circle.
 
 Carries boundary traces and the analysis kernels acting on them: harmonic
-conjugation (the -i sgn(n) Fourier multiplier) and winding numbers of
-sampled curves.
+conjugation (the -i sgn(n) Fourier multiplier) and the library's one
+argument-principle count, ``winding_number``, which bisects the sampled
+curves until every phase increment is unambiguous.
 """
 
 from __future__ import annotations
@@ -10,10 +11,17 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ContourThroughZeroError
+
 MIN_GRID = 8
+# winding_number's settings: the cap on the relative jump of f between
+# consecutive samples, and the distinct points per set of closed curves
+_ETA = 0.5
+_MAX_PTS_PER_LOOP = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +97,44 @@ def harmonic_conjugate(f: BoundaryGridFunction) -> BoundaryGridFunction:
     return BoundaryGridFunction(np.fft.irfft(coeffs, n=f.n))
 
 
-def winding_number(values: np.ndarray) -> int:
-    """Winding number around 0 of a closed sampled curve (last point wraps to first).
+def winding_number(
+    f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray
+) -> tuple[float, int]:
+    """Min |f| over arcs that together form closed curves, and the winding
+    number of f along them, given the values ``vals`` of f at the arcs' points
+    laid end to end.
 
-    Requires consecutive phase steps below pi; callers must sample densely
-    enough for that to hold.
+    No edge joins one arc's last point to the next arc's first.  An edge is
+    bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|) on it
+    exceeds ``_ETA``, which caps every phase increment at arcsin(eta) and makes
+    the sum of the increments unambiguous; f is evaluated at the inserted
+    midpoints only.  A sample on a zero of f gives (0.0, 0).  Needing more
+    than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends count once), or a
+    phase sum farther than 0.1 from an integer, raises ContourThroughZeroError.
     """
-    v = np.asarray(values)
-    if np.any(np.abs(v) == 0.0):
-        raise ValueError("curve passes through 0; winding number undefined")
-    ratios = np.roll(v, -1) / v
-    total = float(np.angle(ratios).sum() / (2.0 * np.pi))
-    k = round(total)
-    if abs(total - k) > 0.1:
-        raise ValueError(f"winding sum {total} not close to an integer; sample more densely")
-    return k
+    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
+    pts = np.concatenate(arcs)
+    last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
+    last[np.cumsum([arc.size for arc in arcs]) - 1] = True
+    while True:
+        mods = np.abs(vals)
+        low = float(mods.min())
+        if low == 0.0:
+            return 0.0, 0
+        edges = ~last[:-1]
+        jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
+        bad = np.nonzero(edges & (jump > eta))[0]
+        if bad.size == 0:
+            total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
+            count = round(total)
+            if abs(total - count) > 0.1:
+                raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
+            return low, count
+        if pts.size - len(arcs) + bad.size > max_pts:
+            raise ContourThroughZeroError(
+                f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
+            )
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, f(mids))
+        last = np.insert(last, bad + 1, False)

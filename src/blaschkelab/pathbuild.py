@@ -19,17 +19,14 @@ import numpy as np
 from .blaschke import ZeroList, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
-from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
+from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 
 _PARTITION_CAP = 1 << 20
 # step-size halvings of build_path's auto-refinement
 _MAX_REFINEMENTS = 12
-# the certification's settings, shared by build_path's start margin: the cap on
-# the relative jump of f between consecutive contour samples (winding safety),
-# the points per neighborhood circle and the distinct points per component
-_ETA = 0.5
+# the points per neighborhood circle of the certification, shared by
+# build_path's start margin
 _PTS_PER_CIRCLE = 256
-_MAX_PTS_PER_LOOP = 1 << 16
 #: The s-samples of each certified segment, as Python floats (``path_moduli.csv`` prints them).
 SEGMENT_S_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -433,9 +430,9 @@ def certify_path(path: PolygonalPath) -> CertificationReport:
     the hyperbolic unit neighborhood of Z(b_{t_j}): its modulus on the sampled
     set must stay positive and its winding count on each component must equal
     the zeros of b_{t_j} there, summed over the component's boundary arcs.
-    ``_ETA`` = 0.5 caps the relative jump of f between consecutive contour
-    samples (winding safety), and ``_MAX_PTS_PER_LOOP`` caps a component's
-    distinct boundary points (``_loop_margin_count``).
+    Each count is ``gridfn.winding_number``, which bisects an edge while the
+    relative jump of f across it exceeds ``gridfn._ETA`` = 0.5 and caps a
+    component's distinct boundary points at ``gridfn._MAX_PTS_PER_LOOP``.
     """
     checks: list[SampleCheck] = []
     failures: list[str] = []
@@ -509,10 +506,10 @@ def _group_margin_count(
     f_s is affine in s, so A and B are evaluated once per group and every
     s-sample is formed from them; s = 0 is A itself and never needs the
     target (None is allowed when s_values is (0.0,)).  Each s refines the
-    arcs on its own by ``_loop_margin_count``.  An s whose samples hit a zero
-    of f_s gets (0.0, 0); one that needs more than ``_MAX_PTS_PER_LOOP``
-    distinct points, or whose phase sum is not near an integer, gets its
-    ContourThroughZeroError instead.
+    arcs on its own by ``gridfn.winding_number``.  An s whose samples hit a
+    zero of f_s gets (0.0, 0); one that needs more than
+    ``gridfn._MAX_PTS_PER_LOOP`` distinct points, or whose phase sum is not
+    near an integer, gets its ContourThroughZeroError instead.
     """
     pts = np.concatenate(group.arcs)
     a = base(pts)
@@ -521,7 +518,7 @@ def _group_margin_count(
     for s in s_values:
         f, vals = (base, a) if s == 0.0 else (_segment_fn(base, target, s), a + s * (b - a))
         try:
-            out.append(_loop_margin_count(f, group.arcs, vals))
+            out.append(winding_number(f, group.arcs, vals))
         except ContourThroughZeroError as exc:
             out.append(exc)
     return out
@@ -535,46 +532,3 @@ def _segment_fn(base, target, s: float) -> Callable[[np.ndarray], np.ndarray]:
         return a + s * (target(w) - a)
 
     return f
-
-
-def _loop_margin_count(
-    f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray
-) -> tuple[float, int]:
-    """Min |f| over arcs that together form closed curves, and the winding
-    number of f along them, given the values ``vals`` of f at the arcs' points
-    laid end to end.
-
-    No edge joins one arc's last point to the next arc's first.  An edge is
-    bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|) on it
-    exceeds ``_ETA``, which caps every phase increment at arcsin(eta) and makes
-    the sum of the increments unambiguous; f is evaluated at the inserted
-    midpoints only.  A sample on a zero of f gives (0.0, 0).  Needing more
-    than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends count once), or a
-    phase sum farther than 0.1 from an integer, raises ContourThroughZeroError.
-    """
-    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
-    pts = np.concatenate(arcs)
-    last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
-    last[np.cumsum([arc.size for arc in arcs]) - 1] = True
-    while True:
-        mods = np.abs(vals)
-        low = float(mods.min())
-        if low == 0.0:
-            return 0.0, 0
-        edges = ~last[:-1]
-        jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
-        bad = np.nonzero(edges & (jump > eta))[0]
-        if bad.size == 0:
-            total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
-            count = round(total)
-            if abs(total - count) > 0.1:
-                raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
-            return low, count
-        if pts.size - len(arcs) + bad.size > max_pts:
-            raise ContourThroughZeroError(
-                f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
-            )
-        mids = 0.5 * (pts[bad] + pts[bad + 1])
-        pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, f(mids))
-        last = np.insert(last, bad + 1, False)

@@ -9,6 +9,7 @@ import pytest
 from blaschkelab.blaschke import (
     SingularShiftSpec,
     ZeroList,
+    _circle_min,
     derivative,
     derivative_grid,
     eval_boundary,
@@ -20,7 +21,7 @@ from blaschkelab.blaschke import (
 )
 from blaschkelab.errors import IllConditionedBoundaryError
 from blaschkelab.fixtures import geometric_zeros, random_point, random_zerolist
-from blaschkelab.gridfn import circle_nodes, winding_number
+from blaschkelab.gridfn import circle_nodes
 from blaschkelab.matching import bottleneck_match
 
 
@@ -90,7 +91,9 @@ class TestEvalBoundary:
 
     def test_winding_equals_degree(self):
         zl = ZeroList.from_points([0.5, 0.5j])
-        assert winding_number(eval_boundary(zl, 512).samples) == 2
+        # the sampled winding: wrapped phase steps between neighbouring nodes, summed
+        vals = eval_boundary(zl, 512).samples
+        assert np.angle(np.roll(vals, -1) / vals).sum() / (2.0 * np.pi) == pytest.approx(2.0, abs=0.1)
 
     def test_zero_near_circle_rejected(self):
         with pytest.raises(IllConditionedBoundaryError):
@@ -319,6 +322,29 @@ class TestFloatingFactorization:
             # denser, offset sampling than the constructor used
             pts = r * np.exp(2j * np.pi * (np.arange(8192) + 0.37) / 8192)
             assert float(np.abs(evaluate_grid(part, pts)).min()) >= target - 1e-9
+
+    def test_circle_min_bounds_the_sampled_minimum(self):
+        # zeros off one ray: the bound stays below |b| on the whole circle
+        rng = np.random.default_rng(29)
+        circle = np.exp(2j * np.pi * (np.arange(8192) + 0.37) / 8192)
+        for _ in range(60):
+            zl = ZeroList(random_zerolist(rng, int(rng.integers(1, 9)), 0.95).zeros, m=int(rng.integers(0, 3)))
+            r = float(rng.uniform(0.02, 0.98))
+            sampled = float(np.abs(evaluate_grid(zl, r * circle)).min())
+            assert _circle_min(zl.zeros, r, m=zl.m) <= sampled
+
+    def test_circle_min_is_exact_when_the_zeros_share_an_argument(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            r = float(rng.uniform(0.05, 0.95))
+            moduli = [x for x in rng.uniform(0.02, 0.98, 6) if abs(x - r) > 0.05]
+            zl = ZeroList(
+                tuple((x * complex(math.cos(theta), math.sin(theta)), int(rng.integers(1, 3))) for x in moduli),
+                m=int(rng.integers(0, 3)),
+            )
+            exact = abs(evaluate(zl, r * complex(math.cos(theta), math.sin(theta))))
+            assert _circle_min(zl.zeros, r, m=zl.m) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_deep_chain_exhausts_the_scan(self):
         # 30 octaves of zeros need one rung more than fits under the

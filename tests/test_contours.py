@@ -38,8 +38,18 @@ from blaschkelab.errors import (
     HypothesisViolationError,
     VerificationError,
 )
+from blaschkelab.fixtures import random_point
 from blaschkelab.geometry import hyper_distance, interior_value, pseudo_distance
-from blaschkelab.gridfn import BoundaryGridFunction, winding_number
+from blaschkelab.gridfn import BoundaryGridFunction
+
+
+def _sampled_winding(values):
+    """Winding number about 0 of a closed sampled curve, the last point joined
+    to the first: the sum of the wrapped phase steps, which must be near an
+    integer."""
+    total = float(np.angle(np.roll(values, -1) / values).sum() / (2.0 * np.pi))
+    assert abs(total - round(total)) <= 0.1, f"winding sum {total} not near an integer"
+    return round(total)
 
 
 class TestLevelSets:
@@ -69,6 +79,45 @@ class TestLevelSets:
         for c in level_set_components(zl, 0.4, resolution=400):
             on_curve = np.abs(evaluate_grid(zl, c.points))
             assert np.abs(on_curve - 0.4).max() <= 0.1 * 0.4
+
+    def test_rouche_count_bisects_a_coarse_curve(self, monkeypatch):
+        # 10 vertices around one zero: a phase step of about 36 degrees moves b
+        # by more than half its modulus, so the count must insert midpoints
+        zl = ZeroList.from_points([0.3])
+        calls, counts = [], []
+        winding_number = contours.winding_number
+
+        def spy_b(b, w):
+            calls.append(np.array(w))
+            return evaluate_grid(b, w)
+
+        def spy_count(*args):
+            result = winding_number(*args)
+            counts.append(result[1])
+            return result
+
+        monkeypatch.setattr(contours, "evaluate_grid", spy_b)
+        monkeypatch.setattr(contours, "winding_number", spy_count)
+        (curve,) = level_set_components(zl, 0.2, resolution=8)
+        p = curve.points
+        mids = 0.5 * (p + np.roll(p, -1))
+        assert any(np.isin(w, mids).all() for w in calls if w.ndim == 1)
+        assert counts == [curve.total_zero_count()] and curve.enclosed_zeros == ((0.3 + 0j, 1),)
+
+    @pytest.mark.parametrize("delta, resolution", [(0.2, 512), (0.5, 256), (0.05, 128)])
+    def test_enclosure_matches_the_sampled_winding(self, delta, resolution):
+        rng = np.random.default_rng(23)
+        resolved = 0
+        for _ in range(6):
+            zl = ZeroList.from_points([random_point(rng, 0.8) for _ in range(8)])
+            try:
+                curves = level_set_components(zl, delta, resolution=resolution)
+            except AmbiguousTopologyError:
+                continue
+            resolved += 1
+            for c in curves:
+                assert c.enclosed_zeros == tuple((z, k) for z, k in zl.zeros if _sampled_winding(c.points - z))
+        assert resolved >= 4
 
     def test_curves_positively_oriented_and_clear_origin_rule(self):
         zl = ZeroList.from_points([0.4])
@@ -424,7 +473,7 @@ class TestHarmonicMeasure:
             for off in (0.0, 1e-300, 1e-17, -1e-17, 1e-15, -1e-15):
                 for z in (on + off * normal).ravel():
                     if np.abs(v - z).min() > 0.0:
-                        winding_number(v - z)
+                        _sampled_winding(v - z)
                         assert curve.contains(z) in (True, False)
                         tried += 1
         assert tried > 10_000
@@ -457,7 +506,7 @@ class TestHarmonicMeasure:
             side = (1j * (e - v) / np.abs(e - v))[k] * rng.choice([-1.0, 1.0], 250) * 10.0 ** rng.uniform(-12, -3, 250)
             for z in [*near, *(v[k] + rng.random(250) * (e - v)[k] + side)]:
                 if _dense_distance(np.array([z]), v, e - v)[0][0] > 1e-13:
-                    assert curve.contains(z) == (winding_number(v - z) != 0)
+                    assert curve.contains(z) == (_sampled_winding(v - z) != 0)
                     inside += curve.contains(z)
                     tried += 1
         assert tried >= 1000 and 300 < inside < 700

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from blaschkelab import gridfn
+from blaschkelab.errors import ContourThroughZeroError
 from blaschkelab.gridfn import (
     BoundaryGridFunction,
     circle_nodes,
@@ -54,19 +56,44 @@ class TestHarmonicConjugate:
             harmonic_conjugate(BoundaryGridFunction(np.exp(1j * THETA)))
 
 
+def _circle(radius, n):
+    """The circle |z| = radius as one closed arc of n edges (first point repeated)."""
+    return radius * np.exp(2j * np.pi * np.arange(n + 1) / n)
+
+
 class TestWindingNumber:
     def test_circle(self):
-        assert winding_number(np.exp(1j * THETA)) == 1
-        assert winding_number(np.exp(-2j * THETA)) == -2
+        pts = _circle(1.0, N)
+        assert winding_number(lambda z: z, [pts], pts) == (pytest.approx(1.0), 1)
+        assert winding_number(lambda z: z**-2, [pts], pts**-2)[1] == -2
 
     def test_offset_no_winding(self):
-        assert winding_number(3.0 + np.exp(1j * THETA)) == 0
+        pts = _circle(1.0, N)
+        assert winding_number(lambda z: 3.0 + z, [pts], 3.0 + pts) == (pytest.approx(2.0), 0)
 
-    def test_through_zero_raises(self):
-        vals = np.exp(1j * THETA).copy()
-        vals[5] = 0.0
-        with pytest.raises(ValueError):
-            winding_number(vals)
+    def test_through_zero_raises(self, monkeypatch):
+        # a zero a third of the way along an edge: no midpoint lands on it, so
+        # bisection runs into the point cap; a sample on the zero itself gives no count
+        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 256)
+        pts = _circle(1.0, 64)
+        zero = pts[5] + (pts[6] - pts[5]) / 3.0
+        with pytest.raises(ContourThroughZeroError, match="needs more than 256 points"):
+            winding_number(lambda z: z - zero, [pts], pts - zero)
+        assert winding_number(lambda z: z - pts[5], [pts], pts - pts[5]) == (0.0, 0)
+
+    def test_bisects_where_the_phase_steps_past_pi(self):
+        # z^3 on 4 edges steps 3 pi / 2 per edge, so the wrapped phase sum
+        # alone reads -1; only the inserted midpoints are evaluated
+        pts, seen = _circle(0.5, 4), []
+
+        def f(z):
+            seen.append(z)
+            return z**3
+
+        low, count = winding_number(f, [pts], pts**3)
+        assert count == 3 and low < 0.125
+        mids = np.concatenate(seen)
+        assert mids.size and np.abs(mids - pts[:, None]).min() > 0.0
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from blaschkelab import pathbuild
+from blaschkelab import gridfn, pathbuild
 from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
 from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, outer_correction
@@ -14,7 +14,7 @@ from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
 from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
 from blaschkelab.geometry import hyper_distance, rho_from_beta
-from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
+from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 from blaschkelab.matching import bottleneck_match
 from blaschkelab.pathbuild import (
     CertificationReport,
@@ -90,7 +90,7 @@ def _polygon_margin_count(f, contour):
     """(min |f|, winding count) of f along a closed polygon, passed to the
     certification's refinement as one arc closed by repeating its first point."""
     pts = np.append(contour, contour[:1])
-    return pathbuild._loop_margin_count(f, [pts], f(pts))
+    return gridfn.winding_number(f, [pts], f(pts))
 
 
 class TestRoucheCount:
@@ -108,13 +108,13 @@ class TestRoucheCount:
         assert _polygon_margin_count(lambda z: evaluate_grid(zl, z), contour)[1] == 5
 
     def test_through_zero_detected(self, monkeypatch):
-        monkeypatch.setattr(pathbuild, "_MAX_PTS_PER_LOOP", 2048)
+        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 2048)
         contour = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
         assert _polygon_margin_count(lambda z: z - 0.5, contour) == (0.0, 0)
 
     def test_point_budget_exhausted(self, monkeypatch):
         # a zero 1e-7 off the contour needs far more than 64 points
-        monkeypatch.setattr(pathbuild, "_MAX_PTS_PER_LOOP", 64)
+        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 64)
         contour = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
         with pytest.raises(ContourThroughZeroError, match="needs more than 64 points"):
             _polygon_margin_count(lambda z: z - 0.5000001, contour)
@@ -212,7 +212,7 @@ class TestBoundaryArcs:
     def test_arcs_that_do_not_close_raise(self):
         half = 0.5 * np.exp(1j * np.pi * np.arange(65) / 64)  # phase sum 1/2 for f(z) = z
         with pytest.raises(ContourThroughZeroError, match="not near an integer"):
-            pathbuild._loop_margin_count(lambda z: z, [half], half)
+            gridfn.winding_number(lambda z: z, [half], half)
 
     def test_winding_counts_zeros_in_the_union(self):
         rng = np.random.default_rng(9)
@@ -386,13 +386,23 @@ def _splice_loops(disks, pts_per_circle):
     return loops
 
 
+def _sampled_winding(values):
+    """Winding number about 0 of a closed sampled curve, the last point joined
+    to the first: the sum of the wrapped phase steps, which must be near an
+    integer.  Unlike ``gridfn.winding_number`` it never bisects, so the
+    caller must sample densely enough for every step to stay below pi."""
+    total = float(np.angle(np.roll(values, -1) / values).sum() / (2.0 * np.pi))
+    assert abs(total - round(total)) <= 0.1, f"winding sum {total} not near an integer"
+    return round(total)
+
+
 def _reference_certify(
     path, eta=0.5, samples_per_segment=5, pts_per_circle=256, max_pts_per_loop=1 << 16, g=_log_exp_g
 ):
     """Certification by the first route: the neighborhood boundary spliced
     into closed loops (``_splice_loops``), every s refining its own copy of
     each loop and re-evaluating f on the whole loop after each bisection,
-    counts by ``winding_number`` and g(step, w) by default the log/exp
+    counts by ``_sampled_winding`` and g(step, w) by default the log/exp
     formula.  Only the grouping of the zeros comes from
     ``neighborhood_contours``; the loops take ``pts_per_circle``."""
 
@@ -416,7 +426,7 @@ def _reference_certify(
                 pts = np.insert(pts, bad + 1, 0.5 * (pts + np.roll(pts, -1))[bad])
                 vals = f(pts)
             margin = min(margin, float(np.abs(vals).min()))
-            total += winding_number(vals)
+            total += _sampled_winding(vals)
         return margin, total
 
     checks, failures = [], []
@@ -489,9 +499,13 @@ class TestClosedFormKernels:
     )
     def test_certification_matches_reference_route(self, settings, monkeypatch):
         # the library reads each setting from its module constant
-        constants = {"eta": "_ETA", "pts_per_circle": "_PTS_PER_CIRCLE", "max_pts_per_loop": "_MAX_PTS_PER_LOOP"}
+        constants = {
+            "eta": (gridfn, "_ETA"),
+            "pts_per_circle": (pathbuild, "_PTS_PER_CIRCLE"),
+            "max_pts_per_loop": (gridfn, "_MAX_PTS_PER_LOOP"),
+        }
         for name, value in settings.items():
-            monkeypatch.setattr(pathbuild, constants[name], value)
+            monkeypatch.setattr(*constants[name], value)
         za, zs = adversarial_pair(3.0)
         paths = list(_seeded_paths(5, alpha=0.25)) + [build_path(za, zs, alpha=3.5, n_grid=512)]
         for path in paths:

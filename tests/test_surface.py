@@ -10,10 +10,10 @@ Reach.  The roots are everything the benchmark scripts reference, the
 library's module-level statements other than imports (``cli``'s
 ``__main__`` guard among them) and the scalar reference routes below; a
 definition is reached when a reached definition references it.  Names,
-attributes, imported names and the identifiers inside string constants
-(``benchmarks/tracer.py`` names its targets by string) count as references;
-docstrings do not.  The units are module-level functions and classes and
-the methods of classes:
+attributes and imported names count as references; the identifiers inside
+a string constant do not, so a function that only ``benchmarks/tracer.py``'s
+target strings name is not reached.  The units are module-level functions
+and classes and the methods of classes:
 
 - a module-level function is reached by its name or an attribute of that
   name;
@@ -44,7 +44,6 @@ the references are; a call of a class counts for its ``__init__``.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,10 +64,7 @@ def _references(nodes: list[ast.AST]) -> set[str]:
     skipped = set()
     for top in nodes:
         for node in ast.walk(top):
-            # a string standing alone as a statement is a docstring
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-                skipped.add(id(node.value))
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
                 classes = node.args[1]
                 skipped.update(id(c) for c in (classes.elts if isinstance(classes, ast.Tuple) else [classes]))
     names: set[str] = set()
@@ -84,8 +80,6 @@ def _references(nodes: list[ast.AST]) -> set[str]:
                     names.add(f"{node.value.id}.{node.attr}")
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return names
 
 
@@ -301,10 +295,16 @@ def area(p, mode="fast", scale=1, *, kind="a"):
     if mode not in ("fast", "slow", "medium"):
         raise ValueError(mode)
     return isinstance(p, Unbuilt)
+
+
+def perimeter(p):
+    return 0.0
 '''
 
 _TOY_BENCHMARK = '''
 from shapes import Point, area
+
+TARGETS = (("shapes", "perimeter"),)
 
 flipped(Point.load({}))
 other.dump
@@ -315,5 +315,7 @@ area(Point(), scale=2, kind="b")
 
 def test_the_rules_on_a_toy_library():
     library, benchmarks = {"shapes": ast.parse(_TOY_LIBRARY).body}, [ast.parse(_TOY_BENCHMARK)]
-    assert _unreached(library, benchmarks) == ["shapes.Point.dump", "shapes.Point.flipped", "shapes.Unbuilt"]
+    assert _unreached(library, benchmarks) == [
+        "shapes.Point.dump", "shapes.Point.flipped", "shapes.Unbuilt", "shapes.perimeter"
+    ]
     assert _audit(library, benchmarks) == ([], ["shapes.area(scale)"], ["shapes.area(mode='medium')"])
