@@ -135,19 +135,24 @@ def interpolation_constant(zeros: ZeroList) -> InterpolationConstant:
 
 def separation_split(zeros: ZeroList, s: float) -> list[ZeroList]:
     """Greedy first-fit (by decreasing modulus) partition into classes that are
-    pairwise hyperbolically separated by at least s."""
+    pairwise hyperbolically separated by at least s.  Each class's row marks
+    the points within s of a member (near[j, i] = beta(p_i, p_j) < s reads
+    row i of beta); a point joins the first class whose row is clear at it."""
     if not s > 0.0:
         raise ValueError(f"separation must be positive, got {s}")
     pts = sorted(zeros.expanded_points(), key=lambda z: (-abs(z), math.atan2(z.imag, z.real)))
-    beta = beta_matrix(pts, pts)
+    near = beta_matrix(pts, pts).T < s
     classes: list[list[int]] = []
+    blocked: list[np.ndarray] = []
     for i in range(len(pts)):
-        for cls in classes:
-            if beta[i, cls].min() >= s:
+        for cls, row in zip(classes, blocked):
+            if not row[i]:
                 cls.append(i)
+                row |= near[i]
                 break
         else:
             classes.append([i])
+            blocked.append(near[i].copy())
     return [ZeroList.from_points([pts[i] for i in cls]) for cls in classes]
 
 

@@ -30,9 +30,7 @@ from .gridfn import winding_number
 ORIGIN_CLEARANCE = 1e-6
 # a point this close to an edge is on it: its rounded points lie within 1e-16
 _ON_CURVE = 1e-15
-# each row block of the level-set sampling grid holds at least this many points:
-# numpy reuses a temporary of 256 KB (2^14 complex points) or more in place,
-# swapping the operands of a product, so blocks this large round as the whole grid does
+# row blocks of the level-set sampling grid hold about this many points, bounding the peak memory
 _LEVEL_BLOCK = 1 << 14
 # a level-set curve's samples of |b| stay within this fraction of the level
 _LEVEL_TOL = 0.1

@@ -1,11 +1,13 @@
 """Bottleneck matching of two zero lists.
 
-Finds the bijection minimizing the maximum hyperbolic displacement: sort the
-pairwise distances, binary-search the smallest threshold whose bipartite graph
-has a perfect matching (one Hopcroft-Karp per probe), then pick the
-lexicographically smallest optimal permutation for reproducibility.  That
-refinement starts from the last feasible probe's matching (the identity, a
-matching of the complete graph, when no probe was) and fixes the rows in
+Finds the bijection minimizing the maximum hyperbolic displacement by a
+threshold search over the distinct distances, one Hopcroft-Karp per probe
+(Burkard, Dell'Amico & Martello 2009, ch. 6).  The optimum is at least, and
+often, lambda_0 = max(max_i min_j beta_ij, max_j min_i beta_ij): probe it,
+gallop up (1, 2, 4, ... values) while infeasible, bisect the last gap, then
+pick the lexicographically smallest optimal permutation for reproducibility.
+That refinement starts from the last feasible probe's matching (the identity,
+a matching of the complete graph, when no probe was) and fixes the rows in
 order: a row may take a smaller column exactly when the column's current row
 reaches it along an alternating path of unfixed rows, so one reverse BFS per
 row finds the smallest such column and the matching is rotated along that
@@ -72,7 +74,8 @@ def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
 
 
 def bottleneck_match(z: ZeroList, z_star: ZeroList) -> Pairing:
-    """Exact min-max matching between the expanded zero lists."""
+    """Exact min-max matching between the expanded zero lists; at most
+    2 ceil(log2 M) + 1 feasibility probes for M distinct distances."""
     pts_a = z.expanded_points()
     pts_b = z_star.expanded_points()
     if len(pts_a) != len(pts_b):
@@ -85,15 +88,19 @@ def bottleneck_match(z: ZeroList, z_star: ZeroList) -> Pairing:
 
     dist = beta_matrix(pts_a, pts_b)
     values = np.unique(dist)
+    lo = int(np.searchsorted(values, max(dist.min(axis=1).max(), dist.min(axis=0).max())))
     # every distance is finite, so the identity matches the complete graph
-    lo, hi, match = 0, values.size - 1, np.arange(n)
+    hi, match = values.size - 1, np.arange(n)
+    # gallop from lambda_0 (probe lo, lo + 1, lo + 3, ...) to a feasible probe or past hi, then bisect
+    mid, step = lo, 1
     while lo < hi:
-        mid = (lo + hi) // 2
         probe = _perfect_matching(dist <= values[mid])
-        if probe is not None:
-            hi, match = mid, probe
+        if probe is None:
+            lo, mid, step = mid + 1, mid + step, 2 * step
         else:
-            lo = mid + 1
+            hi, match, step = mid, probe, 0
+        if not step or mid >= hi:
+            mid = (lo + hi) // 2
     adj = dist <= values[lo]
 
     perm = _lexicographically_smallest(adj, match)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blaschke import ZeroList, eval_boundary, evaluate_grid
+from .blaschke import ZeroList, _rational_product, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
@@ -124,10 +124,7 @@ class PathStep:
         route's h = e^{-i gamma + v + i v~} of ``outer_correction``, the
         independent cross-check.
         """
-        w = np.asarray(z, dtype=np.complex128)
-        r = np.ones(w.shape, dtype=np.complex128)
-        for a, b in self.pairs:
-            r *= (1.0 - b.conjugate() * w) / (1.0 - a.conjugate() * w)
+        r = _rational_product(1.0, [(1.0, b.conjugate(), 1.0, a.conjugate()) for a, b in self.pairs], z)
         return np.conj(self.gamma) * r * r
 
 

@@ -140,21 +140,113 @@ class TestPowerSumOracle:
 
     def test_forty_digit_spot_check(self):
         # at the exact roots of unity, so the float nodes' rounding, amplified
-        # by |b'| ~ sum (1 - |z|^2) / |w - z|^2, counts against eval_boundary
-        b = _oracle_products()[2]
+        # by |b'| ~ sum (1 - |z|^2) / |w - z|^2, counts against eval_boundary;
+        # at the float nodes themselves the blocked kernel's arithmetic is no
+        # less accurate than the per-factor route's
         n = 1024
-        got = eval_boundary(b, n).samples
-        oracle = power_sum_boundary_oracle(b, n)
-        with mpmath.workdps(40):
-            for m in range(0, n, 97):
-                w = mpmath.expjpi(mpmath.mpf(2 * m) / n)
-                exact = mpmath.mpc(b.lam) * w**b.m
-                for z, k in b.zeros:
-                    zz = mpmath.mpc(z)
-                    exact *= (mpmath.conj(zz) / abs(zz) * (zz - w) / (1 - mpmath.conj(zz) * w)) ** k
-                exact = complex(exact)
-                assert abs(got[m] - exact) <= 1e-12
-                assert abs(oracle[m] - exact) <= 1e-13
+        nodes = circle_nodes(n)
+        for b in (_oracle_products()[2], random_product(np.random.default_rng(37), 200)):
+            got = eval_boundary(b, n).samples
+            oracle = power_sum_boundary_oracle(b, n)
+            per_factor = reference_product(b, nodes)
+            with mpmath.workdps(40):
+                for m in range(0, n, 97):
+                    exact = _exact_product(b, mpmath.expjpi(mpmath.mpf(2 * m) / n))
+                    assert abs(got[m] - exact) <= 1e-12
+                    assert abs(oracle[m] - exact) <= 1e-13
+                at_nodes = np.array([_exact_product(b, mpmath.mpc(w)) for w in nodes[::13]])
+            err_per_factor = np.abs(per_factor[::13] - at_nodes).max()
+            assert np.abs(got[::13] - at_nodes).max() <= 2.0 * err_per_factor
+
+
+def _exact_product(b: ZeroList, w) -> complex:
+    """b(w) in the working precision of mpmath, rounded to a complex."""
+    exact = mpmath.mpc(b.lam) * w**b.m
+    for z, k in b.zeros:
+        zz = mpmath.mpc(z)
+        exact *= (mpmath.conj(zz) / abs(zz) * (zz - w) / (1 - mpmath.conj(zz) * w)) ** k
+    return complex(exact)
+
+
+def _factor(zn: complex, w):
+    """One normalized factor (conj(z_n)/|z_n|) (z_n - w)/(1 - conj(z_n) w)."""
+    return (zn.conjugate() / abs(zn)) * (zn - w) / (1.0 - zn.conjugate() * w)
+
+
+def reference_product(b: ZeroList, points) -> np.ndarray:
+    """The product one normalized factor at a time, a division each: the
+    per-factor route that ``evaluate_grid``'s blocked kernel replaced."""
+    w = np.asarray(points, dtype=np.complex128)
+    out = np.full(w.shape, b.lam, dtype=np.complex128)
+    if b.m > 0:
+        out = out * w**b.m
+    for zn, k in b.zeros:
+        out = out * _factor(zn, w) ** k
+    return out
+
+
+def random_product(rng: np.random.Generator, n: int) -> ZeroList:
+    """A degree-n product with an origin zero (n > 1), a quarter of its zeros
+    doubled and a random unimodular lambda."""
+    m, doubled = (0 if n == 1 else 1 + n % 3), n // 4
+    pts = random_zerolist(rng, n - m - doubled, 0.95).expanded_points()
+    lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    return ZeroList(ZeroList.from_points(pts + pts[:doubled]).zeros, lam=lam, m=m)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.int64)
+
+
+class TestRationalKernel:
+    """``evaluate_grid`` divides once per block of factors, in chunks of points."""
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 200])
+    def test_matches_the_per_factor_route(self, n):
+        rng = np.random.default_rng(n)
+        b = random_product(rng, n)
+        w = np.concatenate([circle_nodes(512), [random_point(rng, 0.99) for _ in range(300)]])
+        ref = reference_product(b, w)
+        assert np.max(np.abs(evaluate_grid(b, w) - ref) / np.abs(ref)) <= 1e-14
+
+    def test_same_bits_in_every_batch(self):
+        rng = np.random.default_rng(41)
+        b = random_product(rng, 40)  # three blocks of factors
+        inside = 0.98 * np.sqrt(rng.random(1 << 15)) * np.exp(2j * math.pi * rng.random(1 << 15))
+        w = np.concatenate([inside, circle_nodes(1 << 15)])
+        whole = evaluate_grid(b, w)  # 2^16 points, sixteen chunks
+        for size in (1, 2, 3, 4095, 4097):
+            span = 300 if size < 4 else 3 * size
+            batches = [evaluate_grid(b, w[i : i + size]) for i in range(0, span, size)]
+            assert np.array_equal(_bits(np.concatenate(batches)), _bits(whole[:span]))
+        scalar = np.array([evaluate(b, z) for z in w[:300]])
+        assert np.array_equal(_bits(scalar), _bits(whole[:300]))
+
+    def test_a_grid_row_has_the_bits_of_the_whole_grid(self):
+        b = ZeroList(((0.3 + 0.2j, 2),))
+        xs = np.linspace(-0.99, 0.99, 513)
+        grid = xs[None, :] + 1j * xs[:, None]
+        assert np.array_equal(_bits(evaluate_grid(b, grid)[-1]), _bits(evaluate_grid(b, grid[-1])))
+
+    def test_zeros_next_to_the_circle_stay_finite(self):
+        # three blocks of sixteen denominators of about 2e-12 at w = 1, each
+        # block about 7e-188; their product would underflow
+        b = ZeroList(((1.0 - 2e-12 + 0j, 48),))
+        vals = evaluate_grid(b, circle_nodes(4096))
+        assert np.all(np.isfinite(vals))
+        assert np.abs(np.abs(vals) - 1.0).max() < 1e-9
+
+    def test_a_block_at_the_level_set_corners_stays_finite(self):
+        # the level-set square reaches |w| = 0.999 sqrt(2), outside the disk
+        b = ZeroList(((0.9 + 0j, 16),))
+        corners = 0.999 * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+        got = evaluate_grid(b, corners)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, reference_product(b, corners), rtol=1e-13)
+
+    def test_a_double_zero_hit_exactly_gives_zero(self):
+        b = ZeroList(((0.3 + 0.2j, 2), (-0.5j, 1)), m=1)
+        assert evaluate_grid(b, np.array([0.3 + 0.2j, 0.0j])).tolist() == [0.0, 0.0]
 
 
 class TestDerivative:

@@ -19,7 +19,7 @@ from blaschkelab.carleson import (
     suggested_box_depth,
 )
 from blaschkelab.errors import RegionEmptyError
-from blaschkelab.fixtures import geometric_zeros, random_zerolist
+from blaschkelab.fixtures import geometric_zeros, random_matched_pair, random_zerolist
 from blaschkelab.geometry import beta_matrix, hyper_distance, interior_value, pseudo_distance, rho_from_beta
 
 # interior zeros whose pseudohyperbolic distance rounds to 1 (beta ~ 37.4)
@@ -54,6 +54,17 @@ def _scalar_separation_split(zeros, s):
         else:
             classes.append([p])
     return [ZeroList.from_points(cls) for cls in classes]
+
+
+def _identity_batch_zeros(seed, ops=25, n_max=200):
+    """The zero lists the benchmark's identity-batch deck splits at ``seed``."""
+    rng = np.random.default_rng((seed, 3))
+    width = n_max // ops
+    for k in range(ops):
+        n = 1 + k * width + int(rng.integers(0, width))
+        za, zb = random_matched_pair(rng, n, beta_max=1.0, r_max=0.95)
+        rng.permutation(zb.degree)  # the deck's shuffle of the displaced zeros
+        yield za
 
 
 def minimum_separated_classes(points, s):
@@ -267,6 +278,10 @@ class TestSeparationSplit:
             s = float(rng.choice([0.3, 1.0, 2.5]))
             got = [c.to_json() for c in separation_split(zl, s)]
             assert got == [c.to_json() for c in _scalar_separation_split(zl, s)]
+        for seed in (7, 12001, 12002):
+            for zl in _identity_batch_zeros(seed):
+                got = [c.to_json() for c in separation_split(zl, 1.0)]
+                assert got == [c.to_json() for c in _scalar_separation_split(zl, 1.0)]
 
     def test_brute_force_equals_the_scalar_route(self):
         rng = np.random.default_rng(29)

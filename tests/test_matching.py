@@ -246,6 +246,25 @@ def test_feasibility_calls_stay_within_the_threshold_search(monkeypatch):
     assert 1 <= len(calls) <= math.ceil(math.log2(distinct))
 
 
+def test_threshold_search_probes_within_its_bound(monkeypatch):
+    # from lambda_0: a gallop and a bisection of the last gap, 2 ceil(log2 M) + 1 probes at most
+    calls = []
+    inner = matching.maximum_bipartite_matching
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "maximum_bipartite_matching", counted)
+    rng = np.random.default_rng(17)
+    for k in range(60):
+        za, zb = random_matched_pair(rng, int(rng.integers(2, 60)), beta_max=(0.3, 1.0, 3.0)[k % 3])
+        calls.clear()
+        bottleneck_match(za, zb)
+        distinct = np.unique(beta_matrix(za.expanded_points(), zb.expanded_points())).size
+        assert len(calls) <= 2 * math.ceil(math.log2(distinct)) + 1
+
+
 class TestPairing:
     def test_bijection_enforced(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,14 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from blaschkelab import gridfn, pathbuild
 from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
-from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, outer_correction
+from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, gamma_constant, outer_correction
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
 from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
@@ -321,6 +322,23 @@ def _log_exp_g(step, w):
     return np.conj(step.gamma) * np.exp(-2.0 * g_log)
 
 
+def _per_pair_g(step, w):
+    """g = conj(gamma) R^2 with R multiplied one pair at a time, a division
+    each: the route that ``g_interior``'s blocked kernel replaced."""
+    r = np.ones(w.shape, dtype=np.complex128)
+    for a, b in step.pairs:
+        r = r * ((1.0 - b.conjugate() * w) / (1.0 - a.conjugate() * w))
+    return np.conj(step.gamma) * r * r
+
+
+def _random_step(n):
+    rng = np.random.default_rng(n)
+    za, zb = random_matched_pair(rng, n, beta_max=1.0, r_max=0.95)
+    pairs = tuple(zip(za.expanded_points(), zb.expanded_points()))
+    w = np.concatenate([circle_nodes(512), [random_point(rng, 0.99) for _ in range(300)]])
+    return pathbuild.PathStep(pairs, gamma_constant(pairs), 0.0), w
+
+
 def _seeded_paths(count, alpha=0.5, n_grid=1024):
     for seed in range(count):
         rng = np.random.default_rng(100 + seed)
@@ -484,6 +502,28 @@ class TestClosedFormKernels:
             for step in path.steps:
                 ref = _log_exp_g(step, w)
                 assert np.max(np.abs(step.g_interior(w) - ref) / np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 200])
+    def test_g_interior_matches_the_per_pair_product(self, n):
+        step, w = _random_step(n)
+        ref = _per_pair_g(step, w)
+        # g = R^2 carries each pair's two factors twice: twice evaluate_grid's 1e-14
+        assert np.max(np.abs(step.g_interior(w) - ref) / np.abs(ref)) <= 2e-14
+
+    def test_g_interior_forty_digit_spot_check(self):
+        step, w = _random_step(200)
+        w = w[::14]
+        with mpmath.workdps(40):
+            exact = []
+            for x in w:
+                xx, r = mpmath.mpc(x), mpmath.mpc(1)
+                for a, b in step.pairs:
+                    r *= (1 - mpmath.conj(mpmath.mpc(b)) * xx) / (1 - mpmath.conj(mpmath.mpc(a)) * xx)
+                exact.append(complex(mpmath.conj(mpmath.mpc(step.gamma)) * r * r))
+        exact = np.array(exact)
+        kernel = np.abs(step.g_interior(w) - exact) / np.abs(exact)
+        per_pair = np.abs(_per_pair_g(step, w) - exact) / np.abs(exact)
+        assert kernel.max() <= 2.0 * per_pair.max()
 
     def test_g_interior_matches_fft_route_on_circle(self):
         for path in _seeded_paths(5):
