@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .blaschke import ZeroList, _rational_product, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
+from .geometry import ORIGIN_FOLD
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 
 _PARTITION_CAP = 1 << 20
@@ -127,6 +128,25 @@ class PathStep:
         r = _rational_product(1.0, [(1.0, b.conjugate(), 1.0, a.conjugate()) for a, b in self.pairs], z)
         return np.conj(self.gamma) * r * r
 
+    def target(self, z: np.ndarray) -> np.ndarray:
+        """b_{t_{j+1}} g, the end product times the step's outer factor, as
+        one rational function.  One factor (1 - conj(b_k) w) of g = conj(gamma) R^2
+        cancels b_{t_{j+1}}'s denominator, so over the pairs (a_k, b_k)
+        b_{t_{j+1}} g = conj(gamma) prod_k (conj(b_k)/|b_k|) (b_k - w)(1 - conj(b_k) w) / (1 - conj(a_k) w)^2.
+        A to-point within ``ORIGIN_FOLD`` of 0 is an origin zero of
+        b_{t_{j+1}}: its end factor is w, as in ``evaluate_grid``, and its
+        pair gives w (1 - conj(b_k) w)^2 / (1 - conj(a_k) w)^2."""
+        scale = self.gamma.conjugate()
+        factors: list[tuple[complex, ...]] = []
+        for a, b in self.pairs:
+            rest = (1.0, b.conjugate(), 1.0, a.conjugate())
+            if abs(b) < ORIGIN_FOLD:
+                factors += [(0.0, -1.0, 1.0, a.conjugate()), rest, (1.0, b.conjugate(), 1.0, 0.0)]
+            else:
+                scale *= b.conjugate() / abs(b)
+                factors += [(b, 1.0, 1.0, a.conjugate()), rest]
+        return _rational_product(scale, factors, z)
+
 
 @dataclass
 class PolygonalPath:
@@ -169,13 +189,16 @@ def build_path(
     about 1e-12 of the per-step FFT route.  No step runs a Cauchy transform
     or FFT, so none raises ``GridTooCoarseError``; the FFT route cross-checks
     each completed round: sup |2 Im C(sigma_total) - (Re outer_log_total)~|
-    must stay below ``functional_tol``.
+    must stay below ``functional_tol``.  Certification takes each step in
+    one pass (see ``certify_path``).
 
     A round that provably fails that rule is dropped before it is finished
     or certified.  Let m0 be the start vertex's margin: the minimum over the
     groups of its neighborhood contours of min |b_{t_0}| (0 when a group hits
-    a zero or cannot be resolved), computed exactly as ``certify_path``
-    computes segment 0 at s = 0.  Segment 0 at s = 0 is one of the samples
+    a zero or cannot be resolved).  It comes from certification's per-step
+    routine, for the vertex as a step with no target at s = 0, whose one
+    row is b_{t_0} itself: m0 is segment 0's margin at s = 0 to the bit.
+    Segment 0 at s = 0 is one of the samples
     behind both eps_vertices and eps_observed, so
     eps_observed <= eps_vertices <= m0, and acceptance needs
     step_norm < eps_observed / 2 for every step.  A step with
@@ -199,7 +222,7 @@ def build_path(
 
     start = ZeroList.from_points(interpolate_points(pairs, 0.0))
     m0 = min(
-        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, r in _vertex_margins(start)),
+        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, (r,) in _step_margins(start, None, (0.0,))),
         default=math.inf,
     )
     alphas: list[float] = []
@@ -313,51 +336,65 @@ def _merge_mod_intervals(intervals: list[tuple[float, float]]) -> list[tuple[flo
     return [(a, b) for a, b in merged]
 
 
-def _boundary_arcs(disks: list[tuple[complex, float]], pts_per_circle: int) -> list[np.ndarray]:
-    """The arcs bounding the union of Euclidean disks, each sampled with both
-    of its ends; an uncovered circle is the arc (0, 2 pi).
+def _uncovered_spans(disks: list[tuple[complex, float]]) -> list[tuple[complex, float, float, float]]:
+    """The arcs bounding the union of Euclidean disks, as (center, radius,
+    start angle, end angle); an uncovered circle is the span (0, 2 pi).
 
     Every arc runs counterclockwise on its own circle, so the union lies on
     its left, holes included: phase increments of f summed over all the arcs
-    give the signed count of zeros of f in the union.
+    give the signed count of zeros of f in the union.  A disk within 1e-13
+    of a kept earlier one is dropped, and so is a disk inside a larger one,
+    or inside an equal one listed first.
     """
     two_pi = 2.0 * math.pi
-    uniq: list[tuple[complex, float]] = []
-    for o, r in disks:
-        if not any(abs(o - o2) < 1e-13 and abs(r - r2) < 1e-13 for o2, r2 in uniq):
-            uniq.append((o, r))
-    active = []
-    for i, (o, r) in enumerate(uniq):
-        swallowed = False
-        for j, (o2, r2) in enumerate(uniq):
-            if i != j and abs(o - o2) + r <= r2 + 1e-15 and (r2, -j) > (r, -i):
-                swallowed = True
-                break
-        if not swallowed:
-            active.append((o, r))
-
-    arcs: list[np.ndarray] = []
-    for i, (o, r) in enumerate(active):
-        covered: list[tuple[float, float]] = []
-        for j, (o2, r2) in enumerate(active):
-            if i == j:
-                continue
-            d = abs(o2 - o)
-            if d >= r + r2 - 1e-15 or d + r2 <= r:
+    dist = [[abs(o2 - o) for o2, _ in disks] for o, _ in disks]
+    uniq: list[int] = []
+    for i, (_, r) in enumerate(disks):
+        if not any(dist[i][j] < 1e-13 and abs(r - disks[j][1]) < 1e-13 for j in uniq):
+            uniq.append(i)
+    active = [
+        i
+        for i in uniq
+        if not any(
+            j != i and dist[i][j] + disks[i][1] <= disks[j][1] + 1e-15 and (disks[j][1], -j) > (disks[i][1], -i)
+            for j in uniq
+        )
+    ]
+    out = []
+    for i in active:
+        o, r = disks[i]
+        covered = []
+        for j in active:
+            o2, r2 = disks[j]
+            d = dist[i][j]
+            if i == j or d >= r + r2 - 1e-15 or d + r2 <= r:
                 continue
             phi = math.atan2((o2 - o).imag, (o2 - o).real)
-            cos_half = (d * d + r * r - r2 * r2) / (2.0 * d * r)
-            half = math.acos(min(1.0, max(-1.0, cos_half)))
+            half = math.acos(min(1.0, max(-1.0, (d * d + r * r - r2 * r2) / (2.0 * d * r))))
             covered.append((phi - half, phi + half))
-        spans = [(0.0, two_pi)]
-        if covered:
-            merged = _merge_mod_intervals(covered)
-            gaps = zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)])
-            spans = [(b1, a2) for (_, b1), (a2, _) in gaps if a2 > b1 + 1e-12]
-        for a, b in spans:
-            n_pts = max(2, math.ceil(pts_per_circle * ((b - a) / two_pi)))
-            arcs.append(o + r * np.exp(1j * (a + (b - a) * np.arange(n_pts + 1) / n_pts)))
-    return arcs
+        if not covered:
+            out.append((o, r, 0.0, two_pi))
+            continue
+        merged = _merge_mod_intervals(covered)
+        for (_, b1), (a2, _) in zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)]):
+            if a2 > b1 + 1e-12:
+                out.append((o, r, b1, a2))
+    return out
+
+
+def _sample_arcs(spans: list[tuple[complex, float, float, float]], pts_per_circle: int) -> list[np.ndarray]:
+    """Each span (center, radius, start, end) sampled with both of its ends,
+    at ``pts_per_circle`` points per full circle; all the points of all the
+    spans come from one array pass and one ``exp``."""
+    two_pi = 2.0 * math.pi
+    o, r, a, b = (np.array(col) for col in zip(*spans))
+    n_pts = np.maximum(2, np.ceil(pts_per_circle * ((b - a) / two_pi)).astype(np.int64))
+    sizes = n_pts + 1
+    ends = np.cumsum(sizes)
+    k = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    theta = np.repeat(a, sizes) + np.repeat(b - a, sizes) * k / np.repeat(n_pts, sizes)
+    pts = np.repeat(o, sizes) + np.repeat(r, sizes) * np.exp(1j * theta)
+    return [pts[e - n : e] for e, n in zip(ends.tolist(), sizes.tolist())]
 
 
 @dataclass(frozen=True)
@@ -372,7 +409,8 @@ class ContourGroup:
 def neighborhood_contours(centers: Sequence[complex]) -> list[ContourGroup]:
     """Boundary arcs of the hyperbolic unit neighborhood {beta(z, centers) <= 1},
     grouped by component: each runs counterclockwise on its own circle
-    (``_boundary_arcs``), sampled at ``_PTS_PER_CIRCLE`` points per full circle."""
+    (``_uncovered_spans``), sampled at ``_PTS_PER_CIRCLE`` points per full
+    circle, the arcs of all components in one pass (``_sample_arcs``)."""
     disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
     n = len(disks)
     parent = list(range(n))
@@ -393,11 +431,12 @@ def neighborhood_contours(centers: Sequence[complex]) -> list[ContourGroup]:
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        arcs = _boundary_arcs([disks[i] for i in members], _PTS_PER_CIRCLE)
-        out.append(ContourGroup(tuple(members), tuple(arcs), len(members)))
-    return out
+    spans = [_uncovered_spans([disks[i] for i in members]) for members in groups.values()]
+    arcs = iter(_sample_arcs([s for group in spans for s in group], _PTS_PER_CIRCLE) if n else ())
+    return [
+        ContourGroup(tuple(members), tuple(next(arcs) for _ in group), len(members))
+        for members, group in zip(groups.values(), spans)
+    ]
 
 
 @dataclass(frozen=True)
@@ -427,44 +466,25 @@ def certify_path(path: PolygonalPath) -> CertificationReport:
     the hyperbolic unit neighborhood of Z(b_{t_j}): its modulus on the sampled
     set must stay positive and its winding count on each component must equal
     the zeros of b_{t_j} there, summed over the component's boundary arcs.
-    Each count is ``gridfn.winding_number``, which bisects an edge while the
-    relative jump of f across it exceeds ``gridfn._ETA`` = 0.5 and caps a
-    component's distinct boundary points at ``gridfn._MAX_PTS_PER_LOOP``.
+    A constant path certifies its one vertex the same way, as a step with no
+    target at s = 0.
+
+    Each step is one pass (``_step_margins``): b_{t_j} is evaluated once on
+    the arcs of all its components, the target once as the fused rational
+    function ``PathStep.target``, and each component's five s-samples are the
+    rows of one ``gridfn.winding_number`` count, which bisects an edge of a
+    row while the relative jump across it exceeds ``gridfn._ETA`` = 0.5 and
+    caps a component's distinct boundary points at
+    ``gridfn._MAX_PTS_PER_LOOP``.
     """
     checks: list[SampleCheck] = []
     failures: list[str] = []
     eps_observed = math.inf
     eps_vertices = math.inf
-
-    if not path.steps:
-        # constant path: verify the single vertex against its own contours,
-        # the segment function with A = B at s = 0
-        for gi, (group, result) in enumerate(_vertex_margins(path.vertices[0].zeros_t)):
-            if isinstance(result, ContourThroughZeroError):
-                raise result
-            margin, count = result
-            eps_observed = min(eps_observed, margin)
-            eps_vertices = min(eps_vertices, margin)
-            checks.append(SampleCheck(0, 0.0, gi, margin, count, group.expected_count))
-            if count != group.expected_count:
-                failures.append(f"vertex group {gi}: count {count} != {group.expected_count}")
-        return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
-
-    for j, step in enumerate(path.steps):
-        zeros_from = path.vertices[j].zeros_t
-        zeros_to = path.vertices[j + 1].zeros_t
-        centers = zeros_from.expanded_points()
-        groups = neighborhood_contours(centers)
-
-        def base(w: np.ndarray) -> np.ndarray:
-            return evaluate_grid(zeros_from, w)
-
-        def target(w: np.ndarray) -> np.ndarray:
-            return evaluate_grid(zeros_to, w) * step.g_interior(w)
-
-        for gi, group in enumerate(groups):
-            results = _group_margin_count(base, target, group, SEGMENT_S_SAMPLES)
-            for s, result in zip(SEGMENT_S_SAMPLES, results):
+    segments = [(path.vertices[j].zeros_t, step, SEGMENT_S_SAMPLES) for j, step in enumerate(path.steps)]
+    for j, (zeros, step, s_values) in enumerate(segments or [(path.vertices[0].zeros_t, None, (0.0,))]):
+        for gi, (group, results) in enumerate(_step_margins(zeros, step, s_values)):
+            for s, result in zip(s_values, results):
                 if isinstance(result, ContourThroughZeroError):
                     failures.append(f"segment {j}, s={s:.3f}, group {gi}: {result}")
                     eps_observed = 0.0
@@ -481,51 +501,34 @@ def certify_path(path: PolygonalPath) -> CertificationReport:
     return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
 
 
-def _vertex_margins(zeros: ZeroList) -> list[tuple[ContourGroup, tuple[float, int] | ContourThroughZeroError]]:
-    """Each group of the neighborhood contours of Z(b), with the margin and
-    winding count of b itself on it: the segment function at s = 0, computed
-    exactly as ``certify_path`` computes it for a segment starting at b."""
-    return [
-        (group, _group_margin_count(lambda w: evaluate_grid(zeros, w), None, group, (0.0,))[0])
-        for group in neighborhood_contours(zeros.expanded_points())
-    ]
+def _step_margins(
+    zeros: ZeroList, step: PathStep | None, s_values: Sequence[float]
+) -> list[tuple[ContourGroup, list[tuple[float, int] | ContourThroughZeroError]]]:
+    """Each group of the neighborhood contours of Z(b), b the product of
+    ``zeros``, with the margin and winding count on it of every segment
+    function f_s = A + s (B - A), A = b and B = ``step.target``; a vertex is
+    a step with no target and s_values = (0.0,).
 
-
-def _group_margin_count(
-    base: Callable[[np.ndarray], np.ndarray],
-    target: Callable[[np.ndarray], np.ndarray] | None,
-    group: ContourGroup,
-    s_values: Sequence[float],
-) -> list[tuple[float, int] | ContourThroughZeroError]:
-    """Min modulus over the group's arcs plus the winding total, for each
-    segment function f_s = A + s (B - A), A = base(w), B = target(w).
-
-    f_s is affine in s, so A and B are evaluated once per group and every
-    s-sample is formed from them; s = 0 is A itself and never needs the
-    target (None is allowed when s_values is (0.0,)).  Each s refines the
-    arcs on its own by ``gridfn.winding_number``.  An s whose samples hit a
-    zero of f_s gets (0.0, 0); one that needs more than
-    ``gridfn._MAX_PTS_PER_LOOP`` distinct points, or whose phase sum is not
-    near an integer, gets its ContourThroughZeroError instead.
+    A and B are evaluated once, on the arcs of all groups laid end to end.
+    Each group's s-rows go to one ``gridfn.winding_number`` call, which
+    refines a row on its own: a row whose samples hit a zero of f_s gets
+    (0.0, 0), one that needs more than ``gridfn._MAX_PTS_PER_LOOP`` distinct
+    points, or whose phase sum is not near an integer, gets its
+    ContourThroughZeroError.
     """
-    pts = np.concatenate(group.arcs)
-    a = base(pts)
-    b = None if all(s == 0.0 for s in s_values) else target(pts)
-    out: list[tuple[float, int] | ContourThroughZeroError] = []
-    for s in s_values:
-        f, vals = (base, a) if s == 0.0 else (_segment_fn(base, target, s), a + s * (b - a))
-        try:
-            out.append(winding_number(f, group.arcs, vals))
-        except ContourThroughZeroError as exc:
-            out.append(exc)
-    return out
+    groups = neighborhood_contours(zeros.expanded_points())
+    if not groups:
+        return []
+    s = np.array(s_values)[:, None]
 
+    def rows(w: np.ndarray) -> np.ndarray:
+        a = evaluate_grid(zeros, w)
+        return a[None] if step is None else a + s * (step.target(w) - a)
 
-def _segment_fn(base, target, s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """f_s = A + s (B - A) with A = base(w), B = target(w)."""
-
-    def f(w: np.ndarray) -> np.ndarray:
-        a = base(w)
-        return a + s * (target(w) - a)
-
-    return f
+    sizes = [sum(arc.size for arc in group.arcs) for group in groups]
+    vals = rows(np.concatenate([arc for group in groups for arc in group.arcs]))
+    ends = np.cumsum(sizes)
+    return [
+        (group, winding_number(rows, group.arcs, vals[:, end - size : end]))
+        for group, size, end in zip(groups, sizes, ends)
+    ]

@@ -14,7 +14,7 @@ from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, gamma_constant, ou
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
 from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
-from blaschkelab.geometry import hyper_distance, rho_from_beta
+from blaschkelab.geometry import ORIGIN_FOLD, hyper_distance, rho_from_beta
 from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
 from blaschkelab.matching import bottleneck_match
 from blaschkelab.pathbuild import (
@@ -123,7 +123,7 @@ class TestRoucheCount:
 
 def _arc_count(f, group):
     """(min |f|, winding count) of f along a group's boundary arcs."""
-    return pathbuild._group_margin_count(f, None, group, (0.0,))[0]
+    return gridfn.winding_number(f, group.arcs, f(np.concatenate(group.arcs)))
 
 
 class TestNeighborhoodContours:
@@ -166,6 +166,60 @@ class TestNeighborhoodContours:
         assert _arc_count(lambda z: evaluate_grid(zl, z), groups[0])[1] == 3
         assert _arc_count(lambda z: evaluate_grid(ZeroList(m=1), z), groups[0])[1] == 0
         assert _arc_count(lambda z: z - 2.0, groups[0])[1] == 0
+
+
+def _reference_arcs(disks, pts_per_circle):
+    """The arcs bounding the union of Euclidean disks, each sampled on its
+    own with both of its ends: the library's first arc builder, kept as the
+    reference for ``_uncovered_spans`` and ``_sample_arcs``."""
+    two_pi = 2.0 * math.pi
+    uniq = []
+    for o, r in disks:
+        if not any(abs(o - o2) < 1e-13 and abs(r - r2) < 1e-13 for o2, r2 in uniq):
+            uniq.append((o, r))
+    active = []
+    for i, (o, r) in enumerate(uniq):
+        swallowed = False
+        for j, (o2, r2) in enumerate(uniq):
+            if i != j and abs(o - o2) + r <= r2 + 1e-15 and (r2, -j) > (r, -i):
+                swallowed = True
+                break
+        if not swallowed:
+            active.append((o, r))
+
+    arcs = []
+    for i, (o, r) in enumerate(active):
+        covered = []
+        for j, (o2, r2) in enumerate(active):
+            if i == j:
+                continue
+            d = abs(o2 - o)
+            if d >= r + r2 - 1e-15 or d + r2 <= r:
+                continue
+            phi = math.atan2((o2 - o).imag, (o2 - o).real)
+            cos_half = (d * d + r * r - r2 * r2) / (2.0 * d * r)
+            half = math.acos(min(1.0, max(-1.0, cos_half)))
+            covered.append((phi - half, phi + half))
+        spans = [(0.0, two_pi)]
+        if covered:
+            merged = pathbuild._merge_mod_intervals(covered)
+            gaps = zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)])
+            spans = [(b1, a2) for (_, b1), (a2, _) in gaps if a2 > b1 + 1e-12]
+        for a, b in spans:
+            n_pts = max(2, math.ceil(pts_per_circle * ((b - a) / two_pi)))
+            arcs.append(o + r * np.exp(1j * (a + (b - a) * np.arange(n_pts + 1) / n_pts)))
+    return arcs
+
+
+def _assert_reference_arcs(centers):
+    """Every group of ``neighborhood_contours(centers)`` has, bit for bit,
+    the arcs the reference builder gives its members' disks."""
+    disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
+    for group in neighborhood_contours(centers):
+        ref = _reference_arcs([disks[i] for i in group.member_indices], pathbuild._PTS_PER_CIRCLE)
+        assert len(group.arcs) == len(ref)
+        for arc, ref_arc in zip(group.arcs, ref):
+            np.testing.assert_array_equal(arc, ref_arc)
 
 
 def _random_groups(count):
@@ -214,6 +268,38 @@ class TestBoundaryArcs:
         half = 0.5 * np.exp(1j * np.pi * np.arange(65) / 64)  # phase sum 1/2 for f(z) = z
         with pytest.raises(ContourThroughZeroError, match="not near an integer"):
             gridfn.winding_number(lambda z: z, [half], half)
+
+    def test_arcs_equal_the_reference_builder_on_random_disk_sets(self):
+        # repeated disks, disks inside others and externally tangent pairs,
+        # sampled at every density in turn
+        rng = np.random.default_rng(12)
+        kinds = 0
+        for trial in range(600):
+            disks = [hyperbolic_circle_euclid(random_point(rng, 0.9), 1.0) for _ in range(int(rng.integers(1, 12)))]
+            o, r = disks[int(rng.integers(0, len(disks)))]
+            if trial % 3 == 0:
+                disks.insert(int(rng.integers(0, len(disks) + 1)), (o, r))
+            if trial % 4 == 1:
+                disks.append((o + 0.3 * r * np.exp(2j * np.pi * rng.random()), 0.5 * r))
+                disks.append((o, r * (1 + 1e-14)))
+            if trial % 5 == 2:
+                r2 = r * rng.uniform(0.1, 1.5)
+                disks.append((o + (r + r2) * np.exp(2j * np.pi * rng.random()), r2))
+            pts_per_circle = (16, 64, 256)[trial % 3]
+            ref = _reference_arcs(disks, pts_per_circle)
+            got = pathbuild._sample_arcs(pathbuild._uncovered_spans(disks), pts_per_circle)
+            assert len(got) == len(ref)
+            for arc, ref_arc in zip(got, ref):
+                np.testing.assert_array_equal(arc, ref_arc)
+            kinds += len(ref) > len(disks)
+        assert kinds > 100  # many unions leave more arcs than disks
+
+    def test_neighborhoods_equal_the_reference_builder(self):
+        r = 0.48
+        _assert_reference_arcs([r * np.exp(2j * np.pi * k / 3) for k in range(3)])  # the ring with a hole
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            _assert_reference_arcs([random_point(rng, 0.9) for _ in range(int(rng.integers(1, 12)))])
 
     def test_winding_counts_zeros_in_the_union(self):
         rng = np.random.default_rng(9)
@@ -337,6 +423,17 @@ def _random_step(n):
     pairs = tuple(zip(za.expanded_points(), zb.expanded_points()))
     w = np.concatenate([circle_nodes(512), [random_point(rng, 0.99) for _ in range(300)]])
     return pathbuild.PathStep(pairs, gamma_constant(pairs), 0.0), w
+
+
+def _target_step(n):
+    """``_random_step``'s pairs with the first to-point folded into the
+    origin and, from n = 3 on, the third to-point doubling the second."""
+    step, w = _random_step(n)
+    pairs = list(step.pairs)
+    pairs[0] = (pairs[0][0], 4e-15 + 0j)
+    if n >= 3:
+        pairs[2] = (pairs[2][0], pairs[1][1])
+    return pathbuild.PathStep(tuple(pairs), gamma_constant(pairs), 0.0), w
 
 
 def _seeded_paths(count, alpha=0.5, n_grid=1024):
@@ -525,6 +622,30 @@ class TestClosedFormKernels:
         per_pair = np.abs(_per_pair_g(step, w) - exact) / np.abs(exact)
         assert kernel.max() <= 2.0 * per_pair.max()
 
+    @pytest.mark.parametrize("n", [1, 10, 100, 200])
+    def test_target_matches_the_product_route(self, n):
+        step, w = _target_step(n)
+        ref = evaluate_grid(ZeroList.from_points([b for _, b in step.pairs]), w) * step.g_interior(w)
+        assert np.max(np.abs(step.target(w) - ref) / np.abs(ref)) <= 2e-14
+
+    def test_target_forty_digit_spot_check(self):
+        step, w = _target_step(200)
+        w = w[::14]
+        with mpmath.workdps(40):
+            exact = []
+            for x in w:
+                xx, v = mpmath.mpc(x), mpmath.conj(mpmath.mpc(step.gamma))
+                for a, b in step.pairs:
+                    aa, bb = mpmath.mpc(a), mpmath.mpc(b)
+                    end = xx if abs(b) < ORIGIN_FOLD else mpmath.conj(bb) / abs(bb) * (bb - xx) / (1 - mpmath.conj(bb) * xx)
+                    v *= end * ((1 - mpmath.conj(bb) * xx) / (1 - mpmath.conj(aa) * xx)) ** 2
+                exact.append(complex(v))
+        exact = np.array(exact)
+        fused = np.abs(step.target(w) - exact) / np.abs(exact)
+        ref = evaluate_grid(ZeroList.from_points([b for _, b in step.pairs]), w) * step.g_interior(w)
+        route = np.abs(ref - exact) / np.abs(exact)
+        assert fused.max() <= 2.0 * route.max()
+
     def test_g_interior_matches_fft_route_on_circle(self):
         for path in _seeded_paths(5):
             nodes = circle_nodes(path.grid_size)
@@ -628,6 +749,12 @@ def _auto_instances():
         za, zb = random_matched_pair(rng, int(rng.integers(1, 8)), 0.5, 0.9)
         pts = zb.expanded_points()
         yield za, ZeroList.from_points([pts[j] for j in bottleneck_match(za, zb).permutation]), 1024
+
+
+def test_criterion_five_vertices_have_the_reference_arcs():
+    for za, zb in path_certification_instances(RunConfig()):
+        for vertex in build_path(za, zb, n_grid=2048).vertices:
+            _assert_reference_arcs(vertex.zeros_t.expanded_points())
 
 
 class TestStartMarginBound:
