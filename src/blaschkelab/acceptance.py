@@ -177,7 +177,9 @@ def check_path_certification(config: RunConfig) -> CheckResult:
         if path.certification.eps_observed <= 0.0:
             failures.append(f"instance {i}: nonpositive margin")
         start_err = float(np.abs(path.vertices[0].trace() - eval_boundary(za, grid).samples).max())
-        end_expected = eval_boundary(zb_ord, grid).samples * np.exp(path.outer_log_total.samples)
+        # the end vertex against the FFT route's outer correction of the whole path
+        pairs = list(zip(za.expanded_points(), zb_ord.expanded_points()))
+        end_expected = eval_boundary(zb_ord, grid).samples * outer_correction(pairs, grid).h.samples
         end_err = float(np.abs(path.vertices[-1].trace() - end_expected).max())
         worst_fid = max(worst_fid, start_err, end_err)
         if max(start_err, end_err) >= fid_tol:

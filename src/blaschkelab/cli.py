@@ -26,10 +26,10 @@ from .config import RunConfig
 from .contours import arclength_carleson_norm, level_set_components, split_zeros_by_contour
 from .errors import VerificationError
 from .fixtures import adversarial_pair, geometric_zeros, staged_measure
-from .geometry import beta_matrix, interior_value, rho_matrix
+from .geometry import beta_matrix, interior_value, rho_matrix, segment_distances
 from .gridfn import circle_nodes
 from .matching import bottleneck_match, pairing_diagnostics
-from .pathbuild import SEGMENT_S_SAMPLES, build_path, certify_path
+from .pathbuild import build_path, certify_path
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -178,14 +178,14 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
             "certification": {
                 "ok": report.ok,
                 "eps_observed": _bound_or_null(report.eps_observed),
-                "eps_vertices": _bound_or_null(report.eps_vertices),
+                "eps_certified": _bound_or_null(report.eps_certified),
                 "failures": list(report.failures),
                 "checks": [
                     {
                         "segment": c.segment,
-                        "s": c.s,
                         "group": c.group,
                         "margin": c.margin,
+                        "slack": c.slack,
                         "count": c.count,
                         "expected": c.expected,
                     }
@@ -194,21 +194,23 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
             },
         },
     )
-    # plot data: contour margins per (segment, s) and boundary moduli of the
-    # segment functions at the certification s-samples
+    # plot data: contour margins and Rouche slacks per (segment, group), and
+    # the boundary moduli of each segment f_s = A + s (B - A) over s in [0, 1]
+    # and the grid: the least is min dist(0, [A(w), B(w)]), the largest max(|A|, |B|)
     with open(out / "path_margins.csv", "w") as fh:
-        fh.write("segment,s,group,margin,count,expected\n")
+        fh.write("segment,group,margin,slack,count,expected\n")
         for c in report.checks:
-            fh.write(f"{c.segment},{c.s!r},{c.group},{c.margin!r},{c.count},{c.expected}\n")
+            fh.write(f"{c.segment},{c.group},{c.margin!r},{c.slack!r},{c.count},{c.expected}\n")
     with open(out / "path_moduli.csv", "w") as fh:
-        fh.write("segment,s,min_modulus,max_modulus\n")
+        fh.write("segment,min_modulus,max_modulus\n")
         nodes = circle_nodes(config.grid_size)
         for j, step in enumerate(path.steps):
-            from_trace = eval_boundary(path.vertices[j].zeros_t, config.grid_size).samples
-            to_trace = eval_boundary(path.vertices[j + 1].zeros_t, config.grid_size).samples * step.g_interior(nodes)
-            for s in SEGMENT_S_SAMPLES:
-                mods = np.abs(from_trace + s * (to_trace - from_trace))
-                fh.write(f"{j},{s!r},{float(mods.min())!r},{float(mods.max())!r}\n")
+            a = eval_boundary(path.vertices[j].zeros_t, config.grid_size).samples
+            b = eval_boundary(path.vertices[j + 1].zeros_t, config.grid_size).samples * step.g_interior(nodes)
+            dd = np.abs(b - a) ** 2
+            low = segment_distances(0.0, a, b - a, np.where(dd > 0.0, dd, 1.0))  # where B = A: |A|
+            high = np.maximum(np.abs(a), np.abs(b))
+            fh.write(f"{j},{float(low.min())!r},{float(high.max())!r}\n")
     status = "certified" if report.ok else "CERTIFICATION FAILED"
     print(f"path with {len(path.vertices)} vertices: {status} -> {out / 'path.json'}")
     return 0 if report.ok else 1

@@ -24,7 +24,7 @@ from .errors import (
     ContourThroughZeroError,
     HypothesisViolationError,
 )
-from .geometry import beta_matrix, interior_value, rho_matrix
+from .geometry import beta_matrix, interior_value, rho_matrix, segment_distances
 from .gridfn import winding_number
 
 ORIGIN_CLEARANCE = 1e-6
@@ -522,16 +522,9 @@ def _distance_to_curve(p: np.ndarray, curve: JordanCurveApprox) -> tuple[np.ndar
     return curve._cell_index.query(p)
 
 
-def _segment_distances(p, starts, dvec, dd) -> np.ndarray:
-    """Elementwise distance from p to the edge [start, start + dvec]."""
-    diff = p - starts
-    t = np.clip((diff * np.conj(dvec)).real / dd, 0.0, 1.0)
-    return np.abs(diff - t * dvec)
-
-
 def _dense_distance(p: np.ndarray, starts: np.ndarray, dvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest edge of each point by a scan over every edge (first index on ties)."""
-    d_all = _segment_distances(p[:, None], starts[None, :], dvec[None, :], (np.abs(dvec) ** 2)[None, :])
+    d_all = segment_distances(p[:, None], starts[None, :], dvec[None, :], (np.abs(dvec) ** 2)[None, :])
     ne = d_all.argmin(axis=1)
     return d_all[np.arange(p.size), ne], ne
 
@@ -587,7 +580,7 @@ class _CellIndex:
         cand: list[np.ndarray] = []
         step = max(1, _INDEX_BLOCK // starts.size)
         for k in range(0, centres.size, step):
-            d = _segment_distances(centres[k : k + step, None], starts[None, :], dvec[None, :], dd[None, :])
+            d = segment_distances(centres[k : k + step, None], starts[None, :], dvec[None, :], dd[None, :])
             keep = d <= d.min(axis=1, keepdims=True) + reach
             counts.append(keep.sum(axis=1))
             cand.append(np.nonzero(keep)[1].astype(np.int32))
@@ -622,7 +615,7 @@ class _CellIndex:
         seg = np.cumsum(counts) - counts  # each point's first slot in the flat arrays
         pos = np.arange(seg[-1] + counts[-1])
         edges = self.cand[pos + np.repeat(first - seg, counts)]
-        d = _segment_distances(np.repeat(p, counts), self.starts[edges], self.dvec[edges], self.dd[edges])
+        d = segment_distances(np.repeat(p, counts), self.starts[edges], self.dvec[edges], self.dd[edges])
         # first minimizing candidate of each point; candidates ascend by edge
         d_min = np.repeat(np.minimum.reduceat(d, seg), counts)
         at = np.minimum.reduceat(np.where(d == d_min, pos, pos.size), seg)

@@ -2,7 +2,8 @@
 
 The Mobius involution interchanging 0 and z together with the
 pseudohyperbolic and hyperbolic metrics, as scalars and as the array kernel
-``rho_matrix`` / ``beta_matrix`` that every pairwise distance goes through.
+``rho_matrix`` / ``beta_matrix`` that every pairwise distance goes through,
+and the one Euclidean point-to-segment kernel, ``segment_distances``.
 Points are plain complex numbers; ``interior_value`` is the interior guard.
 """
 
@@ -76,6 +77,14 @@ def clamped_beta(rho: np.ndarray) -> np.ndarray:
 def beta_matrix(points_a, points_b) -> np.ndarray:
     """Hyperbolic distances ``clamped_beta(rho_matrix(points_a, points_b))``."""
     return clamped_beta(rho_matrix(points_a, points_b))
+
+
+def segment_distances(p, starts, dvec, dd) -> np.ndarray:
+    """Elementwise distance from p to the segment [start, start + dvec], with
+    dd = |dvec|^2 > 0; operands broadcast."""
+    diff = p - starts
+    t = np.clip((diff * np.conj(dvec)).real / dd, 0.0, 1.0)
+    return np.abs(diff - t * dvec)
 
 
 def beta_from_rho(rho: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ def harmonic_conjugate(f: BoundaryGridFunction) -> BoundaryGridFunction:
 
 def winding_number(
     f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray
-) -> tuple[float, int] | list[tuple[float, int] | ContourThroughZeroError]:
+) -> tuple[float, int]:
     """Min |f| over arcs that together form closed curves, and the winding
     number of f along them, given the values ``vals`` of f at the arcs' points
     laid end to end.
@@ -111,65 +111,30 @@ def winding_number(
     midpoints only.  A sample on a zero of f gives (0.0, 0).  Needing more
     than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends count once), or a
     phase sum farther than 0.1 from an integer, raises ContourThroughZeroError.
-
-    ``vals`` of shape (k, N) holds k functions on the same points, and f(w)
-    then returns their k rows at w.  The rows share one first pass of
-    moduli, jumps and phase sums; a row that needs bisection is refined on
-    its own, with its own midpoints.  The result is the list, in row order,
-    of what a 1-D call on each row would return, or the
-    ContourThroughZeroError it would raise.
     """
+    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
     pts = np.concatenate(arcs)
     last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
     last[np.cumsum([arc.size for arc in arcs]) - 1] = True
-    if np.ndim(vals) == 2:
-        return _count_rows(f, pts, last, len(arcs), vals)
-    (result,) = _count_rows(lambda w: f(w)[None], pts, last, len(arcs), vals[None])
-    if isinstance(result, ContourThroughZeroError):
-        raise result
-    return result
-
-
-def _count_rows(
-    f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, last: np.ndarray, n_arcs: int, vals: np.ndarray
-) -> list[tuple[float, int] | ContourThroughZeroError]:
-    """``winding_number`` on the rows of vals; a row that needs bisection
-    goes back on the work list alone, with its own points and f's row."""
-    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
-    out: list = [None] * len(vals)
-    work = [(range(len(vals)), f, pts, last, vals)]
-    while work:
-        rows, f, pts, last, vals = work.pop()
-        edges = ~last[:-1]
+    while True:
         mods = np.abs(vals)
-        # a row with a zero sample divides by it here; its result is (0.0, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bad = edges & (np.abs(vals[:, 1:] - vals[:, :-1]) / np.minimum(mods[:, :-1], mods[:, 1:]) > eta)
-            # compress keeps each row contiguous, so it is summed as a 1-D row is
-            turns = np.angle(np.compress(edges, vals[:, 1:] / vals[:, :-1], axis=1)).sum(axis=1) / (2.0 * np.pi)
-        rows_out = zip(rows, mods.min(axis=1).tolist(), turns.tolist(), bad.any(axis=1).tolist())
-        for r, (i, low, total, bisect) in enumerate(rows_out):
-            if low == 0.0:
-                out[i] = (0.0, 0)
-            elif not bisect:
-                count = round(total)
-                if abs(total - count) > 0.1:
-                    out[i] = ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
-                else:
-                    out[i] = (low, count)
-            elif pts.size - n_arcs + np.count_nonzero(bad[r]) > max_pts:
-                out[i] = ContourThroughZeroError(
-                    f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
-                )
-            else:
-                at = np.flatnonzero(bad[r]) + 1
-                mids = 0.5 * (pts[at - 1] + pts[at])
-                row_f = partial(_row, f, r)
-                row = np.insert(vals[r], at, row_f(mids)[0])
-                work.append(([i], row_f, np.insert(pts, at, mids), np.insert(last, at, False), row[None]))
-    return out
-
-
-def _row(f: Callable[[np.ndarray], np.ndarray], r: int, w: np.ndarray) -> np.ndarray:
-    """Row r of f(w), kept two-dimensional."""
-    return f(w)[r : r + 1]
+        low = float(mods.min())
+        if low == 0.0:
+            return 0.0, 0
+        edges = ~last[:-1]
+        jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
+        bad = np.flatnonzero(edges & (jump > eta))
+        if bad.size == 0:
+            total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
+            count = round(total)
+            if abs(total - count) > 0.1:
+                raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
+            return low, count
+        if pts.size - len(arcs) + bad.size > max_pts:
+            raise ContourThroughZeroError(
+                f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
+            )
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, f(mids))
+        last = np.insert(last, bad + 1, False)

@@ -2,9 +2,10 @@
 
 The construction interpolates matched zeros linearly, splits [0, 1] so each
 step moves every zero less than a caller-chosen hyperbolic amount, corrects
-each step by an invertible outer factor, and certifies the resulting segments
-by modulus margins and winding counts on the boundary of the hyperbolic
-unit-neighborhood of the current zeros.
+each step by an invertible outer factor, and certifies each resulting
+segment for every s at once by Rouche's theorem: a pointwise inequality and
+one winding count on the boundary of the hyperbolic unit-neighborhood of the
+current zeros.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ _MAX_REFINEMENTS = 12
 # the points per neighborhood circle of the certification, shared by
 # build_path's start margin
 _PTS_PER_CIRCLE = 256
-#: The s-samples of each certified segment, as Python floats (``path_moduli.csv`` prints them).
-SEGMENT_S_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -196,11 +195,10 @@ def build_path(
     or certified.  Let m0 be the start vertex's margin: the minimum over the
     groups of its neighborhood contours of min |b_{t_0}| (0 when a group hits
     a zero or cannot be resolved).  It comes from certification's per-step
-    routine, for the vertex as a step with no target at s = 0, whose one
-    row is b_{t_0} itself: m0 is segment 0's margin at s = 0 to the bit.
-    Segment 0 at s = 0 is one of the samples
-    behind both eps_vertices and eps_observed, so
-    eps_observed <= eps_vertices <= m0, and acceptance needs
+    routine, for the vertex as a step with no target, which counts b_{t_0}
+    alone, as every step does: m0 is segment 0's margin to the bit.
+    eps_observed is the minimum of all the steps' margins, so
+    eps_observed <= m0, and acceptance needs
     step_norm < eps_observed / 2 for every step.  A step with
     step_norm >= m0 / 2 therefore rejects the round, and the round stops at
     the first such step.  Vertex 0 is the same in every round, so m0 is
@@ -222,7 +220,7 @@ def build_path(
 
     start = ZeroList.from_points(interpolate_points(pairs, 0.0))
     m0 = min(
-        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, (r,) in _step_margins(start, None, (0.0,))),
+        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, r, _ in _step_margins(start, None)),
         default=math.inf,
     )
     alphas: list[float] = []
@@ -442,9 +440,9 @@ def neighborhood_contours(centers: Sequence[complex]) -> list[ContourGroup]:
 @dataclass(frozen=True)
 class SampleCheck:
     segment: int
-    s: float
     group: int
-    margin: float
+    margin: float  # min |A| on the group's arcs, bisected points included
+    slack: float  # min(|A| - |B - A|) over the group's arc samples
     count: int
     expected: int
 
@@ -453,82 +451,83 @@ class SampleCheck:
 class CertificationReport:
     ok: bool
     failures: tuple[str, ...]
-    eps_observed: float   # worst margin over all segments, s-samples and groups
-    eps_vertices: float   # worst margin of the vertex products alone
+    eps_observed: float  # worst margin over all segments and groups
+    eps_certified: float  # worst Rouche slack over all segments and groups
     checks: tuple[SampleCheck, ...]
 
 
 def certify_path(path: PolygonalPath) -> CertificationReport:
-    """Certify every segment of the path by margins and winding counts.
+    """Certify every segment of the path by Rouche's theorem.
 
-    For each step j and each s of ``SEGMENT_S_SAMPLES``, the function
-    b_{t_j} + s (b_{t_{j+1}} g_{j+1} - b_{t_j}) is sampled on the boundary of
-    the hyperbolic unit neighborhood of Z(b_{t_j}): its modulus on the sampled
-    set must stay positive and its winding count on each component must equal
-    the zeros of b_{t_j} there, summed over the component's boundary arcs.
-    A constant path certifies its one vertex the same way, as a step with no
-    target at s = 0.
+    Step j's segment is f_s = A + s (B - A), s in [0, 1], with A = b_{t_j} and
+    B = b_{t_{j+1}} g_{j+1}.  On each component of the hyperbolic unit
+    neighborhood of Z(A), sampled on its boundary arcs, the step needs
+    |B - A| < |A| at every sample (the Rouche slack min(|A| - |B - A|) is
+    positive) and the winding count of A alone must equal the zeros of A
+    there.  Then |f_s - A| <= s |B - A| < |A| on the arcs for every s at once,
+    so each f_s has the zeros of A in each component (Henrici, Applied and
+    Computational Complex Analysis vol. 1, 4.10); the inequality is checked
+    at the samples, not between them.  A constant path certifies its one
+    vertex the same way, as a step with B = A.
 
-    Each step is one pass (``_step_margins``): b_{t_j} is evaluated once on
-    the arcs of all its components, the target once as the fused rational
-    function ``PathStep.target``, and each component's five s-samples are the
-    rows of one ``gridfn.winding_number`` count, which bisects an edge of a
-    row while the relative jump across it exceeds ``gridfn._ETA`` = 0.5 and
-    caps a component's distinct boundary points at
-    ``gridfn._MAX_PTS_PER_LOOP``.
+    Each step is one pass (``_step_margins``): A is evaluated once on the arcs
+    of all its components, B once as the fused rational function
+    ``PathStep.target``, and each component's count is one
+    ``gridfn.winding_number`` call on A, which bisects an edge while the
+    relative jump across it exceeds ``gridfn._ETA`` = 0.5 and caps a
+    component's distinct boundary points at ``gridfn._MAX_PTS_PER_LOOP``.
     """
     checks: list[SampleCheck] = []
     failures: list[str] = []
-    eps_observed = math.inf
-    eps_vertices = math.inf
-    segments = [(path.vertices[j].zeros_t, step, SEGMENT_S_SAMPLES) for j, step in enumerate(path.steps)]
-    for j, (zeros, step, s_values) in enumerate(segments or [(path.vertices[0].zeros_t, None, (0.0,))]):
-        for gi, (group, results) in enumerate(_step_margins(zeros, step, s_values)):
-            for s, result in zip(s_values, results):
-                if isinstance(result, ContourThroughZeroError):
-                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: {result}")
-                    eps_observed = 0.0
-                    continue
+    eps_observed = eps_certified = math.inf
+    for j, step in enumerate(path.steps or [None]):
+        for gi, (group, result, slack) in enumerate(_step_margins(path.vertices[j].zeros_t, step)):
+            where = f"segment {j}, group {gi}"
+            eps_certified = min(eps_certified, slack)
+            if isinstance(result, ContourThroughZeroError):
+                failures.append(f"{where}: {result}")
+                eps_observed = 0.0
+            else:
                 margin, count = result
                 eps_observed = min(eps_observed, margin)
-                if s == 0.0:
-                    eps_vertices = min(eps_vertices, margin)
-                checks.append(SampleCheck(j, s, gi, margin, count, group.expected_count))
+                checks.append(SampleCheck(j, gi, margin, slack, count, group.expected_count))
                 if margin <= 0.0:
-                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: margin {margin:.3e} <= 0")
+                    failures.append(f"{where}: margin {margin:.3e} <= 0")
                 if count != group.expected_count:
-                    failures.append(f"segment {j}, s={s:.3f}, group {gi}: count {count} != {group.expected_count}")
-    return CertificationReport(not failures, tuple(failures), eps_observed, eps_vertices, tuple(checks))
+                    failures.append(f"{where}: count {count} != {group.expected_count}")
+            if not slack > 0.0:
+                failures.append(f"{where}: Rouche slack {slack:.3e} <= 0, |B - A| >= |A| on the arcs")
+    return CertificationReport(not failures, tuple(failures), eps_observed, eps_certified, tuple(checks))
 
 
 def _step_margins(
-    zeros: ZeroList, step: PathStep | None, s_values: Sequence[float]
-) -> list[tuple[ContourGroup, list[tuple[float, int] | ContourThroughZeroError]]]:
-    """Each group of the neighborhood contours of Z(b), b the product of
-    ``zeros``, with the margin and winding count on it of every segment
-    function f_s = A + s (B - A), A = b and B = ``step.target``; a vertex is
-    a step with no target and s_values = (0.0,).
+    zeros: ZeroList, step: PathStep | None
+) -> list[tuple[ContourGroup, tuple[float, int] | ContourThroughZeroError, float]]:
+    """Each group of the neighborhood contours of Z(A), A the product of
+    ``zeros``, with the margin and winding count of A on it, or the
+    ContourThroughZeroError of that count, and the Rouche slack
+    min(|A| - |B - A|) over its arc samples, B = ``step.target``; a vertex is
+    a step with B = A, whose slack is min |A|.
 
     A and B are evaluated once, on the arcs of all groups laid end to end.
-    Each group's s-rows go to one ``gridfn.winding_number`` call, which
-    refines a row on its own: a row whose samples hit a zero of f_s gets
-    (0.0, 0), one that needs more than ``gridfn._MAX_PTS_PER_LOOP`` distinct
-    points, or whose phase sum is not near an integer, gets its
-    ContourThroughZeroError.
+    Each group's count is one ``gridfn.winding_number`` call on A's values: a
+    sample on a zero of A gives (0.0, 0), and needing more than
+    ``gridfn._MAX_PTS_PER_LOOP`` distinct points, or a phase sum not near an
+    integer, gives the error.
     """
     groups = neighborhood_contours(zeros.expanded_points())
     if not groups:
         return []
-    s = np.array(s_values)[:, None]
-
-    def rows(w: np.ndarray) -> np.ndarray:
-        a = evaluate_grid(zeros, w)
-        return a[None] if step is None else a + s * (step.target(w) - a)
-
+    pts = np.concatenate([arc for group in groups for arc in group.arcs])
+    a = evaluate_grid(zeros, pts)
+    slack = np.abs(a) if step is None else np.abs(a) - np.abs(step.target(pts) - a)
     sizes = [sum(arc.size for arc in group.arcs) for group in groups]
-    vals = rows(np.concatenate([arc for group in groups for arc in group.arcs]))
     ends = np.cumsum(sizes)
-    return [
-        (group, winding_number(rows, group.arcs, vals[:, end - size : end]))
-        for group, size, end in zip(groups, sizes, ends)
-    ]
+    out = []
+    for group, size, end, low in zip(groups, sizes, ends.tolist(), np.minimum.reduceat(slack, ends - sizes).tolist()):
+        try:
+            result = winding_number(lambda w: evaluate_grid(zeros, w), group.arcs, a[end - size : end])
+        except ContourThroughZeroError as exc:
+            result = exc
+        out.append((group, result, low))
+    return out

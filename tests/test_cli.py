@@ -108,13 +108,19 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "path.json").read_text())
         assert doc["certification"]["ok"] is True
         header, *rows = (tmp_path / "path_moduli.csv").read_text().splitlines()
-        assert header == "segment,s,min_modulus,max_modulus"
-        assert len(rows) == 5 * len(doc["step_norms"])
-        for row in rows:
-            segment, s, low, high = (float(x) for x in row.split(","))
-            assert 0.0 < low <= high
-            if s == 0.0:  # |b_t| = 1 on the circle
-                assert abs(low - 1.0) < 1e-12 and abs(high - 1.0) < 1e-12
+        assert header == "segment,min_modulus,max_modulus"
+        assert [int(row.split(",")[0]) for row in rows] == list(range(len(doc["step_norms"])))
+        for row, norm in zip(rows, doc["step_norms"]):
+            _, low, high = (float(x) for x in row.split(","))
+            # |A| = |b_t| = 1 on the circle and |B - A| <= the step norm
+            assert 1.0 - norm - 1e-12 <= low <= 1.0 <= high <= 1.0 + norm + 1e-12
+        header, *rows = (tmp_path / "path_margins.csv").read_text().splitlines()
+        assert header == "segment,group,margin,slack,count,expected"
+        assert [row.split(",") for row in rows] == [
+            [str(c["segment"]), str(c["group"]), repr(c["margin"]), repr(c["slack"]), str(c["count"]), str(c["expected"])]
+            for c in doc["certification"]["checks"]
+        ]
+        assert all(0.0 < c["slack"] <= c["margin"] for c in doc["certification"]["checks"])
 
     def test_contour(self, tmp_path, zeros_file):
         code = main(
@@ -141,7 +147,7 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "path.json").read_text(), parse_constant=reject)
         assert doc["certification"]["ok"] is True
         assert doc["certification"]["eps_observed"] is None
-        assert doc["certification"]["eps_vertices"] is None
+        assert doc["certification"]["eps_certified"] is None
 
 
 class TestExitCodes:

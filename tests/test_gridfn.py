@@ -97,91 +97,24 @@ class TestWindingNumber:
         mids = np.concatenate(seen)
         assert mids.size and np.abs(mids - pts[:, None]).min() > 0.0
 
+    def test_bisects_within_arcs_without_warnings(self):
+        # the circle as two half-circle arcs of 32 edges each, and a zero
+        # near it: no edge joins the arcs' shared ends, so every midpoint is
+        # a chord's, inside the circle; a zero sample returns before any division
+        arcs = [np.exp(1j * np.pi * np.arange(33) / 32), np.exp(1j * np.pi * (1.0 + np.arange(33) / 32))]
+        pts, zero, seen = np.concatenate(arcs), 0.97 * np.exp(0.3j), []
 
-def _rows_and_calls(zeros, arcs):
-    """The k rows f_k(w) = w - zeros[k] on the arcs' points, and f returning
-    all k rows at w, which records every w it is called with."""
-    zeros = np.asarray(zeros)
-    calls = []
+        def f(w):
+            seen.append(w)
+            return w - zero
 
-    def f(w):
-        calls.append(np.array(w))
-        return w[None, :] - zeros[:, None]
-
-    return f, calls, np.concatenate(arcs)[None, :] - zeros[:, None]
-
-
-def _one_row(z, arcs):
-    """A 1-D call on the row w - z: its result or its error's message."""
-    pts = np.concatenate(arcs)
-    try:
-        return winding_number(lambda w: w - z, arcs, pts - z)
-    except ContourThroughZeroError as exc:
-        return str(exc)
-
-
-def _as_compared(result):
-    return str(result) if isinstance(result, ContourThroughZeroError) else result
-
-
-class TestWindingRows:
-    """k rows in one call give what k 1-D calls give, row by row."""
-
-    # the circle |w| = 1 as two half-circle arcs of 32 edges each
-    ARCS = [np.exp(1j * np.pi * np.arange(33) / 32), np.exp(1j * np.pi * (1.0 + np.arange(33) / 32))]
-
-    def test_random_rows_equal_the_one_row_calls(self):
-        rng = np.random.default_rng(4)
-        pts = np.concatenate(self.ARCS)
-        for _ in range(40):
-            k = int(rng.integers(1, 7))
-            zeros = 1.6 * rng.random(k) ** 0.5 * np.exp(2j * np.pi * rng.random(k))
-            if rng.random() < 0.5:  # a row with an exact zero sample
-                zeros[int(rng.integers(0, k))] = pts[int(rng.integers(0, pts.size))]
-            f, _, vals = _rows_and_calls(zeros, self.ARCS)
-            got = winding_number(f, self.ARCS, vals)
-            assert [_as_compared(g) for g in got] == [_one_row(z, self.ARCS) for z in zeros]
-
-    def test_only_the_bisecting_row_is_refined(self):
-        # zero 1: inside, far from the circle; zero 2: near it, so its row
-        # bisects; zero 3: outside; zero 4: on a sample
-        zeros = [0.1 + 0.2j, 0.97 * np.exp(0.3j), -2.0, self.ARCS[1][7]]
-        f, calls, vals = _rows_and_calls(zeros, self.ARCS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = winding_number(f, self.ARCS, vals)
-        assert got == [_one_row(z, self.ARCS) for z in zeros]
-        assert got[0][1] == 1 and got[1][1] == 1 and got[2] == (pytest.approx(1.0), 0) and got[3] == (0.0, 0)
-        one_calls = []
-
-        def one(w):
-            one_calls.append(np.array(w))
-            return w - zeros[1]
-
-        winding_number(one, self.ARCS, np.concatenate(self.ARCS) - zeros[1])
-        assert len(calls) == len(one_calls) > 0
-        for w, w1 in zip(calls, one_calls):
-            np.testing.assert_array_equal(w, w1)
-
-    def test_a_row_past_the_point_cap_fails_alone(self, monkeypatch):
-        # 128 distinct points allowed: the row whose zero sits a third of the
-        # way along an edge keeps bisecting until it runs into the cap
-        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 128)
-        arc = self.ARCS[0]
-        zeros = [0.2j, arc[5] + (arc[6] - arc[5]) / 3.0, 3.0]
-        f, calls, vals = _rows_and_calls(zeros, self.ARCS)
-        got = winding_number(f, self.ARCS, vals)
-        expected = [_one_row(z, self.ARCS) for z in zeros]
-        assert [_as_compared(g) for g in got] == expected
-        assert isinstance(got[1], ContourThroughZeroError) and "needs more than 128 points" in expected[1]
-        assert got[0][1] == 1 and got[2][1] == 0
-
-    def test_an_open_curve_fails_in_its_row(self):
-        half = self.ARCS[:1]  # phase sum 1/2 for f(w) = w
-        f, _, vals = _rows_and_calls([0.0, 5.0], half)
-        got = winding_number(f, half, vals)
-        assert str(got[0]) == _one_row(0.0, half) and "not near an integer" in str(got[0])
-        assert got[1] == _one_row(5.0, half)
+            low, count = winding_number(f, arcs, pts - zero)
+            assert winding_number(lambda w: w - arcs[1][7], arcs, pts - arcs[1][7]) == (0.0, 0)
+        assert count == 1 and 0.03 <= low < 0.031
+        mids = np.concatenate(seen)
+        assert mids.size and np.abs(mids).max() < 1.0 - 1e-6
 
 
 class TestSerialization:
