@@ -30,8 +30,10 @@ _SCAN_RATIO = 0.85
 _CHUNK = 4096
 # _rational_product's factors per division.  For |w| <= 1 a denominator
 # |1 - conj(z) w| is at least 1 - |z| > 1e-12 (INTERIOR_GUARD), so a block's
-# product is above 1e-12^16 = 1e-192; on the level-set square, |w| <= 0.999 sqrt(2),
-# an affine factor is at most 1 + 0.999 sqrt(2) < 2.42, a block at most 2.42^16 < 1.4e6
+# product is above 1e-12^16 = 1e-192.  The level-set square no longer evaluates
+# its blocks wholly in |w| >= 1, but a kept block can cross the circle, so there
+# |w| <= 0.999 sqrt(2) still: an affine factor is at most 1 + 0.999 sqrt(2) < 2.42,
+# a block at most 2.42^16 < 1.4e6
 _BLOCK = 16
 
 

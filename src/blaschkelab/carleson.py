@@ -69,8 +69,11 @@ def box_carleson_norm(mu: DiscreteMeasure, max_depth: int) -> float:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     if not mu.atoms:
         return 0.0
-    z = np.array([a for a, _ in mu.atoms])
-    w = np.array([abs(v) for _, v in mu.atoms])
+    return _box_norm(np.array([a for a, _ in mu.atoms]), np.array([abs(v) for _, v in mu.atoms]), max_depth)
+
+
+def _box_norm(z: np.ndarray, w: np.ndarray, max_depth: int) -> float:
+    """``box_carleson_norm`` of the atoms z with the masses w >= 0."""
     depth_in = 1.0 - np.abs(z)
     angles = np.mod(np.angle(z), 2.0 * math.pi)
     best = 0.0
@@ -89,10 +92,15 @@ def box_carleson_norm(mu: DiscreteMeasure, max_depth: int) -> float:
 
 def suggested_box_depth(mu: DiscreteMeasure) -> int:
     """Depth past which the box norm of this finite measure is stable."""
-    gaps = [1.0 - abs(z) for z, _ in mu.atoms if abs(z) > 0.0]
-    if not gaps:
+    return _stable_depth(np.array([abs(z) for z, _ in mu.atoms]))
+
+
+def _stable_depth(moduli: np.ndarray) -> int:
+    """``suggested_box_depth`` of atoms with these moduli."""
+    gaps = 1.0 - moduli[moduli > 0.0]
+    if not gaps.size:
         return 1
-    return max(1, int(math.ceil(math.log2(1.0 / min(gaps)))) + 1)
+    return max(1, int(math.ceil(math.log2(1.0 / float(gaps.min())))) + 1)
 
 
 @dataclass(frozen=True)

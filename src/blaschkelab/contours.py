@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import ZeroList, evaluate_grid
-from .carleson import DiscreteMeasure, box_carleson_norm, suggested_box_depth
+from .carleson import _box_norm, _stable_depth
 from .errors import (
     AmbiguousTopologyError,
     AtlasInconsistencyError,
@@ -30,8 +30,11 @@ from .gridfn import winding_number
 ORIGIN_CLEARANCE = 1e-6
 # a point this close to an edge is on it: its rounded points lie within 1e-16
 _ON_CURVE = 1e-15
-# row blocks of the level-set sampling grid hold about this many points, bounding the peak memory
-_LEVEL_BLOCK = 1 << 14
+# the level-set grid is pruned in square blocks of this many cells a side
+_LEVEL_BLOCK = 8
+# a pruned block's range of |b| misses the level by this fraction of it, far
+# more than the rounding of b at the nodes and the centre and of the geometry
+_LEVEL_SLACK = 1e-6
 # a level-set curve's samples of |b| stay within this fraction of the level
 _LEVEL_TOL = 0.1
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -179,7 +182,9 @@ def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> li
 
     The loops come from marching squares on a square of ``resolution`` x
     ``resolution`` cells (``_level_loops``) and are sorted by their lowest
-    real, then imaginary, coordinate.  Each curve's enclosed zeros are those
+    real, then imaginary, coordinate.  b is evaluated only on the blocks of
+    cells whose Schwarz-Pick range of |b| can reach delta (``_level_values``),
+    which gives the loops of a full-grid evaluation bit for bit.  Each curve's enclosed zeros are those
     it ``contains``; one evaluation of b on its points checks that it stays
     within ``_LEVEL_TOL`` times delta of the level and starts the Rouche
     count, ``gridfn.winding_number`` on the closed polyline, which evaluates b
@@ -295,26 +300,56 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
 
 
 def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
-    """|b| - delta on the sampling grid, in row blocks that bound the peak memory."""
+    """|b| - delta at the nodes of the sampling grid that a crossing cell can
+    read, and a value of the right sign (+-1) everywhere else.
+
+    The cells are cut into blocks of ``_LEVEL_BLOCK`` x ``_LEVEL_BLOCK``.  A
+    block inside the disk, with centre c and half-diagonal h, |c| + h < 1,
+    lies within pseudo-hyperbolic distance rho = h / (1 - |c| (|c| + h)) < 1
+    of c, so by Schwarz-Pick (rho(b(z), b(c)) <= rho(z, c)) |b| stays on it
+    within [(|b(c)| - rho)/(1 - rho |b(c)|), (|b(c)| + rho)/(1 + rho |b(c)|)];
+    a block in |z| >= 1 has |b| >= 1 > delta.  A block whose range misses
+    delta by the fraction ``_LEVEL_SLACK`` of it has no crossing cell, and
+    only the nodes of the other blocks are evaluated, in one call, so they
+    keep the bits of a full-grid evaluation.
+    """
     rows, cols = grid.shape
-    n_blocks = max(1, rows // math.ceil(_LEVEL_BLOCK / cols))
-    vals = np.empty(grid.shape)
-    for block, out in zip(np.array_split(grid, n_blocks), np.array_split(vals, n_blocks)):
-        out[...] = np.abs(evaluate_grid(b, block)) - delta
+    # the blocks' first and last node indices along each axis
+    r_edge = np.append(np.arange(0, rows - 1, _LEVEL_BLOCK), rows - 1)
+    c_edge = np.append(np.arange(0, cols - 1, _LEVEL_BLOCK), cols - 1)
+    lo, hi = grid[np.ix_(r_edge[:-1], c_edge[:-1])], grid[np.ix_(r_edge[1:], c_edge[1:])]
+    centre, half = 0.5 * (lo + hi), 0.5 * np.abs(hi - lo)
+    mod = np.abs(centre)
+    gap = 1.0 - mod * (mod + half)
+    # per block, the sign of |b| - delta, or 0 where it may change; first the blocks in |z| >= 1
+    sign = (np.hypot(np.clip(0.0, lo.real, hi.real), np.clip(0.0, lo.imag, hi.imag)) >= 1.0).astype(float)
+    inside = np.flatnonzero((gap > half) & (sign == 0.0))
+    rho = half.ravel()[inside] / gap.ravel()[inside]
+    x = np.abs(evaluate_grid(b, centre.ravel()[inside]))
+    sign.ravel()[inside[(x + rho) / (1.0 + rho * x) < delta * (1.0 - _LEVEL_SLACK)]] = -1.0
+    sign.ravel()[inside[(x - rho) / (1.0 - rho * x) > delta * (1.0 + _LEVEL_SLACK)]] = 1.0
+    # a block's nodes, those on the edge with the next block going to the next block
+    r_count, c_count = np.diff(np.append(r_edge[:-1], rows)), np.diff(np.append(c_edge[:-1], cols))
+    read = np.repeat(np.repeat(sign == 0.0, r_count, axis=0), c_count, axis=1)
+    # ... and read when the block before is kept too
+    read[r_edge[1:-1]] |= read[r_edge[1:-1] - 1]
+    read[:, c_edge[1:-1]] |= read[:, c_edge[1:-1] - 1]
+    # the nodes are evaluated before the full-grid values exist, which keeps the peak memory down
+    modulus = np.abs(evaluate_grid(b, grid[read]))
+    vals = np.repeat(np.repeat(sign, r_count, axis=0), c_count, axis=1)
+    vals[read] = modulus - delta
     return vals
 
 
 def arclength_carleson_norm(curves: Sequence[JordanCurveApprox]) -> float:
     """Dyadic-box norm of the polyline arclength measure (atoms at edge
     midpoints weighted by edge length), to its ``suggested_box_depth``."""
-    atoms: list[tuple[complex, complex]] = []
-    for c in curves:
-        mids = 0.5 * (c.edge_starts() + c.edge_ends())
-        atoms.extend((complex(mid), complex(ln)) for mid, ln in zip(mids, c.edge_lengths()))
-    if not atoms:
+    if not curves:
         return 0.0
-    mu = DiscreteMeasure(tuple(atoms))
-    return box_carleson_norm(mu, suggested_box_depth(mu))
+    mids = np.concatenate([0.5 * (c.edge_starts() + c.edge_ends()) for c in curves])
+    lengths = np.concatenate([c.edge_lengths() for c in curves])
+    # np.hypot rounds as the abs of a Python complex, which suggested_box_depth takes
+    return _box_norm(mids, lengths, _stable_depth(np.hypot(mids.real, mids.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +438,8 @@ _ABSORB = 1e-4
 _MAX_STEPS = 10_000
 # second generator of the rank-1 lattice of first steps
 _INV_GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
+# floor of |xb - xu| where _coupled_step normalizes the separation
+_TINY = np.finfo(float).tiny
 
 
 def _walk(
@@ -427,6 +464,13 @@ def _walk(
     harmonic measure up to the absorb band.  A chunk's first step takes walker
     i's two uniforms from the lattice (i/m, i/phi mod 1) shifted by one random
     pair mod 1 (Cranley-Patterson), which leaves each walker's step uniform.
+
+    The chunk's state is one (2, m) array of positions and one of live flags,
+    row 0 the u-walkers and row 1 their partners, so each step gathers the
+    live walkers once and tallies both mass vectors with one ``bincount``.
+    Only what an answer reads is computed: the first step's distances come
+    from one query per source, a disk fixture's nearest edges only for the
+    absorbed walkers, and the directions only for the walkers that move.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -434,20 +478,21 @@ def _walk(
     if rng is None:
         rng = np.random.default_rng(0)
     n_edges = curve.n_edges
-    masses_u = np.zeros(n_edges)
-    masses_b = np.zeros(n_edges)
+    masses = np.zeros(2 * n_edges)
     stragglers = 0
+    # every walker starts at its source, so the first step's distances are the sources'
+    src_dist, src_edge = _distance_to_curve(np.array([zu] if zb is None else [zu, zb]), curve)
     for done in range(0, n_samples, _WALK_CHUNK):
         m = min(_WALK_CHUNK, n_samples - done)
         i = np.arange(m)
         draws = np.mod(np.stack([i / m, i * _INV_GOLDEN]) + rng.random(2)[:, None], 1.0)
-        pos_u = np.full(m, zu, dtype=np.complex128)
-        pos_b = np.full(m, zu if zb is None else zb, dtype=np.complex128)
-        alive_u = np.ones(m, dtype=bool)
-        alive_b = np.full(m, zb is not None)  # the b-walker walks on its own
+        pos = np.empty((2, m), dtype=np.complex128)
+        pos[0], pos[1] = zu, zu if zb is None else zb
+        alive = np.ones((2, m), dtype=bool)
+        alive[1] = zb is not None  # the b-walker walks on its own
         fused = np.zeros(m, dtype=bool)  # the b-walker rides with the u-walker
         for step in range(max_steps + 1):
-            keep = alive_u | alive_b
+            keep = alive[0] | alive[1]
             n_keep = np.count_nonzero(keep)
             if n_keep == 0:
                 break
@@ -455,38 +500,50 @@ def _walk(
             # costs at most twice its live pairs, and the copies stay a
             # geometric series
             if 2 * n_keep <= keep.size:
-                pos_u, pos_b, alive_u, alive_b, fused = (x[keep] for x in (pos_u, pos_b, alive_u, alive_b, fused))
+                pos, alive, fused = np.compress(keep, pos, axis=1), np.compress(keep, alive, axis=1), fused[keep]
+            width = fused.size
             if step:
-                draws = rng.random((2, pos_u.size))
-            iu = np.flatnonzero(alive_u)
-            ib = np.flatnonzero(alive_b)
-            dist, ne = _distance_to_curve(np.concatenate([pos_u[iu], pos_b[ib]]), curve)
+                draws = rng.random((2, width))
+            # flat indices of the live walkers: the u-walkers' rows, then width + the b-walkers'
+            live = np.flatnonzero(alive)
+            if step == 0:
+                dist, edge = src_dist[live // width], src_edge[live // width]
+            elif curve.is_disk_fixture:
+                rel = pos.ravel()[live] - curve.disk_center
+                dist, edge = curve.disk_radius - np.abs(rel), None
+            else:
+                dist, edge = _distance_to_curve(pos.ravel()[live], curve)
             hit = dist < absorb
             if step == max_steps:
                 # walkers still out at the step cap settle at their nearest edge
-                stragglers += np.count_nonzero(~hit) + np.count_nonzero(~hit[: iu.size] & fused[iu])
+                u_live = live[: np.searchsorted(live, width)]
+                stragglers += np.count_nonzero(~hit) + np.count_nonzero(~hit[: u_live.size] & fused[u_live])
                 hit[:] = True
-            hit_u, hit_b = hit[: iu.size], hit[iu.size :]
-            ne_u = ne[: iu.size][hit_u]
-            masses_u += np.bincount(ne_u, minlength=n_edges)
-            masses_b += np.bincount(ne_u[fused[iu[hit_u]]], minlength=n_edges)
-            masses_b += np.bincount(ne[iu.size :][hit_b], minlength=n_edges)
-            alive_u[iu[hit_u]] = False
-            alive_b[ib[hit_b]] = False
-            iu, du, ib, db = iu[~hit_u], dist[: iu.size][~hit_u], ib[~hit_b], dist[iu.size :][~hit_b]
+            if hit.any():
+                out = live[hit]
+                edge = _disk_edge(rel[hit], n_edges) if edge is None else edge[hit]
+                # a b-walker's exit counts in the second half, and so does the exit of a fused pair's rider
+                n_out_u = np.searchsorted(out, width)
+                rider = edge[:n_out_u][fused[out[:n_out_u]]]
+                masses += np.bincount(
+                    np.concatenate([edge[:n_out_u], edge[n_out_u:] + n_edges, rider + n_edges]), minlength=2 * n_edges
+                )
+                alive.ravel()[out] = False
+                live, dist = live[~hit], dist[~hit]
 
-            dirs = np.exp(2j * math.pi * draws[0])
-            paired_u, paired_b = alive_b[iu], alive_u[ib]
-            ju, jb = iu[~paired_u], ib[~paired_b]
-            pos_u[ju] += du[~paired_u] * dirs[ju]
-            pos_b[jb] += db[~paired_b] * dirs[jb]
-            ic = iu[paired_u]  # the same rows, in the same order, as ib[paired_b]
+            n_u = np.searchsorted(live, width)
+            paired = alive[::-1].ravel()[live]  # whether the partner, in the other row, is live
+            solo = live[~paired]
+            pos.ravel()[solo] += dist[~paired] * np.exp(2j * math.pi * draws[0].take(solo, mode="wrap"))
+            ic = live[:n_u][paired[:n_u]]  # the same rows, in the same order, as the paired b-walkers
             if ic.size:
-                r = np.minimum(du[paired_u], db[paired_b])
-                pos_u[ic], pos_b[ic], meet = _coupled_step(pos_u[ic], pos_b[ic], r, draws[1, ic], dirs[ic])
+                r = np.minimum(dist[:n_u][paired[:n_u]], dist[n_u:][paired[n_u:]])
+                dirs = np.exp(2j * math.pi * draws[0, ic])
+                pos[0, ic], pos[1, ic], meet = _coupled_step(pos[0, ic], pos[1, ic], r, draws[1, ic], dirs)
                 fused[ic[meet]] = True
-                alive_b[ic[meet]] = False
-    return masses_u / n_samples, None if zb is None else masses_b / n_samples, int(stragglers)
+                alive[1, ic[meet]] = False
+    masses /= n_samples
+    return masses[:n_edges], None if zb is None else masses[n_edges:], int(stragglers)
 
 
 def _coupled_step(
@@ -502,7 +559,7 @@ def _coupled_step(
     step = r * np.sqrt(radial) * dirs
     x = xu + step
     sep = xb - xu
-    unit = sep / np.maximum(np.abs(sep), np.finfo(float).tiny)
+    unit = sep / np.maximum(np.abs(sep), _TINY)
     meet = np.abs(x - xb) < r
     return x, np.where(meet, x, xb + step - 2.0 * (step * np.conj(unit)).real * unit), meet
 
@@ -515,11 +572,14 @@ def _distance_to_curve(p: np.ndarray, curve: JordanCurveApprox) -> tuple[np.ndar
     """
     if curve.is_disk_fixture:
         rel = p - curve.disk_center
-        dist = curve.disk_radius - np.abs(rel)
-        ang = np.mod(np.angle(rel), 2.0 * math.pi)
-        ne = np.minimum((ang / (2.0 * math.pi) * curve.n_edges).astype(np.int64), curve.n_edges - 1)
-        return dist, ne
+        return curve.disk_radius - np.abs(rel), _disk_edge(rel, curve.n_edges)
     return curve._cell_index.query(p)
+
+
+def _disk_edge(rel: np.ndarray, n_edges: int) -> np.ndarray:
+    """The edge of a disk fixture's polyline at the angle of each rel = p - centre."""
+    ang = np.mod(np.angle(rel), 2.0 * math.pi)
+    return np.minimum((ang / (2.0 * math.pi) * n_edges).astype(np.int64), n_edges - 1)
 
 
 def _dense_distance(p: np.ndarray, starts: np.ndarray, dvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

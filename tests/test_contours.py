@@ -1,5 +1,6 @@
 """Tests for level sets, harmonic measure, atlases and the contour log."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -131,21 +132,136 @@ class TestLevelSets:
         [ZeroList(m=2), ZeroList(((0.3 + 0.2j, 2), (-0.5 + 0j, 1)), m=1), ZeroList.from_points([0.55, -0.55, 0.1j])],
         ids=["origin", "multiple", "simple"],
     )
-    def test_row_blocks_equal_one_shot_evaluation(self, zeros, monkeypatch):
+    def test_pruned_grid_equals_the_full_grid(self, zeros, monkeypatch):
+        # the crossing cells read the full grid's bits, and the curves follow
         xs = np.linspace(-0.9, 0.9, 513)
         grid = xs[None, :] + 1j * xs[:, None]
-        np.testing.assert_array_equal(_level_values(zeros, grid, 0.3), np.abs(evaluate_grid(zeros, grid)) - 0.3)
-        blocked = level_set_components(zeros, 0.3)
-        monkeypatch.setattr(contours, "_LEVEL_BLOCK", 1 << 20)
-        one_shot = level_set_components(zeros, 0.3)
-        assert len(blocked) == len(one_shot)
-        for c, d in zip(blocked, one_shot):
+        pruned, full = _level_values(zeros, grid, 0.3), _full_grid_values(zeros, grid, 0.3)
+        _assert_pruned_values_agree(pruned, full)
+        assert np.count_nonzero(_evaluated(pruned)) < 0.5 * full.size
+        got = level_set_components(zeros, 0.3)
+        monkeypatch.setattr(contours, "_level_values", _full_grid_values)
+        want = level_set_components(zeros, 0.3)
+        assert len(got) == len(want)
+        for c, d in zip(got, want):
             np.testing.assert_array_equal(c.points, d.points)
             assert c.enclosed_zeros == d.enclosed_zeros
 
     def test_delta_too_large(self):
         with pytest.raises(ValueError):
             level_set_components(ZeroList.from_points([0.2]), 0.97, resolution=128)
+
+
+def _full_grid_values(b, grid, delta):
+    """The full-grid route, the reference for ``_level_values``: every node evaluated."""
+    return np.abs(evaluate_grid(b, grid)) - delta
+
+
+def _evaluated(vals):
+    """The nodes ``_level_values`` evaluated: the others hold +-1 exactly."""
+    return np.abs(vals) != 1.0
+
+
+def _assert_pruned_values_agree(pruned, full):
+    """Every node has the full grid's sign, every evaluated node its bits, and
+    so does every corner of a cell that the level crosses."""
+    np.testing.assert_array_equal(pruned > 0.0, full > 0.0)
+    seen = _evaluated(pruned)
+    np.testing.assert_array_equal(pruned[seen], full[seen])
+    above = full > 0.0
+    corners = (above[:-1, :-1], above[:-1, 1:], above[1:, :-1], above[1:, 1:])
+    crossed = np.logical_or.reduce(corners) & ~np.logical_and.reduce(corners)
+    needed = np.zeros(full.shape, dtype=bool)
+    for rows, cols in itertools.product((slice(None, -1), slice(1, None)), repeat=2):
+        needed[rows, cols] |= crossed
+    np.testing.assert_array_equal(pruned[needed], full[needed])
+
+
+def _random_level_case(rng):
+    """A product with n in 1..13 zeros up to modulus 0.99, some repeated and
+    some at the origin, a level in 0.01..0.7 and a resolution in 64..1024."""
+    r_max = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99]))
+    pts = [random_point(rng, r_max) for _ in range(int(rng.integers(1, 14)))]
+    if rng.random() < 0.3:
+        pts.append(pts[0])
+    if rng.random() < 0.2:
+        pts += [0.0] * int(rng.integers(1, 3))
+    delta = float(rng.choice([0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7])) * (1.0 + 0.01 * rng.random())
+    return ZeroList.from_points(pts), delta, int(rng.choice([64, 100, 128, 257, 512, 1024]))
+
+
+class TestPrunedLevelGrid:
+    """``_level_values`` evaluates b only on the blocks whose Schwarz-Pick
+    range of |b| can reach the level; the full-grid route is the reference."""
+
+    def test_matches_the_full_grid_on_random_products(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        outcomes, fractions = Counter(), []
+        for _ in range(40):
+            b, delta, res = _random_level_case(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _outcome(level_set_components, b, delta, res)
+                with monkeypatch.context() as m:
+                    m.setattr(contours, "_level_values", _full_grid_values)
+                    want = _outcome(level_set_components, b, delta, res)
+            assert type(got) is type(want)
+            if isinstance(got, tuple):
+                assert got == want
+                outcomes[got[0].__name__] += 1
+            else:
+                outcomes["curves"] += 1
+                assert len(got) == len(want)
+                for c, d in zip(got, want):
+                    np.testing.assert_array_equal(c.points, d.points)
+                    assert (c.component_id, c.enclosed_zeros) == (d.component_id, d.enclosed_zeros)
+            # the sampling square of level_set_components: its corners lie beyond |z| = 1
+            r_box = max(0.5, (1.0 + b.max_modulus()) / 2.0)
+            xs = np.linspace(-r_box, r_box, res + 1)
+            grid = xs[None, :] + 1j * xs[:, None]
+            pruned = _level_values(b, grid, delta)
+            with np.errstate(all="ignore"):
+                _assert_pruned_values_agree(pruned, _full_grid_values(b, grid, delta))
+            fractions.append(np.count_nonzero(_evaluated(pruned)) / pruned.size)
+        assert outcomes["curves"] >= 25 and outcomes["AmbiguousTopologyError"] >= 1
+        assert np.mean(fractions) < 0.5
+
+    def test_blocks_beyond_the_circle_are_not_evaluated(self, monkeypatch):
+        # the pole 1/conj(a) = 1.25 exp(i pi/4) lies in the square, in a block wholly in |z| >= 1
+        a = 0.8 * cmath.exp(0.25j * math.pi)
+        b = ZeroList.from_points([a, -0.3j])
+        xs = np.linspace(-0.95, 0.95, 257)
+        grid = xs[None, :] + 1j * xs[:, None]
+        seen = []
+
+        def recording(zeros, points):
+            seen.append(np.array(points))
+            return evaluate_grid(zeros, points)
+
+        monkeypatch.setattr(contours, "evaluate_grid", recording)
+        pruned = _level_values(b, grid, 0.2)
+        nodes = seen[-1]
+        assert nodes.size == np.count_nonzero(_evaluated(pruned))
+        # a kept block reaches at most one block side (8 cells) beyond the circle
+        assert np.abs(nodes).max() < 1.0 + 8 * math.sqrt(2.0) * (xs[1] - xs[0])
+        assert np.all(pruned[np.abs(grid) >= 1.1] == 1.0)
+        assert pruned[np.unravel_index(np.abs(grid - 1.0 / np.conj(a)).argmin(), grid.shape)] == 1.0
+        with np.errstate(all="ignore"):
+            _assert_pruned_values_agree(pruned, _full_grid_values(b, grid, 0.2))
+
+    def test_partial_blocks_and_block_edges(self):
+        # 8 does not divide the resolution: the last block of each axis is partial
+        b = ZeroList(((0.3 + 0.2j, 2), (-0.5 + 0j, 1)), m=1)
+        for res in (2, 9, 17, 61, 100):
+            xs = np.linspace(-0.8, 0.8, res + 1)
+            grid = xs[None, :] + 1j * xs[:, None]
+            _assert_pruned_values_agree(_level_values(b, grid, 0.25), _full_grid_values(b, grid, 0.25))
+
+    def test_a_node_on_the_level_still_raises(self):
+        # the square has side 1.5 and the node 0.5 has |z| = 0.5 exactly: no block
+        # holding it can be pruned, so the vals == 0 check still sees it
+        with pytest.raises(AmbiguousTopologyError, match="exactly on the level"):
+            level_set_components(ZeroList(m=1), 0.5, resolution=24)
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +523,39 @@ class TestMarchingSquares:
             assert sum(p.shape == c.points.shape and np.array_equal(p, c.points) for p in seen) == 1
 
 
+def _atom_route_norm(curves):
+    """The arclength norm through a ``DiscreteMeasure`` of one (midpoint,
+    length) atom per edge, the reference for the array route."""
+    atoms = tuple(
+        (complex(m), complex(l))
+        for c in curves
+        for m, l in zip(0.5 * (c.edge_starts() + c.edge_ends()), c.edge_lengths())
+    )
+    if not atoms:
+        return 0.0
+    mu = DiscreteMeasure(atoms)
+    return box_carleson_norm(mu, suggested_box_depth(mu))
+
+
 class TestArclengthNorm:
     def test_circle_value_vs_direct_boxes(self):
         c = JordanCurveApprox.circle(0.0, 0.5, n=128)
         got = arclength_carleson_norm([c])
-        atoms = tuple(
-            (complex(m), complex(l))
-            for m, l in zip(0.5 * (c.edge_starts() + c.edge_ends()), c.edge_lengths())
-        )
-        mu = DiscreteMeasure(atoms)
-        assert got == pytest.approx(box_carleson_norm(mu, suggested_box_depth(mu)), rel=1e-12)
+        assert got == _atom_route_norm([c])
         assert got > 0
+
+    def test_level_sets_equal_the_atom_route(self):
+        rng = np.random.default_rng(12)
+        resolved = 0
+        for _ in range(12):
+            b, delta, res = _random_level_case(rng)
+            try:
+                curves = level_set_components(b, delta, resolution=min(res, 512))
+            except AmbiguousTopologyError:
+                continue
+            resolved += 1
+            assert arclength_carleson_norm(curves) == _atom_route_norm(curves)
+        assert resolved >= 8
 
     def test_empty(self):
         assert arclength_carleson_norm([]) == 0.0
@@ -1134,6 +1272,130 @@ class TestWalkEngine:
         np.testing.assert_array_equal(first[0], again[0])
         np.testing.assert_array_equal(first[1], again[1])
         assert first[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _previous_engine(zu, zb, curve, n_samples, rng):
+    """The walk engine before its steps were trimmed, the bit-for-bit
+    reference for ``_walk``: every step queries every live walker's distance
+    (nearest edges included, on disks too) and forms every row's direction,
+    and the u- and b-walkers are separate arrays with three tallies."""
+    absorb, max_steps = contours._ABSORB, contours._MAX_STEPS
+    n_edges = curve.n_edges
+    masses_u = np.zeros(n_edges)
+    masses_b = np.zeros(n_edges)
+    stragglers = 0
+    for done in range(0, n_samples, contours._WALK_CHUNK):
+        m = min(contours._WALK_CHUNK, n_samples - done)
+        i = np.arange(m)
+        draws = np.mod(np.stack([i / m, i * contours._INV_GOLDEN]) + rng.random(2)[:, None], 1.0)
+        pos_u = np.full(m, zu, dtype=np.complex128)
+        pos_b = np.full(m, zu if zb is None else zb, dtype=np.complex128)
+        alive_u = np.ones(m, dtype=bool)
+        alive_b = np.full(m, zb is not None)
+        fused = np.zeros(m, dtype=bool)
+        for step in range(max_steps + 1):
+            keep = alive_u | alive_b
+            n_keep = np.count_nonzero(keep)
+            if n_keep == 0:
+                break
+            if 2 * n_keep <= keep.size:
+                pos_u, pos_b, alive_u, alive_b, fused = (x[keep] for x in (pos_u, pos_b, alive_u, alive_b, fused))
+            if step:
+                draws = rng.random((2, pos_u.size))
+            iu = np.flatnonzero(alive_u)
+            ib = np.flatnonzero(alive_b)
+            dist, ne = _distance_to_curve(np.concatenate([pos_u[iu], pos_b[ib]]), curve)
+            hit = dist < absorb
+            if step == max_steps:
+                stragglers += np.count_nonzero(~hit) + np.count_nonzero(~hit[: iu.size] & fused[iu])
+                hit[:] = True
+            hit_u, hit_b = hit[: iu.size], hit[iu.size :]
+            ne_u = ne[: iu.size][hit_u]
+            masses_u += np.bincount(ne_u, minlength=n_edges)
+            masses_b += np.bincount(ne_u[fused[iu[hit_u]]], minlength=n_edges)
+            masses_b += np.bincount(ne[iu.size :][hit_b], minlength=n_edges)
+            alive_u[iu[hit_u]] = False
+            alive_b[ib[hit_b]] = False
+            iu, du, ib, db = iu[~hit_u], dist[: iu.size][~hit_u], ib[~hit_b], dist[iu.size :][~hit_b]
+            dirs = np.exp(2j * math.pi * draws[0])
+            paired_u, paired_b = alive_b[iu], alive_u[ib]
+            ju, jb = iu[~paired_u], ib[~paired_b]
+            pos_u[ju] += du[~paired_u] * dirs[ju]
+            pos_b[jb] += db[~paired_b] * dirs[jb]
+            ic = iu[paired_u]
+            if ic.size:
+                r = np.minimum(du[paired_u], db[paired_b])
+                pos_u[ic], pos_b[ic], meet = _coupled_step(pos_u[ic], pos_b[ic], r, draws[1, ic], dirs[ic])
+                fused[ic[meet]] = True
+                alive_b[ic[meet]] = False
+    return masses_u / n_samples, None if zb is None else masses_b / n_samples, int(stragglers)
+
+
+_ENGINE_CURVES = {
+    "disk": lambda: JordanCurveApprox.circle(0.1 - 0.05j, 0.4, n=64),
+    "polyline": lambda: _DISTANCE_CURVES["polyline-1024"](),
+    "trefoil": _DISTANCE_CURVES["trefoil"],
+    "level-set": _level_set_curve,
+}
+
+
+def _engine_source(curve):
+    # off the centre, where one sphere jump would reach the curve
+    z = complex(curve.points.mean()) + 0.08 - 0.03j
+    assert curve.contains(z)
+    return z
+
+
+def _assert_same_walk(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestEngineAgainstThePreviousEngine:
+    """``_walk`` against ``_previous_engine`` on the same generator state:
+    the same masses and stragglers, bit for bit, and the same stream left."""
+
+    @staticmethod
+    def _both(zu, zb, curve, n, seed):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = contours._walk(zu, zb, curve, n, rng_new)
+        want = _previous_engine(zu, zb, curve, n, rng_old)
+        _assert_same_walk(got, want)
+        assert rng_new.random() == rng_old.random()
+        return got
+
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CURVES))
+    @pytest.mark.parametrize("paired", [True, False], ids=["paired", "lone"])
+    def test_same_masses(self, name, paired):
+        curve = _ENGINE_CURVES[name]()
+        z = _engine_source(curve)
+        for n, seed in ((1, 1), (7, 2), (600, 3)):
+            self._both(z, z + 0.05j if paired else None, curve, n, seed)
+
+    @pytest.mark.parametrize("paired", [True, False], ids=["paired", "lone"])
+    def test_a_partial_third_chunk(self, paired):
+        curve = _ENGINE_CURVES["disk"]()
+        self._both(0.1, -0.05 + 0.1j if paired else None, curve, 45_000, 5)
+
+    @pytest.mark.parametrize("name", ["disk", "trefoil"])
+    def test_equal_sources(self, name):
+        curve = _ENGINE_CURVES[name]()
+        z = _engine_source(curve)
+        mu, mb, _ = self._both(z, z, curve, 900, 9)
+        np.testing.assert_array_equal(mu, mb)
+
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CURVES))
+    @pytest.mark.parametrize("cap", [0, 1, 2, 5])
+    def test_stragglers_at_the_step_cap(self, name, cap, monkeypatch):
+        monkeypatch.setattr(contours, "_MAX_STEPS", cap)
+        curve = _ENGINE_CURVES[name]()
+        z = _engine_source(curve)
+        counts = [self._both(z, zb, curve, 500, 8)[2] for zb in (z + 0.05j, None, z)]
+        assert min(counts) > 0
 
 
 def _dense_route(p, curve):
