@@ -133,11 +133,6 @@ def evaluate(b: ZeroList, z) -> complex:
     return complex(evaluate_grid(b, w))
 
 
-def _affine(p: complex, q: complex, x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = p - q x; q = 1 skips the multiply, which would be exact."""
-    return np.subtract(p, x if q == 1.0 else np.multiply(x, q, out=scratch), out=out)
-
-
 def _rational_product(scale: complex, factors: Sequence[tuple[complex, ...]], points) -> np.ndarray:
     """scale * prod_k (p_k - q_k w)/(r_k - s_k w) over the rows (p, q, r, s) of factors,
     in chunks of ``_CHUNK`` points with one division per ``_BLOCK`` factors.  No
@@ -154,11 +149,12 @@ def _rational_product(scale: complex, factors: Sequence[tuple[complex, ...]], po
         for start in range(0, len(factors), _BLOCK):
             num.fill(1.0)
             den.fill(1.0)
+            # each affine factor p - q x is formed in u, q x in t; q = 1 skips the multiply, which would be exact
             for p, q, r, s in factors[start : start + _BLOCK]:
-                np.multiply(num, _affine(p, q, x, t, u), out=num2)
-                np.multiply(den, _affine(r, s, x, t, u), out=den2)
+                np.multiply(num, np.subtract(p, x if q == 1.0 else np.multiply(x, q, t), u), num2)
+                np.multiply(den, np.subtract(r, x if s == 1.0 else np.multiply(x, s, t), u), den2)
                 num, num2, den, den2 = num2, num, den2, den
-            np.multiply(acc, np.divide(num, den, out=t), out=acc2)
+            np.multiply(acc, np.divide(num, den, t), acc2)
             acc, acc2 = acc2, acc
         out[lo : lo + x.size] = acc
     return out.reshape(w.shape)

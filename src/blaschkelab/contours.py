@@ -211,11 +211,10 @@ def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> li
             raise ValueError(f"delta = {delta} is too large: the level set reaches the circle")
 
     xs = np.linspace(-r_box, r_box, resolution + 1)
-    grid = xs[None, :] + 1j * xs[:, None]
-    vals = _level_values(b, grid, delta)
+    vals = _level_values(b, xs, delta)
     if np.any(vals == 0.0):
         raise AmbiguousTopologyError("grid node exactly on the level; perturb delta")
-    loops = _level_loops(b, delta, grid, vals)
+    loops = _level_loops(b, delta, xs, vals)
 
     curves: list[JordanCurveApprox] = []
     zeros = ([(0j, b.m)] if b.m else []) + list(b.zeros)
@@ -225,11 +224,15 @@ def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> li
             raise AmbiguousTopologyError("curve samples stray from the level; refine the resolution")
         try:
             curve = JordanCurveApprox(pts, component_id=cid)
-            _, rouche = winding_number(
-                lambda w: evaluate_grid(b, w), [np.append(pts, pts[0])], np.append(on_curve, on_curve[0])
-            )
-        except (ValueError, ContourThroughZeroError) as exc:
+        except ValueError as exc:
             raise AmbiguousTopologyError(str(exc)) from exc
+        ends = [pts.size + 1]
+        (result,) = winding_number(
+            [lambda w: evaluate_grid(b, w)], np.append(pts, pts[0]), np.append(on_curve, on_curve[0]), ends, ends
+        )
+        if isinstance(result, ContourThroughZeroError):
+            raise AmbiguousTopologyError(str(result)) from result
+        _, rouche = result
         # the curve is not shared yet: its zeros are set in place rather than by a second construction
         object.__setattr__(curve, "enclosed_zeros", tuple((z, k) for z, k in zeros if curve.contains(z)))
         if rouche != curve.total_zero_count():
@@ -242,9 +245,16 @@ def level_set_components(b: ZeroList, delta: float, resolution: int = 512) -> li
     return curves
 
 
-def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) -> list[np.ndarray]:
-    """The closed crossing polylines of ``vals`` = |b| - delta on ``grid``,
-    each positively oriented, in the order of their first cell (row-major).
+def _nodes(xs: np.ndarray, rows, cols) -> np.ndarray:
+    """The sampling grid's nodes xs[col] + i xs[row], formed only where they
+    are read; each has the bits of the full grid xs[None, :] + 1j * xs[:, None]."""
+    return xs[cols] + 1j * xs[rows]
+
+
+def _level_loops(b: ZeroList, delta: float, xs: np.ndarray, vals: np.ndarray) -> list[np.ndarray]:
+    """The closed crossing polylines of ``vals`` = |b| - delta on the grid of
+    nodes xs[col] + i xs[row], each positively oriented, in the order of
+    their first cell (row-major).
 
     Every cell's directed segments come from ``_SEGMENTS``; one batched
     evaluation of b at the saddle cells' centres picks their pairing.  A
@@ -254,18 +264,18 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
     is no entry.  Each loop starts at the entry of its first segment and
     runs forward, reversed as a whole if it turns clockwise.
     """
-    n = grid.shape[1] - 1
+    n = xs.size - 1
     bits = (vals > 0.0).view(np.uint8)
     cases = (bits[:-1, :-1] << 3) | (bits[:-1, 1:] << 2) | (bits[1:, 1:] << 1) | bits[1:, :-1]
     cells = np.flatnonzero((cases > 0) & (cases < 15))
     case = cases.ravel()[cells]
     corner = cells + cells // n  # each cell's bottom-left node
-    nodes = grid.ravel()
     above = np.zeros(cells.size, dtype=np.int64)
     saddle = np.flatnonzero((case == 5) | (case == 10))
     if saddle.size:
-        q = corner[saddle]
-        above[saddle] = np.abs(evaluate_grid(b, (nodes[q] + nodes[q + n + 2]) / 2.0)) - delta > 0.0
+        row, col = np.divmod(corner[saddle], n + 1)
+        centre = (_nodes(xs, row, col) + _nodes(xs, row + 1, col + 1)) / 2.0
+        above[saddle] = np.abs(evaluate_grid(b, centre)) - delta > 0.0
     segs = _SEGMENTS[case, above]
     cell, slot = np.nonzero(segs[:, :, 0] >= 0)
     # the crossing names of edges 0-3 relative to 2 * the bottom-left node
@@ -281,7 +291,8 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
     lo = entry >> 1
     hi = lo + np.where(entry & 1, n + 1, 1)
     v0, v1 = vals.ravel()[lo], vals.ravel()[hi]
-    points = nodes[lo] + np.clip(v0 / (v0 - v1), 0.0, 1.0) * (nodes[hi] - nodes[lo])
+    start, end = _nodes(xs, *np.divmod(lo, n + 1)), _nodes(xs, *np.divmod(hi, n + 1))
+    points = start + np.clip(v0 / (v0 - v1), 0.0, 1.0) * (end - start)
 
     loops: list[np.ndarray] = []
     seen = np.zeros(entry.size, dtype=bool)
@@ -299,9 +310,10 @@ def _level_loops(b: ZeroList, delta: float, grid: np.ndarray, vals: np.ndarray) 
     return loops
 
 
-def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
-    """|b| - delta at the nodes of the sampling grid that a crossing cell can
-    read, and a value of the right sign (+-1) everywhere else.
+def _level_values(b: ZeroList, xs: np.ndarray, delta: float) -> np.ndarray:
+    """|b| - delta at the nodes xs[col] + i xs[row] of the sampling grid that
+    a crossing cell can read, and a value of the right sign (+-1) everywhere
+    else.
 
     The cells are cut into blocks of ``_LEVEL_BLOCK`` x ``_LEVEL_BLOCK``.  A
     block inside the disk, with centre c and half-diagonal h, |c| + h < 1,
@@ -311,13 +323,14 @@ def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
     a block in |z| >= 1 has |b| >= 1 > delta.  A block whose range misses
     delta by the fraction ``_LEVEL_SLACK`` of it has no crossing cell, and
     only the nodes of the other blocks are evaluated, in one call, so they
-    keep the bits of a full-grid evaluation.
+    keep the bits of a full-grid evaluation; only the nodes read are formed.
     """
-    rows, cols = grid.shape
+    rows = cols = xs.size
     # the blocks' first and last node indices along each axis
     r_edge = np.append(np.arange(0, rows - 1, _LEVEL_BLOCK), rows - 1)
     c_edge = np.append(np.arange(0, cols - 1, _LEVEL_BLOCK), cols - 1)
-    lo, hi = grid[np.ix_(r_edge[:-1], c_edge[:-1])], grid[np.ix_(r_edge[1:], c_edge[1:])]
+    lo = _nodes(xs, r_edge[:-1, None], c_edge[None, :-1])
+    hi = _nodes(xs, r_edge[1:, None], c_edge[None, 1:])
     centre, half = 0.5 * (lo + hi), 0.5 * np.abs(hi - lo)
     mod = np.abs(centre)
     gap = 1.0 - mod * (mod + half)
@@ -335,7 +348,7 @@ def _level_values(b: ZeroList, grid: np.ndarray, delta: float) -> np.ndarray:
     read[r_edge[1:-1]] |= read[r_edge[1:-1] - 1]
     read[:, c_edge[1:-1]] |= read[:, c_edge[1:-1] - 1]
     # the nodes are evaluated before the full-grid values exist, which keeps the peak memory down
-    modulus = np.abs(evaluate_grid(b, grid[read]))
+    modulus = np.abs(evaluate_grid(b, _nodes(xs, *np.nonzero(read))))
     vals = np.repeat(np.repeat(sign, r_count, axis=0), c_count, axis=1)
     vals[read] = modulus - delta
     return vals

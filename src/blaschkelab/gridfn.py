@@ -98,24 +98,66 @@ def harmonic_conjugate(f: BoundaryGridFunction) -> BoundaryGridFunction:
 
 
 def winding_number(
-    f: Callable[[np.ndarray], np.ndarray], arcs: Sequence[np.ndarray], vals: np.ndarray
-) -> tuple[float, int]:
-    """Min |f| over arcs that together form closed curves, and the winding
-    number of f along them, given the values ``vals`` of f at the arcs' points
-    laid end to end.
+    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
+    pts: np.ndarray,
+    vals: np.ndarray,
+    arc_ends: np.ndarray,
+    group_ends: np.ndarray,
+) -> list[tuple[float, int] | ContourThroughZeroError]:
+    """Min |f| over each group of arcs that together form closed curves, and
+    the winding number of f along them, for groups laid end to end: ``pts``
+    holds every arc's points (at least two each), ``vals`` the values of the
+    group's f = ``fs[g]`` there, and ``arc_ends`` and ``group_ends`` the
+    offsets in ``pts`` after each arc and each group.  Returns one result per
+    group, a ContourThroughZeroError in its group's place.
 
-    No edge joins one arc's last point to the next arc's first.  An edge is
-    bisected while the relative jump |f(p_{k+1}) - f(p_k)| / min(|f|) on it
-    exceeds ``_ETA``, which caps every phase increment at arcsin(eta) and makes
-    the sum of the increments unambiguous; f is evaluated at the inserted
-    midpoints only.  A sample on a zero of f gives (0.0, 0).  Needing more
-    than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends count once), or a
-    phase sum farther than 0.1 from an integer, raises ContourThroughZeroError.
+    No edge joins one arc's last point to the next arc's first.  One pass over
+    all the groups finds the moduli, the relative jumps
+    |f(p_{k+1}) - f(p_k)| / min(|f|) and the phase increments.  A group with
+    a sample on a zero of f gives (0.0, 0); one whose jumps all stay within
+    ``_ETA`` and whose phase sum lies within 0.05 of an integer is counted
+    from that pass.  Every other group runs ``_refined_count`` alone, which
+    bisects its edges while a jump exceeds ``_ETA`` (so every phase increment
+    stays below arcsin(eta) and the sum is unambiguous) and evaluates its f
+    at the inserted midpoints only.
     """
-    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
-    pts = np.concatenate(arcs)
     last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
-    last[np.cumsum([arc.size for arc in arcs]) - 1] = True
+    last[np.asarray(arc_ends) - 1] = True
+    ends = np.asarray(group_ends)
+    starts = np.concatenate(([0], ends[:-1]))
+    mods = np.abs(vals)
+    low = np.minimum.reduceat(mods, starts)
+    edges = ~last[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
+        bad = np.add.reduceat(edges & (jump > _ETA), starts)
+        total = np.add.reduceat(np.where(edges, np.angle(vals[1:] / vals[:-1]), 0.0), starts) / (2.0 * np.pi)
+    count = np.rint(total)
+    plain = (bad == 0) & (np.abs(total - count) <= 0.05)
+    out: list[tuple[float, int] | ContourThroughZeroError] = []
+    for g, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if low[g] == 0.0:
+            out.append((0.0, 0))
+        elif plain[g]:
+            out.append((float(low[g]), int(count[g])))
+        else:
+            try:
+                out.append(_refined_count(fs[g], pts[s:e], vals[s:e], last[s:e]))
+            except ContourThroughZeroError as exc:
+                out.append(exc)
+    return out
+
+
+def _refined_count(
+    f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, vals: np.ndarray, last: np.ndarray
+) -> tuple[float, int]:
+    """``winding_number`` for one group, ``last`` marking its arcs' last
+    points, by bisection.  A sample on a zero of f gives (0.0, 0).  Needing
+    more than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends
+    count once), or a phase sum farther than 0.1 from an integer, raises
+    ContourThroughZeroError."""
+    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
+    n_arcs = int(np.count_nonzero(last))
     while True:
         mods = np.abs(vals)
         low = float(mods.min())
@@ -130,7 +172,7 @@ def winding_number(
             if abs(total - count) > 0.1:
                 raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
             return low, count
-        if pts.size - len(arcs) + bad.size > max_pts:
+        if pts.size - n_arcs + bad.size > max_pts:
             raise ContourThroughZeroError(
                 f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
             )

@@ -29,6 +29,9 @@ _MAX_REFINEMENTS = 12
 # the points per neighborhood circle of the certification, shared by
 # build_path's start margin
 _PTS_PER_CIRCLE = 256
+# the arc points a certification block holds at most when its disks do not
+# overlap: about 256 KB per complex temporary
+_BLOCK_POINTS = 1 << 14
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -188,15 +191,16 @@ def build_path(
     about 1e-12 of the per-step FFT route.  No step runs a Cauchy transform
     or FFT, so none raises ``GridTooCoarseError``; the FFT route cross-checks
     each completed round: sup |2 Im C(sigma_total) - (Re outer_log_total)~|
-    must stay below ``functional_tol``.  Certification takes each step in
-    one pass (see ``certify_path``).
+    must stay below ``functional_tol``.  Certification takes the steps in
+    blocks (see ``certify_path``).
 
     A round that provably fails that rule is dropped before it is finished
     or certified.  Let m0 be the start vertex's margin: the minimum over the
     groups of its neighborhood contours of min |b_{t_0}| (0 when a group hits
-    a zero or cannot be resolved).  It comes from certification's per-step
-    routine, for the vertex as a step with no target, which counts b_{t_0}
-    alone, as every step does: m0 is segment 0's margin to the bit.
+    a zero or cannot be resolved).  It comes from certification's routine
+    ``_step_margins``, for the vertex as a one-step block with no target,
+    which counts b_{t_0} alone, as every step does: m0 is segment 0's margin
+    to the bit.
     eps_observed is the minimum of all the steps' margins, so
     eps_observed <= m0, and acceptance needs
     step_norm < eps_observed / 2 for every step.  A step with
@@ -220,7 +224,7 @@ def build_path(
 
     start = ZeroList.from_points(interpolate_points(pairs, 0.0))
     m0 = min(
-        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for _, r, _ in _step_margins(start, None)),
+        (0.0 if isinstance(r, ContourThroughZeroError) else r[0] for *_, r, _ in _step_margins([start], [None])),
         default=math.inf,
     )
     alphas: list[float] = []
@@ -299,142 +303,156 @@ def _build_once(
 # contours of hyperbolic unit neighborhoods and winding certification
 
 
-def hyperbolic_circle_euclid(center: complex, beta_radius: float) -> tuple[complex, float]:
-    """Euclidean center and radius of {z : beta(z, center) = beta_radius}."""
-    rho = math.tanh(beta_radius / 2.0)
-    ac2 = abs(center) ** 2
+def _unit_disks(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean centres and radii of the disks {beta(z, c) <= 1} about
+    ``centers``: with rho = tanh(1/2), the centre c (1 - rho^2) / (1 - rho^2 |c|^2)
+    and the radius rho (1 - |c|^2) / (1 - rho^2 |c|^2).  Each array operation
+    repeats a scalar complex one's bits: |c| is a hypot, its square a pow,
+    and the centre a complex times a real, then over a real, part by part."""
+    rho = math.tanh(0.5)
+    cr, ci = centers.real, centers.imag
+    ac2 = np.array([h**2 for h in np.hypot(cr, ci).ravel().tolist()]).reshape(centers.shape)
     den = 1.0 - rho * rho * ac2
-    return center * (1.0 - rho * rho) / den, rho * (1.0 - ac2) / den
+    f = 1.0 - rho * rho
+    re, im = cr * f - ci * 0.0, cr * 0.0 + ci * f
+    o = np.empty(centers.shape, dtype=np.complex128)
+    o.real, o.imag = (re + im * 0.0) / den, (im - re * 0.0) / den
+    return o, rho * (1.0 - ac2) / den
 
 
-def _merge_mod_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge angle intervals on the circle; input half-widths are < pi."""
-    two_pi = 2.0 * math.pi
-    spans: list[tuple[float, float]] = []
-    for a0, b0 in intervals:
-        width = b0 - a0
-        a = a0 % two_pi
-        b = a + width
-        if b <= two_pi:
-            spans.append((a, b))
-        else:
-            spans.append((a, two_pi))
-            spans.append((0.0, b - two_pi))
-    spans.sort()
-    merged: list[list[float]] = []
-    for a, b in spans:
-        if merged and a <= merged[-1][1] + 1e-12:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    # wrap-around join
-    if len(merged) > 1 and merged[0][0] <= 1e-12 and merged[-1][1] >= two_pi - 1e-12:
-        merged[0][0] = merged[-1][0] - two_pi
-        merged.pop()
-    return [(a, b) for a, b in merged]
-
-
-def _uncovered_spans(disks: list[tuple[complex, float]]) -> list[tuple[complex, float, float, float]]:
-    """The arcs bounding the union of Euclidean disks, as (center, radius,
-    start angle, end angle); an uncovered circle is the span (0, 2 pi).
+def _uncovered_spans(
+    r: np.ndarray, dist: np.ndarray, diff: np.ndarray, label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs bounding the union of each row's disks, as flat arrays
+    (row * n + disk, start angle, end angle), from the radii ``r`` (rows, n),
+    the pair distances ``dist`` and differences ``diff`` [row, i, j] =
+    o_j - o_i of their centres; an uncovered circle is the span (0, 2 pi).
 
     Every arc runs counterclockwise on its own circle, so the union lies on
     its left, holes included: phase increments of f summed over all the arcs
     give the signed count of zeros of f in the union.  A disk within 1e-13
     of a kept earlier one is dropped, and so is a disk inside a larger one,
-    or inside an equal one listed first.
+    or inside an equal one listed first.  Each kept disk's covered intervals
+    are reduced mod 2 pi, split at 0, sorted and merged while the next one
+    starts within 1e-12 of the running end; a first merged interval starting
+    within 1e-12 of 0 takes in a last one ending within 1e-12 of 2 pi, and
+    the gaps wider than 1e-12 are the arcs.  They come row by row, then by
+    the ``label`` of their disk's component, disk by disk, gap by gap.
     """
     two_pi = 2.0 * math.pi
-    dist = [[abs(o2 - o) for o2, _ in disks] for o, _ in disks]
-    uniq: list[int] = []
-    for i, (_, r) in enumerate(disks):
-        if not any(dist[i][j] < 1e-13 and abs(r - disks[j][1]) < 1e-13 for j in uniq):
-            uniq.append(i)
-    active = [
-        i
-        for i in uniq
-        if not any(
-            j != i and dist[i][j] + disks[i][1] <= disks[j][1] + 1e-15 and (disks[j][1], -j) > (disks[i][1], -i)
-            for j in uniq
-        )
-    ]
-    out = []
-    for i in active:
-        o, r = disks[i]
-        covered = []
-        for j in active:
-            o2, r2 = disks[j]
-            d = dist[i][j]
-            if i == j or d >= r + r2 - 1e-15 or d + r2 <= r:
-                continue
-            phi = math.atan2((o2 - o).imag, (o2 - o).real)
-            half = math.acos(min(1.0, max(-1.0, (d * d + r * r - r2 * r2) / (2.0 * d * r))))
-            covered.append((phi - half, phi + half))
-        if not covered:
-            out.append((o, r, 0.0, two_pi))
-            continue
-        merged = _merge_mod_intervals(covered)
-        for (_, b1), (a2, _) in zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)]):
-            if a2 > b1 + 1e-12:
-                out.append((o, r, b1, a2))
-    return out
+    rows, n = r.shape
+    ri, rj = r[:, :, None], r[:, None, :]
+    earlier = np.tri(n, k=-1, dtype=bool)  # [i, j]: j < i
+    keep = np.ones((rows, n), dtype=bool)
+    same = (dist < 1e-13) & (np.abs(ri - rj) < 1e-13) & earlier
+    if same.any():
+        for i in range(1, n):
+            keep[:, i] = ~(same[:, i, :i] & keep[:, :i]).any(axis=1)
+    larger = (rj > ri) | ((rj == ri) & earlier)
+    active = keep & ~((dist + ri <= rj + 1e-15) & larger & keep[:, None, :]).any(axis=2)
+    cover = active[:, :, None] & active[:, None, :] & (dist < ri + rj - 1e-15) & (dist + rj > ri)
+
+    # disk i's covered interval (phi - half, phi + half) under each overlapping j, by libm as the scalars are
+    row, i, j = np.nonzero(cover)
+    d, r1, r2, dij = dist[cover], r[row, i], r[row, j], diff[cover]
+    phi = np.array(list(map(math.atan2, dij.imag.tolist(), dij.real.tolist())))
+    cos_half = np.minimum(1.0, np.maximum(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)))
+    half = np.array(list(map(math.acos, cos_half.tolist())))
+    a = np.mod(phi - half, two_pi)
+    b = a + ((phi + half) - (phi - half))
+    wraps = b > two_pi
+    disk = np.concatenate((row * n + i, (row * n + i)[wraps]))
+    a = np.concatenate((a, np.zeros(np.count_nonzero(wraps))))
+    b = np.concatenate((np.minimum(b, two_pi), b[wraps] - two_pi))
+
+    # per disk, by start: a run goes on while a start is within 1e-12 of its running end
+    order = np.lexsort((a, disk))
+    disk, a, b = disk[order], a[order], b[order]
+    first = np.flatnonzero(np.diff(disk, prepend=-1))
+    count = np.diff(np.append(first, disk.size))
+    at = (np.repeat(np.arange(first.size), count), np.arange(disk.size) - np.repeat(first, count))
+    padded = np.full((first.size, count.max(initial=0)), -np.inf)
+    padded[at] = b
+    reach = np.maximum.accumulate(padded, axis=1)[at]
+    run = np.flatnonzero((at[1] == 0) | (a > np.concatenate(([0.0], reach[:-1])) + 1e-12))
+    m_disk, m_lo, m_hi = disk[run], a[run], reach[np.append(run, disk.size)[1:] - 1]
+
+    # the wrap-around join, then the gap after each merged interval
+    head = np.flatnonzero(np.diff(m_disk, prepend=-1))
+    tail = np.append(head, m_disk.size)[1:] - 1
+    join = (tail > head) & (m_lo[head] <= 1e-12) & (m_hi[tail] >= two_pi - 1e-12)
+    m_lo[head[join]] = m_lo[tail[join]] - two_pi
+    live = np.ones(m_disk.size, dtype=bool)
+    live[tail[join]] = False
+    tail[join] -= 1
+    nxt, turn = np.minimum(np.arange(1, m_disk.size + 1), m_disk.size - 1), np.zeros(m_disk.size)
+    nxt[tail], turn[tail] = head, two_pi
+    gap_hi = m_lo[nxt] + turn
+    arc = live & (gap_hi > m_hi + 1e-12)
+
+    lone = np.flatnonzero(active.ravel() & (np.bincount(disk, minlength=rows * n) == 0))
+    disk = np.concatenate((m_disk[arc], lone))
+    start = np.concatenate((m_hi[arc], np.zeros(lone.size)))
+    end = np.concatenate((gap_hi[arc], np.full(lone.size, two_pi)))
+    order = np.lexsort((disk, label.ravel()[disk], disk // n))
+    return disk[order], start[order], end[order]
 
 
-def _sample_arcs(spans: list[tuple[complex, float, float, float]], pts_per_circle: int) -> list[np.ndarray]:
-    """Each span (center, radius, start, end) sampled with both of its ends,
-    at ``pts_per_circle`` points per full circle; all the points of all the
-    spans come from one array pass and one ``exp``."""
+def _sample_arcs(
+    o: np.ndarray, r: np.ndarray, a: np.ndarray, b: np.ndarray, pts_per_circle: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each span (centre o, radius r, start a, end b) sampled with both of its
+    ends, at ``pts_per_circle`` points per full circle, in one array pass and
+    one ``exp``: the points laid end to end, and the offset after each span."""
     two_pi = 2.0 * math.pi
-    o, r, a, b = (np.array(col) for col in zip(*spans))
     n_pts = np.maximum(2, np.ceil(pts_per_circle * ((b - a) / two_pi)).astype(np.int64))
     sizes = n_pts + 1
     ends = np.cumsum(sizes)
-    k = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    k = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - sizes, sizes)
     theta = np.repeat(a, sizes) + np.repeat(b - a, sizes) * k / np.repeat(n_pts, sizes)
-    pts = np.repeat(o, sizes) + np.repeat(r, sizes) * np.exp(1j * theta)
-    return [pts[e - n : e] for e, n in zip(ends.tolist(), sizes.tolist())]
+    # ufunc calls, not operators: numpy would reuse a large temporary in place, which rounds differently
+    return np.add(np.repeat(o, sizes), np.multiply(np.repeat(r, sizes), np.exp(1j * theta))), ends
 
 
-@dataclass(frozen=True)
-class ContourGroup:
-    """One connected component of the union of hyperbolic unit disks."""
+@dataclass(frozen=True, eq=False)
+class ContourBlock:
+    """The neighborhood contours of several zero sets, laid end to end: set
+    by set, each set's components (groups) by their smallest member, each
+    group's arcs disk by disk."""
 
-    member_indices: tuple[int, ...]
-    arcs: tuple[np.ndarray, ...]
-    expected_count: int
+    pts: np.ndarray  # every arc's samples
+    arc_ends: np.ndarray  # the offset in pts after each arc
+    group_ends: np.ndarray  # the offset in pts after each group
+    group_set: np.ndarray  # the zero set of each group
+    group_size: np.ndarray  # the members of each group, its expected count
+    labels: np.ndarray  # [set, k]: the smallest member of the group of the set's k-th zero
 
 
-def neighborhood_contours(centers: Sequence[complex]) -> list[ContourGroup]:
-    """Boundary arcs of the hyperbolic unit neighborhood {beta(z, centers) <= 1},
-    grouped by component: each runs counterclockwise on its own circle
-    (``_uncovered_spans``), sampled at ``_PTS_PER_CIRCLE`` points per full
-    circle, the arcs of all components in one pass (``_sample_arcs``)."""
-    disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
-    n = len(disks)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            oi, ri = disks[i]
-            oj, rj = disks[j]
-            if abs(oi - oj) <= ri + rj + 1e-12:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    spans = [_uncovered_spans([disks[i] for i in members]) for members in groups.values()]
-    arcs = iter(_sample_arcs([s for group in spans for s in group], _PTS_PER_CIRCLE) if n else ())
-    return [
-        ContourGroup(tuple(members), tuple(next(arcs) for _ in group), len(members))
-        for members, group in zip(groups.values(), spans)
-    ]
+def neighborhood_contours(o: np.ndarray, r: np.ndarray) -> ContourBlock:
+    """Boundary arcs of the union of each row's disks (centres ``o``, radii
+    ``r``, both of shape (sets, n)), grouped by component, in one geometry
+    pass over all the rows: the pair distances, the components (disks within
+    1e-12 of touching are joined), the arcs (``_uncovered_spans``), each
+    counterclockwise on its own circle, and one sampling pass
+    (``_sample_arcs``) at ``_PTS_PER_CIRCLE`` points per full circle.  The
+    rows of ``_unit_disks(centers)`` give the hyperbolic unit neighborhoods
+    {beta(z, C) <= 1} of the rows C of ``centers``."""
+    sets, n = r.shape
+    diff = o[:, None, :] - o[:, :, None]
+    dist = np.hypot(diff.real, diff.imag)
+    near = dist <= r[:, :, None] + r[:, None, :] + 1e-12
+    labels = np.broadcast_to(np.arange(n), (sets, n))
+    while not np.array_equal(nxt := np.where(near, labels[:, None, :], n).min(axis=2), labels):
+        labels = nxt
+    disk, a, b = _uncovered_spans(r, dist, diff, labels)
+    pts, arc_ends = _sample_arcs(o.ravel()[disk], r.ravel()[disk], a, b, _PTS_PER_CIRCLE)
+    # a group is named by (set, smallest member), ascending
+    group_set, root = np.nonzero(labels == np.arange(n))
+    group_key = group_set * n + root
+    arc_key = (disk // n) * n + labels.ravel()[disk]
+    group_ends = np.append(0, arc_ends)[np.searchsorted(arc_key, group_key, side="right")]
+    group_size = np.bincount((np.arange(sets)[:, None] * n + labels).ravel(), minlength=sets * n)[group_key]
+    return ContourBlock(pts, arc_ends, group_ends, group_set, group_size, labels)
 
 
 @dataclass(frozen=True)
@@ -470,64 +488,87 @@ def certify_path(path: PolygonalPath) -> CertificationReport:
     at the samples, not between them.  A constant path certifies its one
     vertex the same way, as a step with B = A.
 
-    Each step is one pass (``_step_margins``): A is evaluated once on the arcs
-    of all its components, B once as the fused rational function
-    ``PathStep.target``, and each component's count is one
-    ``gridfn.winding_number`` call on A, which bisects an edge while the
-    relative jump across it exceeds ``gridfn._ETA`` = 0.5 and caps a
-    component's distinct boundary points at ``gridfn._MAX_PTS_PER_LOOP``.
+    The steps are taken in blocks (``_step_margins``): one
+    ``neighborhood_contours`` pass gives the arcs of every component of a
+    block's steps, A is evaluated once per step on its arcs and B once as the
+    fused rational function ``PathStep.target``, and one
+    ``gridfn.winding_number`` call counts every component of the block on A,
+    bisecting an edge of a component while the relative jump across it
+    exceeds ``gridfn._ETA`` = 0.5 and capping a component's distinct
+    boundary points at ``gridfn._MAX_PTS_PER_LOOP``.
     """
     checks: list[SampleCheck] = []
     failures: list[str] = []
     eps_observed = eps_certified = math.inf
-    for j, step in enumerate(path.steps or [None]):
-        for gi, (group, result, slack) in enumerate(_step_margins(path.vertices[j].zeros_t, step)):
-            where = f"segment {j}, group {gi}"
-            eps_certified = min(eps_certified, slack)
-            if isinstance(result, ContourThroughZeroError):
-                failures.append(f"{where}: {result}")
-                eps_observed = 0.0
-            else:
-                margin, count = result
-                eps_observed = min(eps_observed, margin)
-                checks.append(SampleCheck(j, gi, margin, slack, count, group.expected_count))
-                if margin <= 0.0:
-                    failures.append(f"{where}: margin {margin:.3e} <= 0")
-                if count != group.expected_count:
-                    failures.append(f"{where}: count {count} != {group.expected_count}")
-            if not slack > 0.0:
-                failures.append(f"{where}: Rouche slack {slack:.3e} <= 0, |B - A| >= |A| on the arcs")
+    steps = path.steps or [None]
+    for j, gi, expected, result, slack in _step_margins([v.zeros_t for v in path.vertices[: len(steps)]], steps):
+        where = f"segment {j}, group {gi}"
+        eps_certified = min(eps_certified, slack)
+        if isinstance(result, ContourThroughZeroError):
+            failures.append(f"{where}: {result}")
+            eps_observed = 0.0
+        else:
+            margin, count = result
+            eps_observed = min(eps_observed, margin)
+            checks.append(SampleCheck(j, gi, margin, slack, count, expected))
+            if margin <= 0.0:
+                failures.append(f"{where}: margin {margin:.3e} <= 0")
+            if count != expected:
+                failures.append(f"{where}: count {count} != {expected}")
+        if not slack > 0.0:
+            failures.append(f"{where}: Rouche slack {slack:.3e} <= 0, |B - A| >= |A| on the arcs")
     return CertificationReport(not failures, tuple(failures), eps_observed, eps_certified, tuple(checks))
 
 
 def _step_margins(
-    zeros: ZeroList, step: PathStep | None
-) -> list[tuple[ContourGroup, tuple[float, int] | ContourThroughZeroError, float]]:
-    """Each group of the neighborhood contours of Z(A), A the product of
-    ``zeros``, with the margin and winding count of A on it, or the
+    zero_sets: Sequence[ZeroList], steps: Sequence[PathStep | None]
+) -> list[tuple[int, int, int, tuple[float, int] | ContourThroughZeroError, float]]:
+    """(step, group, expected count, result, slack) for each group of the
+    neighborhood contours of each step's Z(A), A the product of its zero set:
+    the margin and winding count of A on the group, or the
     ContourThroughZeroError of that count, and the Rouche slack
-    min(|A| - |B - A|) over its arc samples, B = ``step.target``; a vertex is
-    a step with B = A, whose slack is min |A|.
+    min(|A| - |B - A|) over its arc samples, B = ``step.target``; a vertex
+    is a step with B = A, whose slack is min |A|.  The zero sets must have
+    equal sizes n, as a path's vertices do.
 
-    A and B are evaluated once, on the arcs of all groups laid end to end.
-    Each group's count is one ``gridfn.winding_number`` call on A's values: a
-    sample on a zero of A gives (0.0, 0), and needing more than
+    The steps are taken in blocks of at most ``_BLOCK_POINTS`` / (n (P + 1))
+    steps, P = ``_PTS_PER_CIRCLE``: a lone disk's circle has P + 1 points,
+    so a block holds about ``_BLOCK_POINTS`` arc points or fewer.  Per block,
+    one ``neighborhood_contours`` call lays out every group's arcs; A and B
+    are evaluated once per step, on that step's arcs; the slacks are reduced
+    per group; and one ``gridfn.winding_number`` call counts every group on
+    A's values: a sample on a zero of A gives (0.0, 0), and needing more than
     ``gridfn._MAX_PTS_PER_LOOP`` distinct points, or a phase sum not near an
     integer, gives the error.
     """
-    groups = neighborhood_contours(zeros.expanded_points())
-    if not groups:
+    centers = np.array([z.expanded_points() for z in zero_sets], dtype=np.complex128).reshape(len(zero_sets), -1)
+    n = centers.shape[1]
+    if n == 0:
         return []
-    pts = np.concatenate([arc for group in groups for arc in group.arcs])
-    a = evaluate_grid(zeros, pts)
-    slack = np.abs(a) if step is None else np.abs(a) - np.abs(step.target(pts) - a)
-    sizes = [sum(arc.size for arc in group.arcs) for group in groups]
-    ends = np.cumsum(sizes)
+    o, r = _unit_disks(centers)
+    per_block = max(1, _BLOCK_POINTS // (n * (_PTS_PER_CIRCLE + 1)))
     out = []
-    for group, size, end, low in zip(groups, sizes, ends.tolist(), np.minimum.reduceat(slack, ends - sizes).tolist()):
-        try:
-            result = winding_number(lambda w: evaluate_grid(zeros, w), group.arcs, a[end - size : end])
-        except ContourThroughZeroError as exc:
-            result = exc
-        out.append((group, result, low))
+    for lo in range(0, len(steps), per_block):
+        block = neighborhood_contours(o[lo : lo + per_block], r[lo : lo + per_block])
+        pts, group_set = block.pts, block.group_set
+        a, b = np.empty_like(pts), np.empty_like(pts)
+        step_ends = block.group_ends[np.searchsorted(group_set, np.arange(group_set[-1] + 1), side="right") - 1]
+        begin = 0
+        for k, end in enumerate(step_ends.tolist()):
+            step, w = steps[lo + k], pts[begin:end]
+            a[begin:end] = evaluate_grid(zero_sets[lo + k], w)
+            b[begin:end] = a[begin:end] if step is None else step.target(w)
+            begin = end
+        slack = np.abs(a) - np.abs(b - a)
+        starts = np.append(0, block.group_ends[:-1])
+        evaluators = [lambda w, z=zero_sets[lo + k]: evaluate_grid(z, w) for k in range(step_ends.size)]
+        results = winding_number([evaluators[k] for k in group_set.tolist()], pts, a, block.arc_ends, block.group_ends)
+        first = np.searchsorted(group_set, group_set)
+        out += zip(
+            (lo + group_set).tolist(),
+            (np.arange(group_set.size) - first).tolist(),
+            block.group_size.tolist(),
+            results,
+            np.minimum.reduceat(slack, starts).tolist(),
+        )
     return out

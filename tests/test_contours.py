@@ -93,9 +93,9 @@ class TestLevelSets:
             return evaluate_grid(b, w)
 
         def spy_count(*args):
-            result = winding_number(*args)
-            counts.append(result[1])
-            return result
+            results = winding_number(*args)
+            counts.extend(result[1] for result in results)
+            return results
 
         monkeypatch.setattr(contours, "evaluate_grid", spy_b)
         monkeypatch.setattr(contours, "winding_number", spy_count)
@@ -135,8 +135,7 @@ class TestLevelSets:
     def test_pruned_grid_equals_the_full_grid(self, zeros, monkeypatch):
         # the crossing cells read the full grid's bits, and the curves follow
         xs = np.linspace(-0.9, 0.9, 513)
-        grid = xs[None, :] + 1j * xs[:, None]
-        pruned, full = _level_values(zeros, grid, 0.3), _full_grid_values(zeros, grid, 0.3)
+        pruned, full = _level_values(zeros, xs, 0.3), _full_grid_values(zeros, xs, 0.3)
         _assert_pruned_values_agree(pruned, full)
         assert np.count_nonzero(_evaluated(pruned)) < 0.5 * full.size
         got = level_set_components(zeros, 0.3)
@@ -152,9 +151,14 @@ class TestLevelSets:
             level_set_components(ZeroList.from_points([0.2]), 0.97, resolution=128)
 
 
-def _full_grid_values(b, grid, delta):
+def _grid(xs):
+    """The full sampling grid, node (i, j) = xs[j] + i xs[i]."""
+    return xs[None, :] + 1j * xs[:, None]
+
+
+def _full_grid_values(b, xs, delta):
     """The full-grid route, the reference for ``_level_values``: every node evaluated."""
-    return np.abs(evaluate_grid(b, grid)) - delta
+    return np.abs(evaluate_grid(b, _grid(xs))) - delta
 
 
 def _evaluated(vals):
@@ -218,10 +222,9 @@ class TestPrunedLevelGrid:
             # the sampling square of level_set_components: its corners lie beyond |z| = 1
             r_box = max(0.5, (1.0 + b.max_modulus()) / 2.0)
             xs = np.linspace(-r_box, r_box, res + 1)
-            grid = xs[None, :] + 1j * xs[:, None]
-            pruned = _level_values(b, grid, delta)
+            pruned = _level_values(b, xs, delta)
             with np.errstate(all="ignore"):
-                _assert_pruned_values_agree(pruned, _full_grid_values(b, grid, delta))
+                _assert_pruned_values_agree(pruned, _full_grid_values(b, xs, delta))
             fractions.append(np.count_nonzero(_evaluated(pruned)) / pruned.size)
         assert outcomes["curves"] >= 25 and outcomes["AmbiguousTopologyError"] >= 1
         assert np.mean(fractions) < 0.5
@@ -231,7 +234,7 @@ class TestPrunedLevelGrid:
         a = 0.8 * cmath.exp(0.25j * math.pi)
         b = ZeroList.from_points([a, -0.3j])
         xs = np.linspace(-0.95, 0.95, 257)
-        grid = xs[None, :] + 1j * xs[:, None]
+        grid = _grid(xs)
         seen = []
 
         def recording(zeros, points):
@@ -239,7 +242,7 @@ class TestPrunedLevelGrid:
             return evaluate_grid(zeros, points)
 
         monkeypatch.setattr(contours, "evaluate_grid", recording)
-        pruned = _level_values(b, grid, 0.2)
+        pruned = _level_values(b, xs, 0.2)
         nodes = seen[-1]
         assert nodes.size == np.count_nonzero(_evaluated(pruned))
         # a kept block reaches at most one block side (8 cells) beyond the circle
@@ -247,15 +250,40 @@ class TestPrunedLevelGrid:
         assert np.all(pruned[np.abs(grid) >= 1.1] == 1.0)
         assert pruned[np.unravel_index(np.abs(grid - 1.0 / np.conj(a)).argmin(), grid.shape)] == 1.0
         with np.errstate(all="ignore"):
-            _assert_pruned_values_agree(pruned, _full_grid_values(b, grid, 0.2))
+            _assert_pruned_values_agree(pruned, _full_grid_values(b, xs, 0.2))
 
     def test_partial_blocks_and_block_edges(self):
         # 8 does not divide the resolution: the last block of each axis is partial
         b = ZeroList(((0.3 + 0.2j, 2), (-0.5 + 0j, 1)), m=1)
         for res in (2, 9, 17, 61, 100):
             xs = np.linspace(-0.8, 0.8, res + 1)
-            grid = xs[None, :] + 1j * xs[:, None]
-            _assert_pruned_values_agree(_level_values(b, grid, 0.25), _full_grid_values(b, grid, 0.25))
+            _assert_pruned_values_agree(_level_values(b, xs, 0.25), _full_grid_values(b, xs, 0.25))
+
+    @pytest.mark.parametrize("resolution", [64, 100, 257, 512, 1024])
+    def test_nodes_have_the_full_grid_bits(self, resolution):
+        # the level stage forms only the nodes it reads, each from xs
+        xs = np.linspace(-0.93, 0.93, resolution + 1)
+        rows, cols = np.indices((resolution + 1, resolution + 1))
+        grid = _grid(xs)
+        nodes = contours._nodes(xs, rows, cols)
+        np.testing.assert_array_equal(nodes.view(np.int64), grid.view(np.int64))
+        some = np.random.default_rng(resolution).integers(0, grid.size, 1000)
+        picked = contours._nodes(xs, *np.divmod(some, resolution + 1))
+        np.testing.assert_array_equal(picked, grid.ravel()[some])
+
+    def test_the_full_grid_is_never_formed(self, monkeypatch):
+        # no evaluation or node array reaches the full grid's size
+        sizes = []
+        real = contours._nodes
+
+        def recording(xs, rows, cols):
+            nodes = real(xs, rows, cols)
+            sizes.append(nodes.size)
+            return nodes
+
+        monkeypatch.setattr(contours, "_nodes", recording)
+        level_set_components(ZeroList(((0.3 + 0.2j, 2), (-0.5 + 0j, 1)), m=1), 0.2)
+        assert sizes and max(sizes) < 0.2 * 513**2
 
     def test_a_node_on_the_level_still_raises(self):
         # the square has side 1.5 and the node 0.5 has |z| = 0.5 exactly: no block
@@ -303,9 +331,11 @@ def _ref_edge_key(corners, edge):
     return (ka, kb) if ka <= kb else (kb, ka)
 
 
-def _reference_loops(b, delta, grid, vals, saddles=None):
-    """The loops of the dict-based route; ``saddles`` (a Counter) tallies the
-    saddle cells by (case, centre above the level)."""
+def _reference_loops(b, delta, xs, vals, saddles=None):
+    """The loops of the dict-based route on the full grid of ``xs``;
+    ``saddles`` (a Counter) tallies the saddle cells by (case, centre above
+    the level)."""
+    grid = _grid(xs)
     pos = vals > 0.0
     seg_list = []
     corner_off = [(0, 0), (0, 1), (1, 1), (1, 0)]
@@ -481,13 +511,13 @@ class TestMarchingSquares:
         for k in range(300):
             n = int(rng.integers(2, 40))
             xs = np.linspace(-0.9, 0.9, n + 1)
-            grid = xs[None, :] + 1j * xs[:, None]
+            grid = _grid(xs)
             vals = rng.choice([-1.0, 1.0], size=grid.shape) * rng.uniform(0.1, 1.0, size=grid.shape)
             if k % 2:
                 vals[0, :] = vals[-1, :] = vals[:, 0] = vals[:, -1] = 1.0
             delta = float(rng.uniform(0.1, 0.9))
-            got = _outcome(contours._level_loops, b, delta, grid, vals)
-            want = _outcome(_reference_loops, b, delta, grid, vals)
+            got = _outcome(contours._level_loops, b, delta, xs, vals)
+            want = _outcome(_reference_loops, b, delta, xs, vals)
             if isinstance(want, list):
                 low = [_opens_at_low_case_10(q, b, delta, grid, vals) for q in want]
                 want = [np.roll(q, 2) if r else q for q, r in zip(want, low)]
@@ -499,14 +529,13 @@ class TestMarchingSquares:
 
     def test_level_set_leaving_the_grid_does_not_close(self):
         xs = np.linspace(-0.9, 0.9, 5)
-        grid = xs[None, :] + 1j * xs[:, None]
-        vals = np.ones(grid.shape)
-        assert contours._level_loops(ZeroList(m=1), 0.5, grid, vals) == []
+        vals = np.ones((5, 5))
+        assert contours._level_loops(ZeroList(m=1), 0.5, xs, vals) == []
         vals[2, 2] = -1.0
-        assert len(contours._level_loops(ZeroList(m=1), 0.5, grid, vals)) == 1
+        assert len(contours._level_loops(ZeroList(m=1), 0.5, xs, vals)) == 1
         vals[2, 4] = -1.0
         with pytest.raises(AmbiguousTopologyError, match="does not close up"):
-            contours._level_loops(ZeroList(m=1), 0.5, grid, vals)
+            contours._level_loops(ZeroList(m=1), 0.5, xs, vals)
 
     def test_b_is_evaluated_once_per_curve(self, monkeypatch):
         zl = ZeroList.from_points([0.55, -0.55])

@@ -58,6 +58,15 @@ class TestHarmonicConjugate:
             harmonic_conjugate(BoundaryGridFunction(np.exp(1j * THETA)))
 
 
+def _one_group(f, arcs, vals):
+    """``winding_number`` on one group of arcs: its result, or its error raised."""
+    ends = np.cumsum([arc.size for arc in arcs])
+    (result,) = winding_number([f], np.concatenate(arcs), vals, ends, ends[-1:])
+    if isinstance(result, ContourThroughZeroError):
+        raise result
+    return result
+
+
 def _circle(radius, n):
     """The circle |z| = radius as one closed arc of n edges (first point repeated)."""
     return radius * np.exp(2j * np.pi * np.arange(n + 1) / n)
@@ -66,12 +75,12 @@ def _circle(radius, n):
 class TestWindingNumber:
     def test_circle(self):
         pts = _circle(1.0, N)
-        assert winding_number(lambda z: z, [pts], pts) == (pytest.approx(1.0), 1)
-        assert winding_number(lambda z: z**-2, [pts], pts**-2)[1] == -2
+        assert _one_group(lambda z: z, [pts], pts) == (pytest.approx(1.0), 1)
+        assert _one_group(lambda z: z**-2, [pts], pts**-2)[1] == -2
 
     def test_offset_no_winding(self):
         pts = _circle(1.0, N)
-        assert winding_number(lambda z: 3.0 + z, [pts], 3.0 + pts) == (pytest.approx(2.0), 0)
+        assert _one_group(lambda z: 3.0 + z, [pts], 3.0 + pts) == (pytest.approx(2.0), 0)
 
     def test_through_zero_raises(self, monkeypatch):
         # a zero a third of the way along an edge: no midpoint lands on it, so
@@ -80,8 +89,8 @@ class TestWindingNumber:
         pts = _circle(1.0, 64)
         zero = pts[5] + (pts[6] - pts[5]) / 3.0
         with pytest.raises(ContourThroughZeroError, match="needs more than 256 points"):
-            winding_number(lambda z: z - zero, [pts], pts - zero)
-        assert winding_number(lambda z: z - pts[5], [pts], pts - pts[5]) == (0.0, 0)
+            _one_group(lambda z: z - zero, [pts], pts - zero)
+        assert _one_group(lambda z: z - pts[5], [pts], pts - pts[5]) == (0.0, 0)
 
     def test_bisects_where_the_phase_steps_past_pi(self):
         # z^3 on 4 edges steps 3 pi / 2 per edge, so the wrapped phase sum
@@ -92,7 +101,7 @@ class TestWindingNumber:
             seen.append(z)
             return z**3
 
-        low, count = winding_number(f, [pts], pts**3)
+        low, count = _one_group(f, [pts], pts**3)
         assert count == 3 and low < 0.125
         mids = np.concatenate(seen)
         assert mids.size and np.abs(mids - pts[:, None]).min() > 0.0
@@ -110,11 +119,110 @@ class TestWindingNumber:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low, count = winding_number(f, arcs, pts - zero)
-            assert winding_number(lambda w: w - arcs[1][7], arcs, pts - arcs[1][7]) == (0.0, 0)
+            low, count = _one_group(f, arcs, pts - zero)
+            assert _one_group(lambda w: w - arcs[1][7], arcs, pts - arcs[1][7]) == (0.0, 0)
         assert count == 1 and 0.03 <= low < 0.031
         mids = np.concatenate(seen)
         assert mids.size and np.abs(mids).max() < 1.0 - 1e-6
+
+
+def _product(zeros):
+    return lambda w: np.prod(np.subtract.outer(w, np.asarray(zeros, dtype=complex)), axis=-1)
+
+
+def _group_case(rng, kind):
+    """One group of arcs on a circle and the function counted on it: a
+    product of 0 to 3 zeros placed for the case ``kind``."""
+    centre, radius = complex(*rng.uniform(-5.0, 5.0, 2)), rng.uniform(0.5, 2.0)
+    n_edges = int(rng.integers(16, 200))
+    zeros = [
+        centre + radius * rng.uniform(0.0, 2.0) * np.exp(2j * np.pi * rng.random()) for _ in range(rng.integers(0, 4))
+    ]
+    if kind == "near":  # a zero just off the curve: the count bisects
+        zeros.append(centre + radius * (1.0 + 1e-3) * np.exp(2j * np.pi * rng.random()))
+    n = n_edges + 1
+    theta = 2.0 * np.pi * np.arange(n) / n_edges
+    if kind == "open":  # a half circle: the phase sum is off an integer
+        theta = theta / 2.0
+    pts = centre + radius * np.exp(1j * theta)
+    if kind == "on":  # a zero on a sample
+        zeros.append(pts[int(rng.integers(0, n))])
+    cut = sorted(set(rng.integers(2, n - 2, size=int(rng.integers(0, 3))).tolist()))
+    # arcs share their ends, as the contours' arcs do
+    arcs = [pts[a : b + 1] for a, b in zip([0] + cut, cut + [n - 1])]
+    return _product(zeros), arcs
+
+
+def _lay_out(cases):
+    """The groups end to end: their functions, points, values and offsets."""
+    fs = [f for f, _ in cases]
+    arcs = [arc for _, group in cases for arc in group]
+    pts = np.concatenate(arcs)
+    vals = np.concatenate([f(np.concatenate(group)) for f, group in cases])
+    arc_ends = np.cumsum([arc.size for arc in arcs])
+    group_ends = np.cumsum([sum(arc.size for arc in group) for _, group in cases])
+    return fs, pts, vals, arc_ends, group_ends
+
+
+class TestGroupedWinding:
+    def test_groups_equal_per_group_calls(self, monkeypatch):
+        # plain, bisecting, zero-sample, open and over-cap groups side by side
+        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 600)
+        rng = np.random.default_rng(5)
+        kinds = ["plain", "near", "on", "open"]
+        seen = {k: 0 for k in ("count", "zero", "error")}
+        for _ in range(40):
+            cases = [_group_case(rng, kinds[int(rng.integers(0, 4))]) for _ in range(int(rng.integers(1, 12)))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = winding_number(*_lay_out(cases))
+            assert len(got) == len(cases)
+            for result, case in zip(got, cases):
+                (want,) = winding_number(*_lay_out([case]))
+                if isinstance(want, ContourThroughZeroError):
+                    assert type(result) is type(want) and str(result) == str(want)
+                    seen["error"] += 1
+                else:
+                    assert result == want  # the margin to the bit
+                    seen["zero" if want == (0.0, 0) else "count"] += 1
+        assert min(seen.values()) > 20
+
+    def test_a_bisecting_group_sees_only_its_own_midpoints(self):
+        rng = np.random.default_rng(6)
+        cases = [_group_case(rng, kind) for kind in ("plain", "near", "plain", "near", "on")]
+        calls = [[] for _ in cases]
+
+        def recorder(g, f):
+            def f_seen(w):
+                calls[g].append(w)
+                return f(w)
+
+            return f_seen
+
+        fs, pts, vals, arc_ends, group_ends = _lay_out(cases)
+        results = winding_number([recorder(g, f) for g, f in enumerate(fs)], pts, vals, arc_ends, group_ends)
+        for g, (f, arcs) in enumerate(cases):
+            (alone,) = winding_number([f], *_lay_out([(f, arcs)])[1:])
+            assert results[g] == alone
+            if g in (1, 3):
+                # every midpoint lies on one of the group's own chords
+                own = np.concatenate(arcs)
+                mids = np.concatenate(calls[g])
+                assert mids.size and np.abs(mids[:, None] - own[None, :]).min(axis=1).max() < np.abs(np.diff(own)).max()
+            else:
+                assert calls[g] == []
+
+    def test_the_point_cap_holds_per_group(self, monkeypatch):
+        # on a 16-gon, w^6 needs 129 points and w^12 257: two groups of 129
+        # pass a cap of 200 side by side, and the third fails alone, in its place
+        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 200)
+        circle = _circle(1.0, 16)
+        cases = [(lambda w: w**6, [circle]), (lambda w: (w - 3.0) ** 6, [circle + 3.0]), (lambda w: w**12, [circle])]
+        got = winding_number(*_lay_out(cases))
+        assert [r[1] for r in got[:2]] == [6, 6]
+        assert isinstance(got[2], ContourThroughZeroError) and "needs more than 200 points" in str(got[2])
+        monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 257)
+        assert winding_number(*_lay_out(cases[2:]))[0][1] == 12
 
 
 class TestSerialization:

@@ -1,8 +1,12 @@
 """Tests for partition choice, path construction and winding certification."""
 
+import collections
 import functools
+import importlib.util
 import math
 import re
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,10 +28,9 @@ from blaschkelab.pathbuild import (
     build_path,
     certify_path,
     choose_partition,
-    hyperbolic_circle_euclid,
     interpolate_points,
-    neighborhood_contours,
 )
+from test_blaschke import reference_product
 
 
 class TestInterpolation:
@@ -88,11 +91,254 @@ class TestChoosePartition:
             choose_partition([(0.1, 0.2)], math.nan)
 
 
+# ---------------------------------------------------------------------------
+# the per-step scalar geometry and winding count that the block routes
+# replaced, kept as their reference
+
+
+def _hyperbolic_circle_euclid(center, beta_radius):
+    """Euclidean center and radius of {z : beta(z, center) = beta_radius}."""
+    rho = math.tanh(beta_radius / 2.0)
+    ac2 = abs(center) ** 2
+    den = 1.0 - rho * rho * ac2
+    return center * (1.0 - rho * rho) / den, rho * (1.0 - ac2) / den
+
+
+def _merge_mod_intervals(intervals):
+    """Merge angle intervals on the circle; input half-widths are < pi."""
+    two_pi = 2.0 * math.pi
+    spans = []
+    for a0, b0 in intervals:
+        width = b0 - a0
+        a = a0 % two_pi
+        b = a + width
+        if b <= two_pi:
+            spans.append((a, b))
+        else:
+            spans.append((a, two_pi))
+            spans.append((0.0, b - two_pi))
+    spans.sort()
+    merged = []
+    for a, b in spans:
+        if merged and a <= merged[-1][1] + 1e-12:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    # wrap-around join
+    if len(merged) > 1 and merged[0][0] <= 1e-12 and merged[-1][1] >= two_pi - 1e-12:
+        _merge_mod_intervals.joins += 1
+        merged[0][0] = merged[-1][0] - two_pi
+        merged.pop()
+    return [(a, b) for a, b in merged]
+
+
+_merge_mod_intervals.joins = 0
+
+
+def _scalar_spans(disks):
+    """The arcs bounding the union of Euclidean disks, as (center, radius,
+    start angle, end angle), one disk pair at a time."""
+    two_pi = 2.0 * math.pi
+    dist = [[abs(o2 - o) for o2, _ in disks] for o, _ in disks]
+    uniq = []
+    for i, (_, r) in enumerate(disks):
+        if not any(dist[i][j] < 1e-13 and abs(r - disks[j][1]) < 1e-13 for j in uniq):
+            uniq.append(i)
+    active = [
+        i
+        for i in uniq
+        if not any(
+            j != i and dist[i][j] + disks[i][1] <= disks[j][1] + 1e-15 and (disks[j][1], -j) > (disks[i][1], -i)
+            for j in uniq
+        )
+    ]
+    out = []
+    for i in active:
+        o, r = disks[i]
+        covered = []
+        for j in active:
+            o2, r2 = disks[j]
+            d = dist[i][j]
+            if i == j or d >= r + r2 - 1e-15 or d + r2 <= r:
+                continue
+            phi = math.atan2((o2 - o).imag, (o2 - o).real)
+            half = math.acos(min(1.0, max(-1.0, (d * d + r * r - r2 * r2) / (2.0 * d * r))))
+            covered.append((phi - half, phi + half))
+        if not covered:
+            out.append((o, r, 0.0, two_pi))
+            continue
+        merged = _merge_mod_intervals(covered)
+        for (_, b1), (a2, _) in zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)]):
+            if a2 > b1 + 1e-12:
+                out.append((o, r, b1, a2))
+    return out
+
+
+def _scalar_sample_arcs(spans, pts_per_circle):
+    """Each span sampled with both of its ends, the spans of one step in one array pass."""
+    two_pi = 2.0 * math.pi
+    o, r, a, b = (np.array(col) for col in zip(*spans))
+    n_pts = np.maximum(2, np.ceil(pts_per_circle * ((b - a) / two_pi)).astype(np.int64))
+    sizes = n_pts + 1
+    ends = np.cumsum(sizes)
+    k = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    theta = np.repeat(a, sizes) + np.repeat(b - a, sizes) * k / np.repeat(n_pts, sizes)
+    pts = np.repeat(o, sizes) + np.repeat(r, sizes) * np.exp(1j * theta)
+    return [pts[e - n : e] for e, n in zip(ends.tolist(), sizes.tolist())]
+
+
+Group = collections.namedtuple("Group", "member_indices arcs expected_count")
+
+
+def _scalar_contours(disks, pts_per_circle):
+    """One step's groups by the scalar route: a union-find over the disk
+    pairs, groups by their smallest member, each group's spans."""
+    n = len(disks)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            (oi, ri), (oj, rj) = disks[i], disks[j]
+            if abs(oi - oj) <= ri + rj + 1e-12:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    spans = [_scalar_spans([disks[i] for i in members]) for members in groups.values()]
+    arcs = iter(_scalar_sample_arcs([s for group in spans for s in group], pts_per_circle) if n else ())
+    return [
+        Group(tuple(members), tuple(next(arcs) for _ in group), len(members))
+        for members, group in zip(groups.values(), spans)
+    ]
+
+
+def _unit_disks(centers):
+    return [_hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
+
+
+def _groups_of(block):
+    """Each zero set's groups, read off a ``ContourBlock``."""
+    arcs = np.split(block.pts, block.arc_ends[:-1])
+    stops = np.searchsorted(block.arc_ends, block.group_ends, side="right").tolist()
+    roots = [np.unique(row).tolist() for row in block.labels]
+    out = [[] for _ in roots]
+    for k, start, stop, size in zip(block.group_set.tolist(), [0] + stops[:-1], stops, block.group_size.tolist()):
+        members = tuple(np.flatnonzero(block.labels[k] == roots[k][len(out[k])]).tolist())
+        out[k].append(Group(members, tuple(arcs[start:stop]), size))
+    return out
+
+
+def _groups(centers):
+    """The groups of one zero set's neighborhood contours."""
+    disks = pathbuild._unit_disks(np.array(centers, dtype=complex).reshape(1, -1))
+    return _groups_of(pathbuild.neighborhood_contours(*disks))[0]
+
+
+def _assert_same_groups(got, want):
+    assert [(g.member_indices, g.expected_count, len(g.arcs)) for g in got] == [
+        (g.member_indices, g.expected_count, len(g.arcs)) for g in want
+    ]
+    for g, h in zip(got, want):
+        for arc, ref in zip(g.arcs, h.arcs):
+            np.testing.assert_array_equal(arc, ref)
+
+
+def _count(f, arcs, vals):
+    """``winding_number`` on one group of arcs: its result, or its error raised."""
+    ends = np.cumsum([arc.size for arc in arcs])
+    (result,) = gridfn.winding_number([f], np.concatenate(arcs), vals, ends, ends[-1:])
+    if isinstance(result, ContourThroughZeroError):
+        raise result
+    return result
+
+
+def _reference_winding(f, arcs, vals, eta=0.5, max_pts=1 << 16):
+    """(min |f|, winding count) over one group's arcs by the per-group route:
+    bisect while a relative jump exceeds eta, raise past max_pts points or on
+    a phase sum off an integer."""
+    pts = np.concatenate(arcs)
+    last = np.zeros(pts.size, dtype=bool)
+    last[np.cumsum([arc.size for arc in arcs]) - 1] = True
+    while True:
+        mods = np.abs(vals)
+        low = float(mods.min())
+        if low == 0.0:
+            return 0.0, 0
+        edges = ~last[:-1]
+        jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
+        bad = np.flatnonzero(edges & (jump > eta))
+        if bad.size == 0:
+            total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
+            count = round(total)
+            if abs(total - count) > 0.1:
+                raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
+            return low, count
+        if pts.size - len(arcs) + bad.size > max_pts:
+            raise ContourThroughZeroError(
+                f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
+            )
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, f(mids))
+        last = np.insert(last, bad + 1, False)
+
+
+def _reference_step_margins(zeros, step):
+    """One step's (group, result, slack) by the per-step route: scalar
+    geometry, A and B once on the step's arcs, one count per group."""
+    groups = _scalar_contours(_unit_disks(zeros.expanded_points()), pathbuild._PTS_PER_CIRCLE)
+    if not groups:
+        return []
+    pts = np.concatenate([arc for group in groups for arc in group.arcs])
+    a = evaluate_grid(zeros, pts)
+    slack = np.abs(a) if step is None else np.abs(a) - np.abs(step.target(pts) - a)
+    sizes = [sum(arc.size for arc in group.arcs) for group in groups]
+    ends = np.cumsum(sizes)
+    out = []
+    for group, size, end, low in zip(groups, sizes, ends.tolist(), np.minimum.reduceat(slack, ends - sizes).tolist()):
+        try:
+            result = _reference_winding(lambda w: evaluate_grid(zeros, w), group.arcs, a[end - size : end])
+        except ContourThroughZeroError as exc:
+            result = exc
+        out.append((group, result, low))
+    return out
+
+
+def _reference_report(path):
+    """``certify_path`` by the per-step route (``_reference_step_margins``)."""
+    checks, failures = [], []
+    eps_observed = eps_certified = math.inf
+    for j, step in enumerate(path.steps or [None]):
+        for gi, (group, result, slack) in enumerate(_reference_step_margins(path.vertices[j].zeros_t, step)):
+            where = f"segment {j}, group {gi}"
+            eps_certified = min(eps_certified, slack)
+            if isinstance(result, ContourThroughZeroError):
+                failures.append(f"{where}: {result}")
+                eps_observed = 0.0
+            else:
+                margin, count = result
+                eps_observed = min(eps_observed, margin)
+                checks.append(SampleCheck(j, gi, margin, slack, count, group.expected_count))
+                if margin <= 0.0:
+                    failures.append(f"{where}: margin {margin:.3e} <= 0")
+                if count != group.expected_count:
+                    failures.append(f"{where}: count {count} != {group.expected_count}")
+            if not slack > 0.0:
+                failures.append(f"{where}: Rouche slack {slack:.3e} <= 0, |B - A| >= |A| on the arcs")
+    return CertificationReport(not failures, tuple(failures), eps_observed, eps_certified, tuple(checks))
+
+
 def _polygon_margin_count(f, contour):
     """(min |f|, winding count) of f along a closed polygon, passed to the
     certification's refinement as one arc closed by repeating its first point."""
     pts = np.append(contour, contour[:1])
-    return gridfn.winding_number(f, [pts], f(pts))
+    return _count(f, [pts], f(pts))
 
 
 class TestRoucheCount:
@@ -124,17 +370,17 @@ class TestRoucheCount:
 
 def _arc_count(f, group):
     """(min |f|, winding count) of f along a group's boundary arcs."""
-    return gridfn.winding_number(f, group.arcs, f(np.concatenate(group.arcs)))
+    return _count(f, group.arcs, f(np.concatenate(group.arcs)))
 
 
 class TestNeighborhoodContours:
     def test_disjoint_centers_two_groups(self):
-        groups = neighborhood_contours([-0.6, 0.6])
+        groups = _groups([-0.6, 0.6])
         assert len(groups) == 2
         assert all(len(g.arcs) == 1 and g.expected_count == 1 for g in groups)
 
     def test_overlapping_pair_merges(self):
-        groups = neighborhood_contours([0.0, 0.1])
+        groups = _groups([0.0, 0.1])
         assert len(groups) == 1
         assert groups[0].expected_count == 2
         # merged boundary: one uncovered arc on each circle, meeting end to start
@@ -142,14 +388,24 @@ class TestNeighborhoodContours:
         assert abs(a[-1] - b[0]) < 1e-9 and abs(b[-1] - a[0]) < 1e-9
 
     def test_euclid_circle_formula(self):
-        center, radius = hyperbolic_circle_euclid(0.0, 1.0)
-        assert center == 0.0
-        assert radius == pytest.approx(rho_from_beta(1.0))
+        o, r = pathbuild._unit_disks(np.zeros((1, 1), dtype=complex))
+        assert o[0, 0] == 0.0
+        assert r[0, 0] == pytest.approx(rho_from_beta(1.0))
+        # every disk has the scalar formula's bits, signed zeros included
+        rng = np.random.default_rng(8)
+        centers = np.array([[random_point(rng, 0.99) for _ in range(7)] for _ in range(50)])
+        centers[0, :3] = [0.3, -0.4, complex(-0.0, -0.0)]
+        o, r = pathbuild._unit_disks(centers)
+        for row_o, row_r, row_c in zip(o, r, centers):
+            want = _unit_disks(row_c)
+            assert [(x.real.hex(), x.imag.hex(), y.hex()) for x, y in zip(row_o, row_r)] == [
+                (x.real.hex(), x.imag.hex(), y.hex()) for x, y in want
+            ]
 
     def test_merged_contour_counts_zeros(self):
         centers = [0.0, 0.12 + 0.05j, -0.1 + 0.08j]
         zl = ZeroList.from_points(centers)
-        groups = neighborhood_contours(centers)
+        groups = _groups(centers)
         assert len(groups) == 1
         assert _arc_count(lambda z: evaluate_grid(zl, z), groups[0])[1] == 3
 
@@ -158,9 +414,9 @@ class TestNeighborhoodContours:
         # the hole's arcs subtract whatever the ring does not contain
         r = 0.48
         centers = [r * np.exp(2j * np.pi * k / 3) for k in range(3)]
-        groups = neighborhood_contours(centers)
+        groups = _groups(centers)
         assert len(groups) == 1
-        disks = [hyperbolic_circle_euclid(c, 1.0) for c in centers]
+        disks = [_hyperbolic_circle_euclid(c, 1.0) for c in centers]
         assert all(abs(o) > rad for o, rad in disks)  # the origin lies in the hole
         assert len(groups[0].arcs) == 6  # three outer arcs and three hole arcs
         zl = ZeroList.from_points(centers)
@@ -203,7 +459,7 @@ def _reference_arcs(disks, pts_per_circle):
             covered.append((phi - half, phi + half))
         spans = [(0.0, two_pi)]
         if covered:
-            merged = pathbuild._merge_mod_intervals(covered)
+            merged = _merge_mod_intervals(covered)
             gaps = zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)])
             spans = [(b1, a2) for (_, b1), (a2, _) in gaps if a2 > b1 + 1e-12]
         for a, b in spans:
@@ -213,10 +469,10 @@ def _reference_arcs(disks, pts_per_circle):
 
 
 def _assert_reference_arcs(centers):
-    """Every group of ``neighborhood_contours(centers)`` has, bit for bit,
+    """Every group of the neighborhood contours of ``centers`` has, bit for bit,
     the arcs the reference builder gives its members' disks."""
-    disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
-    for group in neighborhood_contours(centers):
+    disks = [_hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
+    for group in _groups(centers):
         ref = _reference_arcs([disks[i] for i in group.member_indices], pathbuild._PTS_PER_CIRCLE)
         assert len(group.arcs) == len(ref)
         for arc, ref_arc in zip(group.arcs, ref):
@@ -231,8 +487,8 @@ def _random_groups(count):
     for seed in range(count):
         rng = np.random.default_rng(300 + seed)
         centers = [random_point(rng, 0.9) for _ in range(int(rng.integers(1, 12)))]
-        disks = [hyperbolic_circle_euclid(c, 1.0) for c in centers]
-        for group in neighborhood_contours(centers):
+        disks = [_hyperbolic_circle_euclid(c, 1.0) for c in centers]
+        for group in _groups(centers):
             yield [disks[i] for i in group.member_indices], group
 
 
@@ -260,40 +516,55 @@ class TestBoundaryArcs:
                 assert np.count_nonzero(np.abs(starts - arc[-1]) < 1e-9) == 1
 
     def test_lone_disk_one_full_circle(self):
-        (group,) = neighborhood_contours([0.3 - 0.2j])
+        (group,) = _groups([0.3 - 0.2j])
         (arc,) = group.arcs
-        o, r = hyperbolic_circle_euclid(0.3 - 0.2j, 1.0)
+        o, r = _hyperbolic_circle_euclid(0.3 - 0.2j, 1.0)
         np.testing.assert_allclose(arc, o + r * np.exp(2j * np.pi * np.arange(65) / 64), rtol=0, atol=1e-15)
 
     def test_arcs_that_do_not_close_raise(self):
         half = 0.5 * np.exp(1j * np.pi * np.arange(65) / 64)  # phase sum 1/2 for f(z) = z
         with pytest.raises(ContourThroughZeroError, match="not near an integer"):
-            gridfn.winding_number(lambda z: z, [half], half)
+            _count(lambda z: z, [half], half)
 
-    def test_arcs_equal_the_reference_builder_on_random_disk_sets(self):
-        # repeated disks, disks inside others and externally tangent pairs,
-        # sampled at every density in turn
+    def test_arcs_equal_the_reference_builder_on_random_disk_sets(self, monkeypatch):
+        # 600 disk sets of 1 to 40 disks and more, in blocks of five sets
+        # with one size: repeated disks, disks inside others, externally
+        # tangent pairs and neighbours straight to the right, whose covered
+        # interval wraps past angle 0; sampled at every density in turn
         rng = np.random.default_rng(12)
-        kinds = 0
-        for trial in range(600):
-            disks = [hyperbolic_circle_euclid(random_point(rng, 0.9), 1.0) for _ in range(int(rng.integers(1, 12)))]
-            o, r = disks[int(rng.integers(0, len(disks)))]
-            if trial % 3 == 0:
-                disks.insert(int(rng.integers(0, len(disks) + 1)), (o, r))
-            if trial % 4 == 1:
-                disks.append((o + 0.3 * r * np.exp(2j * np.pi * rng.random()), 0.5 * r))
-                disks.append((o, r * (1 + 1e-14)))
-            if trial % 5 == 2:
-                r2 = r * rng.uniform(0.1, 1.5)
-                disks.append((o + (r + r2) * np.exp(2j * np.pi * rng.random()), r2))
-            pts_per_circle = (16, 64, 256)[trial % 3]
-            ref = _reference_arcs(disks, pts_per_circle)
-            got = pathbuild._sample_arcs(pathbuild._uncovered_spans(disks), pts_per_circle)
-            assert len(got) == len(ref)
-            for arc, ref_arc in zip(got, ref):
-                np.testing.assert_array_equal(arc, ref_arc)
-            kinds += len(ref) > len(disks)
-        assert kinds > 100  # many unions leave more arcs than disks
+        more_arcs = 0
+        joins = _merge_mod_intervals.joins
+        for batch in range(120):
+            pts_per_circle = (16, 64, 256)[batch % 3]
+            monkeypatch.setattr(pathbuild, "_PTS_PER_CIRCLE", pts_per_circle)
+            n = int(rng.integers(1, 41))
+            sets = []
+            for _ in range(5):
+                disks = [_hyperbolic_circle_euclid(random_point(rng, 0.9), 1.0) for _ in range(n)]
+                o, r = disks[int(rng.integers(0, len(disks)))]
+                if batch % 3 == 0:
+                    disks.insert(int(rng.integers(0, len(disks) + 1)), (o, r))
+                if batch % 4 == 1:
+                    disks.append((o + 0.3 * r * np.exp(2j * np.pi * rng.random()), 0.5 * r))
+                    disks.append((o, r * (1 + 1e-14)))
+                if batch % 5 == 2:
+                    r2 = r * rng.uniform(0.1, 1.5)
+                    disks.append((o + (r + r2) * np.exp(2j * np.pi * rng.random()), r2))
+                if batch % 2 == 1:
+                    disks.append((o + r * rng.uniform(0.2, 1.5), r * rng.uniform(0.3, 1.0)))
+                sets.append(disks)
+            o = np.array([[c for c, _ in disks] for disks in sets])
+            r = np.array([[rad for _, rad in disks] for disks in sets])
+            for disks, got in zip(sets, _groups_of(pathbuild.neighborhood_contours(o, r))):
+                _assert_same_groups(got, _scalar_contours(disks, pts_per_circle))
+                for group in got:
+                    ref = _reference_arcs([disks[i] for i in group.member_indices], pts_per_circle)
+                    assert len(group.arcs) == len(ref)
+                    for arc, ref_arc in zip(group.arcs, ref):
+                        np.testing.assert_array_equal(arc, ref_arc)
+                more_arcs += sum(len(g.arcs) for g in got) > len(disks)
+        assert more_arcs > 100  # many unions leave more arcs than disks
+        assert _merge_mod_intervals.joins - joins > 100
 
     def test_neighborhoods_equal_the_reference_builder(self):
         r = 0.48
@@ -339,12 +610,17 @@ class TestBuildPath:
         pts = zb.expanded_points()
         zb_ord = ZeroList.from_points([pts[j] for j in pairing.permutation])
         path = build_path(za, zb_ord, n_grid=1024)
-        start_err = np.abs(path.vertices[0].trace() - eval_boundary(za, 1024).samples).max()
+        # the start half is structural: vertex 0's outer log is 0 by
+        # construction, so its trace is eval_boundary(za) to the bit; it is
+        # checked against the per-factor product instead
+        np.testing.assert_array_equal(path.vertices[0].outer_log.samples, 0.0)
+        np.testing.assert_array_equal(path.vertices[0].trace(), eval_boundary(za, 1024).samples)
+        start_err = np.abs(path.vertices[0].trace() - reference_product(za, circle_nodes(1024))).max()
         # the end vertex against the FFT route's outer correction of the whole path
         pairs = list(zip(za.expanded_points(), zb_ord.expanded_points()))
         end_expected = eval_boundary(zb_ord, 1024).samples * outer_correction(pairs, 1024).h.samples
         end_err = np.abs(path.vertices[-1].trace() - end_expected).max()
-        assert 0.0 < end_err < 1e-8 and start_err < 1e-8
+        assert 0.0 < end_err < 1e-8 and 0.0 < start_err < 1e-13
 
     def test_telescoping_functional(self):
         rng = np.random.default_rng(3)
@@ -479,7 +755,7 @@ def _splice_loops(disks, pts_per_circle):
         if not covered:
             loops.append(o + r * np.exp(1j * two_pi * np.arange(pts_per_circle) / pts_per_circle))
             continue
-        merged = pathbuild._merge_mod_intervals(covered)
+        merged = _merge_mod_intervals(covered)
         for (_, b1), (a2, _) in zip(merged, merged[1:] + [(merged[0][0] + two_pi, 0.0)]):
             if a2 > b1 + 1e-12:
                 arcs.append((i, b1, a2))
@@ -550,8 +826,8 @@ def _step_loops(path, j, pts_per_circle=256):
     ``neighborhood_contours``; the loops take ``pts_per_circle``."""
     zeros_from, zeros_to = path.vertices[j].zeros_t, path.vertices[j + 1].zeros_t
     centers = zeros_from.expanded_points()
-    disks = [hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
-    groups = neighborhood_contours(centers)
+    disks = [_hyperbolic_circle_euclid(complex(c), 1.0) for c in centers]
+    groups = _groups(centers)
     loops = [_splice_loops([disks[i] for i in group.member_indices], pts_per_circle) for group in groups]
     return zeros_from, zeros_to, groups, loops
 
@@ -766,11 +1042,11 @@ class TestRoucheCertificate:
                     a = evaluate_grid(zeros, w)
                     return a + 0.0 * (step.target(w) - a)
 
-                for group in neighborhood_contours(zeros.expanded_points()):
+                for group in _groups(zeros.expanded_points()):
                     w = np.concatenate(group.arcs)
                     np.testing.assert_array_equal(start_row(w), evaluate_grid(zeros, w))
                     c = next(checks)
-                    assert (c.margin, c.count) == gridfn.winding_number(start_row, group.arcs, start_row(w))
+                    assert (c.margin, c.count) == _count(start_row, group.arcs, start_row(w))
             assert next(checks, None) is None
             assert report.eps_observed == min(c.margin for c in report.checks)
 
@@ -784,7 +1060,7 @@ class TestRoucheCertificate:
             report = certify_path(path)
             for j, step in enumerate(path.steps):
                 zeros_from, zeros_to = path.vertices[j].zeros_t, path.vertices[j + 1].zeros_t
-                for gi, group in enumerate(neighborhood_contours(zeros_from.expanded_points())):
+                for gi, group in enumerate(_groups(zeros_from.expanded_points())):
                     w = np.concatenate(group.arcs)
                     a = evaluate_grid(zeros_from, w)
                     ratio = float((np.abs(evaluate_grid(zeros_to, w) * _log_exp_g(step, w) - a) / np.abs(a)).max())
@@ -874,6 +1150,84 @@ def test_criterion_five_vertices_have_the_reference_arcs():
     for path in _criterion_five_paths():
         for vertex in path.vertices:
             _assert_reference_arcs(vertex.zeros_t.expanded_points())
+
+
+@functools.lru_cache(maxsize=None)
+def _deck_paths(seed):
+    """The paths of the path-certify benchmark deck at ``seed``: each
+    instance matched, reordered and auto-refined as its operation does, and
+    the adversarial one-step path."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        path = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    paths = []
+    for op in workloads.path_deck(seed, dict(DEFAULT_TOLERANCES), {}):
+        if op.func is workloads.adversarial_op:
+            za, zb, alpha, grid = op.args
+            paths.append(build_path(za, zb, alpha=alpha, n_grid=grid))
+            continue
+        za, zb, grid = op.args[:3]
+        pts = zb.expanded_points()
+        zb_ord = ZeroList.from_points([pts[j] for j in bottleneck_match(za, zb).permutation])
+        paths.append(build_path(za, zb_ord, n_grid=grid))
+    return tuple(paths)
+
+
+def _block_test_paths():
+    """Criterion 5's paths, the benchmark decks' paths at four seeds and a constant path."""
+    zl = ZeroList.from_points([0.3, -0.2j, 0.3])
+    yield build_path(zl, zl, n_grid=256)
+    yield from _criterion_five_paths()
+    for seed in (3, 7, 11, 19):
+        yield from _deck_paths(seed)
+
+
+class TestCertificationBlocks:
+    """Certification takes its steps in blocks: one geometry pass, one
+    sampling pass and one winding pass per block, against the per-step
+    scalar route."""
+
+    def test_every_step_has_the_per_step_groups(self):
+        steps = 0
+        for path in _block_test_paths():
+            centers = np.array([v.zeros_t.expanded_points() for v in path.vertices])
+            block = pathbuild.neighborhood_contours(*pathbuild._unit_disks(centers))
+            for vertex, got in zip(path.vertices, _groups_of(block)):
+                disks = _unit_disks(vertex.zeros_t.expanded_points())
+                _assert_same_groups(got, _scalar_contours(disks, pathbuild._PTS_PER_CIRCLE))
+                steps += 1
+        assert steps > 2000
+
+    def test_reports_equal_the_per_step_route(self):
+        n_paths = n_failed = 0
+        for path in _block_test_paths():
+            report = certify_path(path)
+            assert report == _reference_report(path)
+            n_paths += 1
+            n_failed += not report.ok
+        assert n_paths == 65 and n_failed == 4  # the decks' adversarial paths
+
+    @pytest.mark.parametrize("budget", [1, 3000, 40_000, 1 << 30])
+    def test_blocks_that_straddle_the_point_budget(self, budget, monkeypatch):
+        # one step per block, blocks of a few steps that split the paths
+        # anywhere, and whole paths in one block: the same margins
+        monkeypatch.setattr(pathbuild, "_BLOCK_POINTS", budget)
+        calls = []
+        real = pathbuild.neighborhood_contours
+
+        def counting(o, r):
+            calls.append(len(r))
+            return real(o, r)
+
+        monkeypatch.setattr(pathbuild, "neighborhood_contours", counting)
+        for path in _deck_paths(7):
+            assert certify_path(path) == _reference_report(path)
+        assert max(calls) == 1 if budget == 1 else max(calls) > 1
+        if budget == 3000:
+            assert len(set(calls)) > 3
 
 
 class TestStartMarginBound:
