@@ -23,13 +23,20 @@ the block product many times over.  A segment with an endpoint beyond
 ``_SERIES_RADIUS`` (where J grows like 1 / (1 - |z|)) keeps ``_segment_grid``,
 and a segment with z0 == z1 is skipped.  Either route computes the same
 difference of two principal Logs, so the split by segment is branch-safe.
+
+The two checks of a matched pair, ``verify_intwin`` and ``outer_correction``,
+read C(sigma), gamma and the traces of b and b* from one memo of one entry,
+``_pair_traces``: the second check on the same pairs and grid evaluates
+nothing again.  b* is evaluated from the second points in the pairing's order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -164,16 +171,29 @@ def gamma_constant(pairs: Sequence[tuple[complex, complex]]) -> complex:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_traces(key: bytes, n: int) -> tuple[np.ndarray, complex, np.ndarray, np.ndarray]:
+    """Read-only C(sigma) on the grid, gamma and the traces of b and b* for the
+    pairs whose complex128 bytes are ``key``, so a signed zero gets its own entry."""
+    pairs = np.frombuffer(key, np.complex128).reshape(-1, 2).tolist()
+    c_sigma = cauchy_on_circle(PathMeasure.from_pairs(pairs), n).samples
+    b = ZeroList.from_points([a for a, _ in pairs])
+    b_star = ZeroList.from_points([bb for _, bb in pairs])
+    return c_sigma, gamma_constant(pairs), eval_boundary(b, n).samples, eval_boundary(b_star, n).samples
+
+
 def verify_intwin(
     b: ZeroList,
     b_star: ZeroList,
-    pairing: Sequence[int] | None = None,
+    pairing: Iterable[int] | None = None,
     n: int = 4096,
 ) -> float:
     """Max grid error of exp(2i Im C(sigma)) - e^{i gamma} b conj(b*).
 
     The pairing maps the k-th expanded zero of b to an expanded zero of b*;
-    identity order by default.  Both products must be normalized.
+    identity order by default.  Both products must be normalized.  b and b*
+    are evaluated from the paired zeros, b* in the pairing's order: the
+    products ``outer_correction`` evaluates for the same pairs.
     """
     if not b.is_normalized() or not b_star.is_normalized():
         raise ValueError("both products must be normalized (lambda = 1)")
@@ -181,16 +201,17 @@ def verify_intwin(
     zb = b_star.expanded_points()
     if len(za) != len(zb):
         raise CardinalityError(f"zero counts differ: {len(za)} vs {len(zb)}")
-    if pairing is None:
-        pairing = range(len(za))
-    if sorted(pairing) != list(range(len(zb))):
+    try:
+        perm = range(len(za)) if pairing is None else [operator.index(j) for j in pairing]
+    except TypeError:
+        raise TypeError("pairing must be an iterable of integer indices") from None
+    if sorted(perm) != list(range(len(zb))):
         raise CardinalityError("pairing is not a bijection onto the second zero list")
-    pairs = [(za[k], zb[j]) for k, j in enumerate(pairing)]
+    pairs = [(za[k], zb[j]) for k, j in enumerate(perm)]
 
-    sigma = PathMeasure.from_pairs(pairs)
-    c_sigma = cauchy_on_circle(sigma, n).samples
+    c_sigma, gamma, b_trace, b_star_trace = _pair_traces(np.array(pairs, np.complex128).tobytes(), n)
     lhs = np.exp(2j * c_sigma.imag)
-    rhs = gamma_constant(pairs) * eval_boundary(b, n).samples * np.conj(eval_boundary(b_star, n).samples)
+    rhs = gamma * b_trace * np.conj(b_star_trace)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -225,9 +246,10 @@ def outer_correction(
     residual of that identity, plus the grid norms of b - b* h (closeness) and
     b e^v - b* h (the exact identity behind the construction).
     """
+    if not residual_tol > 0.0:
+        raise ValueError(f"residual tolerance must be positive, got {residual_tol}")
     pairs = [(complex(a), complex(bb)) for a, bb in pairs]
-    sigma = PathMeasure.from_pairs(pairs)
-    c_sigma = cauchy_on_circle(sigma, n).samples
+    c_sigma, gamma, b_trace, b_star_trace = _pair_traces(np.array(pairs, np.complex128).tobytes(), n)
     v = BoundaryGridFunction(-2.0 * c_sigma.real)
     v_tilde = harmonic_conjugate(v).samples
     residual = float(np.abs(2.0 * c_sigma.imag - v_tilde).max())
@@ -235,13 +257,7 @@ def outer_correction(
         raise GridTooCoarseError(
             f"conjugation residual {residual:.3e} exceeds {residual_tol:.1e}; refine the grid"
         )
-    gamma = gamma_constant(pairs)
     h = BoundaryGridFunction(np.conj(gamma) * np.exp(v.samples + 1j * v_tilde))
-
-    b = ZeroList.from_points([a for a, _ in pairs])
-    b_star = ZeroList.from_points([bb for _, bb in pairs])
-    b_trace = eval_boundary(b, n).samples
-    b_star_trace = eval_boundary(b_star, n).samples
     closeness = float(np.abs(b_trace - b_star_trace * h.samples).max())
     exactness = float(np.abs(b_trace * np.exp(v.samples) - b_star_trace * h.samples).max())
     report = OuterReport(

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blaschkelab.blaschke import ZeroList
+from blaschkelab import blaschke, cauchy
+from blaschkelab.blaschke import ZeroList, eval_boundary
 from blaschkelab.carleson import BOX_NORM_SLACK, DiscreteMeasure, box_carleson_norm, suggested_box_depth
 from blaschkelab.cauchy import (
     _SERIES_RADIUS,
+    OuterCorrection,
+    OuterReport,
     PathMeasure,
+    _pair_traces,
     _segment_grid,
     cauchy_measure_on_circle,
     cauchy_on_circle,
@@ -242,6 +246,24 @@ class TestGammaConstant:
         assert abs(abs(gamma_constant(pairs)) - 1.0) < 1e-12
 
 
+def _count_kernel_calls(monkeypatch):
+    """Counts of ``evaluate_grid`` and ``cauchy_on_circle`` calls from here on."""
+    counts = {"evaluate_grid": 0, "cauchy_on_circle": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(blaschke, "evaluate_grid")
+    counted(cauchy, "cauchy_on_circle")
+    return counts
+
+
 class TestProductIdentity:
     def test_identical_lists(self):
         zl = ZeroList.from_points([0.3, -0.2 + 0.4j])
@@ -275,6 +297,28 @@ class TestProductIdentity:
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
             verify_intwin(ZeroList(((0.3 + 0j, 1),), lam=1j), ZeroList.from_points([0.3]))
+
+    @pytest.mark.parametrize(
+        "make", [iter, tuple, np.array, lambda p: (j for j in p)], ids=["iter", "tuple", "array", "generator"]
+    )
+    def test_any_iterable_pairing_gives_the_lists_value(self, make):
+        za = ZeroList.from_points([0.3, 0.5j, -0.2 + 0.1j])
+        zb = ZeroList.from_points([0.31, 0.49j, -0.21 + 0.1j])
+        want = verify_intwin(za, zb, [0, 1, 2], n=256)
+        assert want < 1e-12
+        assert verify_intwin(za, zb, make([0, 1, 2]), n=256) == want
+        shuffled = ZeroList.from_points([-0.21 + 0.1j, 0.31, 0.49j])
+        assert verify_intwin(za, shuffled, make([1, 2, 0]), n=256) < 1e-12
+        with pytest.raises(CardinalityError):
+            verify_intwin(za, zb, make([0, 0, 1]), n=256)
+
+    @pytest.mark.parametrize("pairing", [[0.0, 1.0, 2.0], np.array([0.0, 1.0, 2.0]), [0, 1, "2"]])
+    def test_non_integer_pairing_raises_before_evaluating(self, monkeypatch, pairing):
+        counts = _count_kernel_calls(monkeypatch)
+        za = ZeroList.from_points([0.3, 0.5j, -0.2 + 0.1j])
+        with pytest.raises(TypeError, match="integer indices"):
+            verify_intwin(za, za, pairing, n=256)
+        assert counts == {"evaluate_grid": 0, "cauchy_on_circle": 0}
 
 
 class TestOuterCorrection:
@@ -312,6 +356,139 @@ class TestOuterCorrection:
         g_log = np.log(1.0 - np.conj(pairs[0][0]) * nodes) - np.log(1.0 - np.conj(pairs[0][1]) * nodes)
         direct = np.conj(oc.report.gamma) * np.exp(-2.0 * g_log)
         assert np.abs(direct - oc.h.samples).max() < 1e-11
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])
+    def test_residual_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="residual tolerance"):
+            outer_correction([(0.3, 0.4)], 256, residual_tol=tol)
+
+
+def _unshared_verify_intwin(b, b_star, pairing, n):
+    """The product identity as it was computed before the shared memo: C(sigma)
+    and both traces evaluated here, b and b* as given."""
+    za, zb = b.expanded_points(), b_star.expanded_points()
+    pairs = [(za[k], zb[j]) for k, j in enumerate(pairing)]
+    c_sigma = cauchy_on_circle(PathMeasure.from_pairs(pairs), n).samples
+    lhs = np.exp(2j * c_sigma.imag)
+    rhs = gamma_constant(pairs) * eval_boundary(b, n).samples * np.conj(eval_boundary(b_star, n).samples)
+    return float(np.abs(lhs - rhs).max())
+
+
+def _unshared_outer_correction(pairs, n):
+    """``outer_correction`` as it was before the shared memo, every input
+    evaluated in place (its residual guard left out)."""
+    pairs = [(complex(a), complex(bb)) for a, bb in pairs]
+    c_sigma = cauchy_on_circle(PathMeasure.from_pairs(pairs), n).samples
+    v = BoundaryGridFunction(-2.0 * c_sigma.real)
+    v_tilde = harmonic_conjugate(v).samples
+    residual = float(np.abs(2.0 * c_sigma.imag - v_tilde).max())
+    gamma = gamma_constant(pairs)
+    h = BoundaryGridFunction(np.conj(gamma) * np.exp(v.samples + 1j * v_tilde))
+    b_trace = eval_boundary(ZeroList.from_points([a for a, _ in pairs]), n).samples
+    b_star_trace = eval_boundary(ZeroList.from_points([bb for _, bb in pairs]), n).samples
+    report = OuterReport(
+        sup_v=float(np.abs(v.samples).max()),
+        conjugation_residual=residual,
+        closeness=float(np.abs(b_trace - b_star_trace * h.samples).max()),
+        exactness=float(np.abs(b_trace * np.exp(v.samples) - b_star_trace * h.samples).max()),
+        gamma=gamma,
+    )
+    return OuterCorrection(h=h, v=v, report=report)
+
+
+def _shuffled_instance(rng, n):
+    """A matched pair with a repeated zero and an origin zero on each side
+    (n >= 3), b* handed over shuffled, and the pairing that undoes the shuffle."""
+    za, zb = random_matched_pair(rng, n, 1.0, 0.95)
+    pa, pb = za.expanded_points(), zb.expanded_points()
+    if n >= 3:
+        pa[1], pb[1] = pa[0], pb[0]
+        pa[2], pb[2] = 0.0j, 0.0j
+    order = rng.permutation(n)
+    b_star = ZeroList.from_points([pb[j] for j in order])
+    shuffled = b_star.expanded_points()
+    slots = {}
+    for j, z in enumerate(shuffled):
+        slots.setdefault(z, []).append(j)
+    pairing = [slots[z].pop() for z in ZeroList.from_points(pb).expanded_points()]
+    return ZeroList.from_points(pa), b_star, pairing
+
+
+class TestSharedPairTraces:
+    """``verify_intwin`` and ``outer_correction`` read C(sigma), gamma and both
+    traces from one memo entry, keyed by the pairs' bytes and the grid."""
+
+    def test_second_check_evaluates_nothing(self, monkeypatch):
+        counts = _count_kernel_calls(monkeypatch)
+        za, zb = random_matched_pair(np.random.default_rng(5), 6, 1.0, 0.95)
+        verify_intwin(za, zb, n=512)
+        outer_correction(list(zip(za.expanded_points(), zb.expanded_points())), 512)
+        assert counts == {"evaluate_grid": 2, "cauchy_on_circle": 1}
+
+    @pytest.mark.parametrize("change", ["grid", "pairs", "signed zero"])
+    def test_other_inputs_evaluate_again(self, monkeypatch, change):
+        counts = _count_kernel_calls(monkeypatch)
+        za = ZeroList.from_points([0.3, -0.2 + 0.4j])
+        zb = ZeroList.from_points([0.35, -0.25 + 0.4j])
+        pairs = list(zip(za.expanded_points(), zb.expanded_points()))
+        n = 512
+        if change == "grid":
+            n = 1024
+        elif change == "pairs":
+            pairs[1] = (pairs[1][0], -0.25 + 0.41j)
+        else:
+            pairs[0] = (complex(0.3, -0.0), pairs[0][1])
+            assert pairs == list(zip(za.expanded_points(), zb.expanded_points()))
+        verify_intwin(za, zb, n=512)
+        outer_correction(pairs, n)
+        assert counts == {"evaluate_grid": 4, "cauchy_on_circle": 2}
+
+    @pytest.mark.parametrize("seed, n", [(0, 1), (1, 2), (2, 3), (3, 8), (4, 31), (5, 77), (6, 200)])
+    def test_outer_correction_keeps_its_bits(self, seed, n):
+        b, b_star, pairing = _shuffled_instance(np.random.default_rng(seed), n)
+        pa, pb = b.expanded_points(), b_star.expanded_points()
+        pairs = [(pa[k], pb[j]) for k, j in enumerate(pairing)]
+        want = _unshared_outer_correction(pairs, 2048)
+        for _ in range(2):  # a miss, then a hit
+            got = outer_correction(pairs, 2048, residual_tol=1.0)
+            np.testing.assert_array_equal(got.h.samples, want.h.samples)
+            np.testing.assert_array_equal(got.v.samples, want.v.samples)
+            assert got.report == want.report
+        verify_intwin(b, b_star, pairing, n=2048)
+        got = outer_correction(pairs, 2048, residual_tol=1.0)
+        np.testing.assert_array_equal(got.h.samples, want.h.samples)
+        assert got.report == want.report
+
+    @pytest.mark.parametrize("seed, n", [(10, 1), (11, 3), (12, 9), (13, 40), (15, 120), (16, 200)])
+    def test_verify_intwin_within_a_few_ulp(self, seed, n):
+        # b* is now evaluated in the pairing's order: its factors multiply in
+        # another order, which moves the unit-modulus terms in the last places
+        # (at most 10 eps here, 14 eps on the identity-batch decks)
+        b, b_star, pairing = _shuffled_instance(np.random.default_rng(seed), n)
+        assert pairing != sorted(pairing) or n == 1
+        want = _unshared_verify_intwin(b, b_star, pairing, 2048)
+        got = verify_intwin(b, b_star, pairing, n=2048)
+        assert want < 1e-12
+        assert abs(got - want) <= 32 * np.finfo(float).eps
+        assert verify_intwin(b, b_star, n=2048) == _unshared_verify_intwin(b, b_star, range(n), 2048)
+
+    def test_arrays_are_read_only(self):
+        pairs = [(0.3 + 0.1j, 0.35), (-0.5j, -0.45j)]
+        c_sigma, gamma, b_trace, b_star_trace = _pair_traces(np.array(pairs, np.complex128).tobytes(), 256)
+        assert gamma == gamma_constant(pairs)
+        for arr in (c_sigma, b_trace, b_star_trace):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_near_circle_raises_on_both_calls(self):
+        edge = 1.0 - 5e-9
+        za, zb = ZeroList.from_points([0.3, edge]), ZeroList.from_points([0.31, edge * 1j])
+        with pytest.raises(IllConditionedBoundaryError):
+            verify_intwin(za, zb, n=256)
+        with pytest.raises(IllConditionedBoundaryError):
+            outer_correction(list(zip(za.expanded_points(), zb.expanded_points())), 256)
+        assert _pair_traces.cache_info().currsize == 0
 
 
 class TestTruncationConvergence:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blaschkelab import pathbuild
+from blaschkelab import blaschke, cauchy, pathbuild
 from blaschkelab.carleson import BOX_NORM_SLACK
 from blaschkelab.cli import main
 from blaschkelab.config import RunConfig
@@ -93,6 +93,20 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads((tmp_path / "cauchy.json").read_text())
         assert doc["intwin_error"] < 1e-8
+
+    def test_cauchy_evaluates_each_trace_once(self, tmp_path, monkeypatch, zeros_file, zeros_star_file):
+        # the identity check and the outer correction share C(sigma) and the traces
+        counts = {"evaluate_grid": 0, "cauchy_on_circle": 0}
+        for module, name in ((blaschke, "evaluate_grid"), (cauchy, "cauchy_on_circle")):
+
+            def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        args = ["--out", str(tmp_path), "--grid", "1024", "cauchy", "--zeros", zeros_file, "--zeros-star", zeros_star_file]
+        assert main(args) == 0
+        assert counts == {"evaluate_grid": 2, "cauchy_on_circle": 1}
 
     def test_match(self, tmp_path, zeros_file, zeros_star_file):
         code = main(["--out", str(tmp_path), "match", "--zeros", zeros_file, "--zeros-star", zeros_star_file])
