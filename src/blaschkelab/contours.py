@@ -1,10 +1,13 @@
 """Level-set contours of finite products and harmonic-measure machinery.
 
 Level curves of |b| are extracted by marching squares; harmonic measure on a
-component is computed by walk-on-spheres sampling, in coupled pairs for
-difference measures (or the exact Poisson integral for round-disk
-fixtures); the contour logarithm reconstructs log(u/b) outside the curves
-from the cumulative difference measure.
+component is computed by walk-on-spheres sampling (or exactly, by the arc
+masses of a disk automorphism, for round-disk fixtures).  Difference
+measures take coupled pairs of walkers: a pair close enough to meet steps in
+maximally coupled balls and fuses when they land on one point, a pair too far
+apart to meet takes two sphere jumps in mirrored directions.  The contour
+logarithm reconstructs log(u/b) outside the curves from the cumulative
+difference measure.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ _LEVEL_BLOCK = 8
 _LEVEL_SLACK = 1e-6
 # a level-set curve's samples of |b| stay within this fraction of the level
 _LEVEL_TOL = 0.1
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +47,9 @@ class JordanCurveApprox:
     """A closed positively-oriented polyline in the disk, every edge of positive length.
 
     ``disk_center``/``disk_radius`` are set only for round-disk fixtures, where
-    exact Poisson formulas are available.
+    exact Poisson formulas are available.  They come together, the radius is
+    finite and positive, and the points are those ``circle`` builds from them,
+    bit for bit: the walks read a disk's edges off the angle about its centre.
     """
 
     points: np.ndarray = field(repr=False)
@@ -68,6 +72,16 @@ class JordanCurveApprox:
         area = 0.5 * float(np.sum(np.real(pts) * np.imag(ends) - np.real(ends) * np.imag(pts)))
         if area <= 0.0:
             raise ValueError("polyline must be positively oriented")
+        if (self.disk_center is None) != (self.disk_radius is None):
+            raise ValueError("disk_center and disk_radius are given together or not at all")
+        if self.disk_center is not None:
+            center, radius = complex(self.disk_center), float(self.disk_radius)
+            if not (math.isfinite(radius) and radius > 0.0):
+                raise ValueError(f"disk_radius must be finite and positive, got {radius}")
+            if not np.array_equal(pts, _circle_points(center, radius, pts.size)):
+                raise ValueError("disk fixture points must be disk_center + disk_radius exp(2 pi i k / n)")
+            object.__setattr__(self, "disk_center", center)
+            object.__setattr__(self, "disk_radius", radius)
         pts.flags.writeable = False
         ends.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -78,8 +92,7 @@ class JordanCurveApprox:
 
     @classmethod
     def circle(cls, center: complex, radius: float, n: int = 256) -> "JordanCurveApprox":
-        pts = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-        return cls(pts, disk_center=complex(center), disk_radius=float(radius))
+        return cls(_circle_points(center, radius, n), disk_center=complex(center), disk_radius=float(radius))
 
     @property
     def is_disk_fixture(self) -> bool:
@@ -154,6 +167,11 @@ class JordanCurveApprox:
             else {"re": self.disk_center.real, "im": self.disk_center.imag},
             "disk_radius": self.disk_radius,
         }
+
+
+def _circle_points(center: complex, radius: float, n: int) -> np.ndarray:
+    """The n vertices center + radius exp(2 pi i k / n) of a disk fixture."""
+    return center + radius * np.exp(2j * math.pi * np.arange(n) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +430,15 @@ def harmonic_measure_paired(
     """Exit masses of coupled walks from two sources, as (masses_u, masses_b,
     stragglers), the last the count of walkers still out at ``_MAX_STEPS``.
 
-    While both walkers of a pair are out and apart, they step uniformly in
-    balls of one radius under a maximal coupling: whenever the two uniform
-    laws allow, both land on the same point and the pair fuses, moving as
-    one walker from then on, so its two tallies cancel in the difference
-    measure.  Each marginal is an unbiased walk (see ``_walk``).
+    While both walkers of a pair are out and apart, each step is one of two
+    kinds, with r the smaller of their distances to the curve.  A pair closer
+    than 2r steps uniformly in balls of radius r under a maximal coupling:
+    whenever the two uniform laws allow, both land on the same point and the
+    pair fuses, moving as one walker from then on, so its two tallies cancel
+    in the difference measure.  A pair 2r or more apart cannot meet on this
+    step, so each walker jumps to its own circle, the b-walker in the
+    direction of the u-walker mirrored across the pair's bisector.  Each
+    marginal is an unbiased walk (see ``_walk``).
     """
     zu = interior_value(z_u)
     zb = interior_value(z_b)
@@ -427,20 +449,18 @@ def harmonic_measure_paired(
 
 
 def _poisson_edge_masses(z: complex, curve: JordanCurveApprox) -> np.ndarray:
-    center = curve.disk_center
-    radius = curve.disk_radius
-    w = (z - center) / radius
-    r = abs(w)
-    psi = math.atan2(w.imag, w.real)
-    ang0 = np.angle(curve.edge_starts() - center)
-    ang1 = np.angle(curve.edge_ends() - center)
-    span = np.mod(ang1 - ang0, 2.0 * math.pi)
-    half = 0.5 * span
-    mid = ang0 + half
-    # GL quadrature of the Poisson kernel over each angular span
-    phi = mid[:, None] + half[:, None] * _GL8_NODES[None, :]
-    kernel = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(phi - psi) + r * r)
-    return (kernel * _GL8_WEIGHTS[None, :]).sum(axis=1) * half / (2.0 * math.pi)
+    """Exact harmonic measure from z of each edge's arc of a disk fixture.
+
+    With u = (w - c)/R on the unit circle and zeta = (z - c)/R, the disk
+    automorphism phi(u) = (u - zeta)/(1 - conj(zeta) u) carries z to 0, where
+    harmonic measure is normalized arclength: an arc's mass is the increment
+    of arg phi along it over 2 pi.  Increments are taken mod 2 pi, not as
+    principal values, since one arc can carry more than half the mass.
+    """
+    zeta = (z - curve.disk_center) / curve.disk_radius
+    u = (curve.points - curve.disk_center) / curve.disk_radius
+    turn = np.angle((u - zeta) / (1.0 - zeta.conjugate() * u))
+    return np.mod(np.roll(turn, -1) - turn, 2.0 * math.pi) / (2.0 * math.pi)
 
 
 # pairs walked at once
@@ -470,11 +490,14 @@ def _walk(
 
     Every step measures each walker's distance to the curve and absorbs the
     walkers within ``_ABSORB`` at their nearest edge.  A pair of live, unfused
-    walkers then steps by ``_coupled_step`` in balls of radius
-    min(dist_u, dist_b); a fused pair or a lone walker jumps to a uniform
-    point of its circle of radius dist (Muller's walk on spheres).  Each
-    marginal keeps harmonic functions martingales, so its exit law is the
-    harmonic measure up to the absorb band.  A chunk's first step takes walker
+    walkers then steps by ``_coupled_step``: with r = min(dist_u, dist_b), a
+    coupled step in balls of radius r when the pair is closer than 2r, else
+    one sphere jump each.  A fused pair or a lone walker jumps to a uniform
+    point of its circle of radius dist (Muller's walk on spheres).  Every
+    step is uniform on a ball or circle within the walker's distance, and
+    its kind is chosen from the pre-step state alone, so each marginal keeps
+    harmonic functions martingales and its exit law is the harmonic measure
+    up to the absorb band.  A chunk's first step takes walker
     i's two uniforms from the lattice (i/m, i/phi mod 1) shifted by one random
     pair mod 1 (Cranley-Patterson), which leaves each walker's step uniform.
 
@@ -550,9 +573,9 @@ def _walk(
             pos.ravel()[solo] += dist[~paired] * np.exp(2j * math.pi * draws[0].take(solo, mode="wrap"))
             ic = live[:n_u][paired[:n_u]]  # the same rows, in the same order, as the paired b-walkers
             if ic.size:
-                r = np.minimum(dist[:n_u][paired[:n_u]], dist[n_u:][paired[n_u:]])
+                du, db = dist[:n_u][paired[:n_u]], dist[n_u:][paired[n_u:]]
                 dirs = np.exp(2j * math.pi * draws[0, ic])
-                pos[0, ic], pos[1, ic], meet = _coupled_step(pos[0, ic], pos[1, ic], r, draws[1, ic], dirs)
+                pos[0, ic], pos[1, ic], meet = _coupled_step(pos[0, ic], pos[1, ic], du, db, draws[1, ic], dirs)
                 fused[ic[meet]] = True
                 alive[1, ic[meet]] = False
     masses /= n_samples
@@ -560,21 +583,32 @@ def _walk(
 
 
 def _coupled_step(
-    xu: np.ndarray, xb: np.ndarray, r: np.ndarray, radial: np.ndarray, dirs: np.ndarray
+    xu: np.ndarray, xb: np.ndarray, du: np.ndarray, db: np.ndarray, radial: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One maximally coupled step of each pair: X = xu + r sqrt(radial) dirs is
-    uniform in B(xu, r).  Where X also lies in B(xb, r) the b-walker moves to
-    X too (``meet``); elsewhere it moves to X reflected across the
-    perpendicular bisector of xu xb, which maps B(xu, r) minus B(xb, r) onto
-    B(xb, r) minus B(xu, r), so the b-walker is uniform in B(xb, r) as well.
-    Returns the new positions and ``meet``.
+    """One step of each pair of walkers at distances du and db from the curve,
+    chosen from the pre-step positions and distances only; r = min(du, db).
+
+    A pair closer than 2r takes a maximally coupled ball step: X = xu +
+    r sqrt(radial) dirs is uniform in B(xu, r).  Where X also lies in
+    B(xb, r) the b-walker moves to X too (``meet``); elsewhere it moves to X
+    reflected across the perpendicular bisector of xu xb, which maps B(xu, r)
+    minus B(xb, r) onto B(xb, r) minus B(xu, r), so the b-walker is uniform
+    in B(xb, r) as well.  Balls 2r or more apart cannot meet, so such a pair
+    takes two sphere jumps instead: the u-walker to xu + du dirs, the
+    b-walker to xb + db times dirs reflected the same way, each uniform on
+    its own circle.  Returns the new positions and ``meet``.
     """
-    step = r * np.sqrt(radial) * dirs
-    x = xu + step
+    r = np.minimum(du, db)
     sep = xb - xu
-    unit = sep / np.maximum(np.abs(sep), _TINY)
-    meet = np.abs(x - xb) < r
-    return x, np.where(meet, x, xb + step - 2.0 * (step * np.conj(unit)).real * unit), meet
+    gap = np.abs(sep)
+    far = gap >= 2.0 * r
+    ball = r * np.sqrt(radial)
+    step = np.where(far, du, ball) * dirs
+    step_b = np.where(far, db, ball) * dirs
+    x = xu + step
+    unit = sep / np.maximum(gap, _TINY)
+    meet = (np.abs(x - xb) < r) & ~far
+    return x, np.where(meet, x, xb + step_b - 2.0 * (step_b * np.conj(unit)).real * unit), meet
 
 
 def _distance_to_curve(p: np.ndarray, curve: JordanCurveApprox) -> tuple[np.ndarray, np.ndarray]:

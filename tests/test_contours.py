@@ -3,9 +3,12 @@
 import cmath
 import dataclasses
 import itertools
+import json
 import math
+import statistics
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,6 +704,85 @@ class TestHarmonicMeasure:
         assert np.abs(mb.reshape(8, -1).sum(axis=1) - ex_b).max() < 4 * se
 
 
+def _gl8_edge_masses(z, curve):
+    """The Poisson kernel integrated over each edge's angular span by 8-point
+    Gauss-Legendre, a route independent of the closed form and accurate
+    where the source stays within 0.9 of the radius, so the kernel is smooth
+    on every edge."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    w = (z - curve.disk_center) / curve.disk_radius
+    r, psi = abs(w), math.atan2(w.imag, w.real)
+    ang0 = np.angle(curve.edge_starts() - curve.disk_center)
+    half = 0.5 * np.mod(np.angle(curve.edge_ends() - curve.disk_center) - ang0, 2.0 * math.pi)
+    phi = (ang0 + half)[:, None] + half[:, None] * nodes[None, :]
+    kernel = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(phi - psi) + r * r)
+    return (kernel * weights[None, :]).sum(axis=1) * half / (2.0 * math.pi)
+
+
+class TestPoissonEdgeMasses:
+    _CENTRE = 0.1 + 0.05j
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_masses_sum_to_one_up_to_the_circle(self, n):
+        # 8-point quadrature summed to 0.366 (n = 64) and 1.365 (n = 256) at 0.999 of the radius
+        curve = JordanCurveApprox.circle(self._CENTRE, 0.4, n=n)
+        for f in (0.0, 0.3, 0.9, 0.99, 0.999, 0.99999):
+            for angle in (0.0, 0.77, 2.0 * math.pi * 5.5 / n, -2.5):
+                masses = _poisson_edge_masses(self._CENTRE + f * 0.4 * cmath.exp(1j * angle), curve)
+                assert masses.min() >= 0.0
+                assert abs(masses.sum() - 1.0) < 1e-14
+
+    def test_one_edge_can_carry_more_than_half(self):
+        curve = JordanCurveApprox.circle(self._CENTRE, 0.4, n=64)
+        towards = 0.5 * (curve.points[3] + curve.points[4]) - self._CENTRE
+        masses = _poisson_edge_masses(self._CENTRE + 0.999 * 0.4 * towards / abs(towards), curve)
+        assert masses[3] > 0.9 and int(np.argmax(masses)) == 3
+
+    def test_equal_to_quadrature_away_from_the_circle(self):
+        rng = np.random.default_rng(4)
+        for n in (64, 256, 1024):
+            curve = JordanCurveApprox.circle(self._CENTRE, 0.4, n=n)
+            for _ in range(20):
+                z = self._CENTRE + 0.9 * 0.4 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+                np.testing.assert_allclose(_poisson_edge_masses(z, curve), _gl8_edge_masses(z, curve), rtol=0, atol=1e-11)
+
+
+class TestDiskFixtureMetadata:
+    """A disk fixture's edges are read off the angle about its centre, so its
+    metadata must describe its points exactly."""
+
+    def test_circle_builds_a_disk_fixture(self):
+        curve = JordanCurveApprox.circle(0.1 - 0.05j, 0.4, n=64)
+        assert curve.is_disk_fixture and curve.disk_center == 0.1 - 0.05j and curve.disk_radius == 0.4
+        again = JordanCurveApprox(curve.points, disk_center=0.1 - 0.05j, disk_radius=0.4)
+        np.testing.assert_array_equal(_poisson_edge_masses(0.2, again), _poisson_edge_masses(0.2, curve))
+
+    def test_vertices_off_the_metadata_rejected(self):
+        # rotated by half an edge, the walks would tally every exit one edge off
+        pts = 0.4 * np.exp(2j * math.pi * (np.arange(64) + 0.5) / 64)
+        with pytest.raises(ValueError, match="disk fixture points"):
+            JordanCurveApprox(pts, disk_center=0j, disk_radius=0.4)
+        with pytest.raises(ValueError, match="disk fixture points"):
+            JordanCurveApprox(JordanCurveApprox.circle(0.0, 0.4, n=64).points, disk_center=0j, disk_radius=0.41)
+
+    @pytest.mark.parametrize("given", ["centre", "radius"])
+    def test_half_the_metadata_rejected(self, given):
+        pts = JordanCurveApprox.circle(0.0, 0.4, n=64).points
+        meta = {"disk_center": 0j} if given == "centre" else {"disk_radius": 0.4}
+        with pytest.raises(ValueError, match="together"):
+            JordanCurveApprox(pts, **meta)
+
+    def test_negative_radius_circle_rejected(self):
+        # its points are positively oriented, and its walkers were all absorbed at once
+        with pytest.raises(ValueError, match="finite and positive"):
+            JordanCurveApprox.circle(0.0, -0.4, n=64)
+
+    @pytest.mark.parametrize("radius", [-0.4, 0.0, math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            JordanCurveApprox(JordanCurveApprox.circle(0.0, 0.4, n=64).points, disk_center=0j, disk_radius=radius)
+
+
 class TestSplitZeros:
     def test_all_deep(self):
         zl = ZeroList.from_points([0.01 + 0.01j])
@@ -1213,14 +1295,16 @@ def _lens_ratio(d, r):
 
 
 class TestCoupledStep:
-    @pytest.mark.parametrize("d", [0.0, 0.07, 0.15, 0.25])
+    @pytest.mark.parametrize("d", [0.0, 0.07, 0.15, 0.19])
     def test_fusion_rate_is_the_lens_ratio_and_both_walkers_are_uniform(self, d):
         n, r = 200_000, 0.1
         rng = np.random.default_rng(31)
         xu = np.full(n, 0.2 + 0.1j)
         xb = xu + d * np.exp(0.7j)
         radial, angle = rng.random((2, n))
-        new_u, new_b, meet = _coupled_step(xu, xb, np.full(n, r), radial, np.exp(2j * math.pi * angle))
+        # the larger distance leaves the ball radius at the smaller one
+        du, db = np.full(n, r), np.full(n, 1.5 * r)
+        new_u, new_b, meet = _coupled_step(xu, xb, du, db, radial, np.exp(2j * math.pi * angle))
         p = _lens_ratio(d, r)
         assert abs(meet.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
         np.testing.assert_array_equal(new_b[meet], new_u[meet])
@@ -1232,6 +1316,28 @@ class TestCoupledStep:
             assert abs(rel.real.mean()) < 4.0 * 0.5 * r / math.sqrt(n)
             assert abs(rel.imag.mean()) < 4.0 * 0.5 * r / math.sqrt(n)
             assert abs((np.abs(rel) ** 2).mean() / r**2 - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / n)
+
+    @pytest.mark.parametrize("d", [0.2, 0.25, 0.6])
+    def test_a_far_pair_jumps_to_its_own_circles(self, d):
+        # balls of radius r = min(du, db) at least 2r apart cannot meet
+        n = 200_000
+        rng = np.random.default_rng(32)
+        xu = np.full(n, 0.2 + 0.1j)
+        xb = xu + d * np.exp(0.7j)
+        du, db = np.full(n, 0.1), np.full(n, 0.13)
+        radial, angle = rng.random((2, n))
+        new_u, new_b, meet = _coupled_step(xu, xb, du, db, radial, np.exp(2j * math.pi * angle))
+        assert not meet.any()
+        for new, centre, dist in ((new_u, xu, du), (new_b, xb, db)):
+            rel = new - centre
+            np.testing.assert_allclose(np.abs(rel), dist, rtol=0, atol=1e-12)
+            # uniform on the circle: coordinates of mean 0 and variance dist^2 / 2
+            sigma = dist[0] / math.sqrt(2.0 * n)
+            assert abs(rel.real.mean()) < 4.0 * sigma and abs(rel.imag.mean()) < 4.0 * sigma
+        # the b-walker's direction is the u-walker's mirrored across the bisector
+        unit = np.exp(0.7j)
+        mirrored = (new_u - xu) / du - 2.0 * ((new_u - xu) / du * np.conj(unit)).real * unit
+        np.testing.assert_allclose((new_b - xb) / db, mirrored, rtol=0, atol=1e-12)
 
 
 def _assert_arcs_and_modes_agree(got, exact, theta, n):
@@ -1257,6 +1363,21 @@ class TestWalkEngine:
         n = 400_000
         z_u, z_b = 0.1 + 0.0j, -0.05 + 0.1j
         mu, mb, _ = harmonic_measure_paired(z_u, z_b, curve, n_samples=n, rng=np.random.default_rng(seed))
+        _assert_arcs_and_modes_agree(mu, _poisson_edge_masses(z_u, curve), theta, n)
+        _assert_arcs_and_modes_agree(mb, _poisson_edge_masses(z_b, curve), theta, n)
+
+    @pytest.mark.parametrize(
+        "z_u, z_b",
+        # sources 2r apart, whose pairs start with sphere jumps; a source at
+        # 0.95 of the radius, with a partner in coupling reach
+        [(0.25, -0.25), (0.38, 0.36 + 0.01j)],
+        ids=["apart", "near-the-circle"],
+    )
+    def test_paired_marginals_match_the_exact_masses(self, z_u, z_b):
+        curve = JordanCurveApprox.circle(0.0, 0.4, n=256)
+        theta = np.angle(0.5 * (curve.edge_starts() + curve.edge_ends()))
+        n = 400_000
+        mu, mb, _ = harmonic_measure_paired(z_u, z_b, curve, n_samples=n, rng=np.random.default_rng(14))
         _assert_arcs_and_modes_agree(mu, _poisson_edge_masses(z_u, curve), theta, n)
         _assert_arcs_and_modes_agree(mb, _poisson_edge_masses(z_b, curve), theta, n)
 
@@ -1303,11 +1424,40 @@ class TestWalkEngine:
         assert first[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
+_PINS = Path(__file__).resolve().parents[1] / "benchmarks" / "pins.json"
+
+
+def _walk_route_error_x_sqrt_samples(seed, n_samples=5_000, n_points=50):
+    """max |exp(L_walk) - u/b| sqrt(n) over exterior points, for u = z and one
+    b zero of modulus <= 0.05, on the contour-log benchmark's walk circle."""
+    rng = np.random.default_rng(seed)
+    u, b = ZeroList(m=1), ZeroList.from_points([random_point(rng, 0.05)])
+    points = [cmath.rect(0.45 + 0.5 * rng.random(), 2.0 * math.pi * rng.random()) for _ in range(n_points)]
+    curve = JordanCurveApprox.circle(0.0, 0.4, n=256)
+    atlas = build_atlas(
+        u, b, [curve], n_samples=n_samples, rng=np.random.default_rng((seed, 1)), method="walk", paired=True
+    )
+    ratio = evaluate_grid(u, np.array(points)) / evaluate_grid(b, np.array(points))
+    err = max(abs(np.exp(log_quotient_via_contour(u, b, atlas, z)) - q) for z, q in zip(points, ratio))
+    return err * math.sqrt(n_samples)
+
+
+class TestWalkRouteAtBenchmarkSize:
+    def test_error_stays_under_the_benchmark_bound(self):
+        bound = json.loads(_PINS.read_text())["statistical_bounds"]["walk_route_error_x_sqrt_samples"]
+        errors = [_walk_route_error_x_sqrt_samples(seed) for seed in range(40)]
+        assert max(errors) < bound
+        # about 0.19 is observed
+        assert statistics.median(errors) < 0.5
+
+
 def _previous_engine(zu, zb, curve, n_samples, rng):
     """The walk engine before its steps were trimmed, the bit-for-bit
     reference for ``_walk``: every step queries every live walker's distance
     (nearest edges included, on disks too) and forms every row's direction,
-    and the u- and b-walkers are separate arrays with three tallies."""
+    and the u- and b-walkers are separate arrays with three tallies.  Pairs
+    2r apart take their sphere jumps here, and only the others reach
+    ``_coupled_step``."""
     absorb, max_steps = contours._ABSORB, contours._MAX_STEPS
     n_edges = curve.n_edges
     masses_u = np.zeros(n_edges)
@@ -1353,10 +1503,21 @@ def _previous_engine(zu, zb, curve, n_samples, rng):
             pos_b[jb] += db[~paired_b] * dirs[jb]
             ic = iu[paired_u]
             if ic.size:
-                r = np.minimum(du[paired_u], db[paired_b])
-                pos_u[ic], pos_b[ic], meet = _coupled_step(pos_u[ic], pos_b[ic], r, draws[1, ic], dirs[ic])
-                fused[ic[meet]] = True
-                alive_b[ic[meet]] = False
+                du, db = du[paired_u], db[paired_b]
+                sep = pos_b[ic] - pos_u[ic]
+                far = np.abs(sep) >= 2.0 * np.minimum(du, db)
+                # pairs 2r apart: two sphere jumps, b's direction mirrored across the bisector
+                jf = ic[far]
+                unit = sep[far] / np.abs(sep[far])
+                step_b = db[far] * dirs[jf]
+                pos_u[jf] = pos_u[jf] + du[far] * dirs[jf]
+                pos_b[jf] = pos_b[jf] + step_b - 2.0 * (step_b * np.conj(unit)).real * unit
+                jn = ic[~far]
+                pos_u[jn], pos_b[jn], meet = _coupled_step(
+                    pos_u[jn], pos_b[jn], du[~far], db[~far], draws[1, jn], dirs[jn]
+                )
+                fused[jn[meet]] = True
+                alive_b[jn[meet]] = False
     return masses_u / n_samples, None if zb is None else masses_b / n_samples, int(stragglers)
 
 
