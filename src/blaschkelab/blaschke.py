@@ -174,15 +174,15 @@ def evaluate_grid(b: ZeroList, points: np.ndarray) -> np.ndarray:
     return _rational_product(scale, factors, points)
 
 
-def eval_boundary(b: ZeroList, grid_size: int) -> BoundaryGridFunction:
-    """Boundary trace on the uniform circle grid.
+def check_boundary_clearance(b: ZeroList) -> None:
+    """Raise when a zero lies within 1e-10 of the circle: the boundary values are ill-conditioned."""
+    if (r := b.max_modulus()) >= 1.0 - BOUNDARY_ZERO_GUARD:
+        raise IllConditionedBoundaryError(f"a zero lies within 1e-10 of the circle (max |z_n| = {r:.17g})")
 
-    Zeros within 1e-10 of the circle make the trace ill-conditioned and raise.
-    """
-    if b.max_modulus() >= 1.0 - BOUNDARY_ZERO_GUARD:
-        raise IllConditionedBoundaryError(
-            f"a zero lies within 1e-10 of the circle (max |z_n| = {b.max_modulus():.17g})"
-        )
+
+def eval_boundary(b: ZeroList, grid_size: int) -> BoundaryGridFunction:
+    """Boundary trace on the uniform circle grid, after ``check_boundary_clearance``."""
+    check_boundary_clearance(b)
     return BoundaryGridFunction(evaluate_grid(b, circle_nodes(grid_size)))
 
 

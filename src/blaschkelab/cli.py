@@ -26,7 +26,7 @@ from .config import RunConfig
 from .contours import arclength_carleson_norm, level_set_components, split_zeros_by_contour
 from .errors import VerificationError
 from .fixtures import adversarial_pair, geometric_zeros, staged_measure
-from .geometry import beta_matrix, interior_value, rho_matrix, segment_distances
+from .geometry import beta_matrix, interior_value, rho_matrix
 from .gridfn import circle_nodes
 from .matching import bottleneck_match, pairing_diagnostics
 from .pathbuild import build_path, certify_path
@@ -194,9 +194,9 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
             },
         },
     )
-    # plot data: contour margins and Rouche slacks per (segment, group), and
-    # the boundary moduli of each segment f_s = A + s (B - A) over s in [0, 1]
-    # and the grid: the least is min dist(0, [A(w), B(w)]), the largest max(|A|, |B|)
+    # plot data: contour margins and Rouche slacks per (segment, group), and the
+    # least and largest |f_s|, f_s = A + s (B - A), over s in [0, 1] and the grid:
+    # there B = |g| A and |A| = 1 (pathbuild._build_once), so min(1, |g|) and max(1, |g|)
     with open(out / "path_margins.csv", "w") as fh:
         fh.write("segment,group,margin,slack,count,expected\n")
         for c in report.checks:
@@ -205,12 +205,8 @@ def _cmd_path(args, config: RunConfig, out: Path) -> int:
         fh.write("segment,min_modulus,max_modulus\n")
         nodes = circle_nodes(config.grid_size)
         for j, step in enumerate(path.steps):
-            a = eval_boundary(path.vertices[j].zeros_t, config.grid_size).samples
-            b = eval_boundary(path.vertices[j + 1].zeros_t, config.grid_size).samples * step.g_interior(nodes)
-            dd = np.abs(b - a) ** 2
-            low = segment_distances(0.0, a, b - a, np.where(dd > 0.0, dd, 1.0))  # where B = A: |A|
-            high = np.maximum(np.abs(a), np.abs(b))
-            fh.write(f"{j},{float(low.min())!r},{float(high.max())!r}\n")
+            g = np.abs(step.g_interior(nodes))
+            fh.write(f"{j},{min(1.0, float(g.min()))!r},{max(1.0, float(g.max()))!r}\n")
     status = "certified" if report.ok else "CERTIFICATION FAILED"
     print(f"path with {len(path.vertices)} vertices: {status} -> {out / 'path.json'}")
     return 0 if report.ok else 1

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import ZeroList, _rational_product, eval_boundary, evaluate_grid
+from .blaschke import ZeroList, _rational_product, check_boundary_clearance, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
 from .geometry import ORIGIN_FOLD
@@ -113,7 +113,7 @@ class PathStep:
 
     pairs: tuple[tuple[complex, complex], ...]
     gamma: complex  # gamma_constant(pairs)
-    step_norm: float  # || b_{t_j} - b_{t_{j+1}} g_{j+1} || on the grid
+    step_norm: float  # max |b_{t_j} - b_{t_{j+1}} g_{j+1}| = max |1 - |g_{j+1}|| on the grid
 
     def g_interior(self, z: np.ndarray) -> np.ndarray:
         """The outer factor g, in closed form inside the disk and on the circle.
@@ -125,7 +125,7 @@ class PathStep:
         g = conj(gamma) R^2 with R = prod_k (1 - conj(b_k) w) / (1 - conj(a_k) w),
         a rational function with no log or exp.  On the circle it is the FFT
         route's h = e^{-i gamma + v + i v~} of ``outer_correction``, the
-        independent cross-check.
+        independent cross-check; there |g| = b_{t_{j+1}} g / b_{t_j} gives the step norm.
         """
         r = _rational_product(1.0, [(1.0, b.conjugate(), 1.0, a.conjugate()) for a, b in self.pairs], z)
         return np.conj(self.gamma) * r * r
@@ -186,13 +186,13 @@ def build_path(
     until ``certify_path`` succeeds and every step norm is below half the
     observed margin constant.
 
-    Step norms use the closed-form factor ``PathStep.g_interior``, and a
-    vertex's outer_log (``PathVertex``) is computed when first read, within
-    about 1e-12 of the per-step FFT route.  No step runs a Cauchy transform
-    or FFT, so none raises ``GridTooCoarseError``; the FFT route cross-checks
-    each completed round: sup |2 Im C(sigma_total) - (Re outer_log_total)~|
-    must stay below ``functional_tol``.  Certification takes the steps in
-    blocks (see ``certify_path``).
+    A step norm is max |1 - |g|| on the grid, g = ``PathStep.g_interior``, with
+    no boundary trace (``_build_once``); a vertex's outer_log (``PathVertex``)
+    is computed when first read, within about 1e-12 of the per-step FFT route.
+    No step runs a Cauchy transform or FFT, so none raises ``GridTooCoarseError``;
+    the FFT route cross-checks each completed round: sup |2 Im C(sigma_total) -
+    (Re outer_log_total)~| must stay below ``functional_tol``.  Certification
+    takes the steps in blocks (see ``certify_path``).
 
     A round that provably fails that rule is dropped before it is finished
     or certified.  Let m0 be the start vertex's margin: the minimum over the
@@ -263,12 +263,16 @@ def _build_once(
 ) -> PolygonalPath | str:
     """One round at step size alpha.  Returns, instead of the path, the reason
     the round is rejected once a step norm reaches ``start_margin / 2`` (the
-    bound in ``build_path``); the default bound never rejects."""
+    bound in ``build_path``); the default bound never rejects.  On |w| = 1,
+    1 - conj(z) w = w conj(w - z), so b_{t_{j+1}} g / b_{t_j} and |g| are both
+    prod |b_k - w|^2 / |a_k - w|^2 over the pairs (a_k, b_k), conj(gamma) cancelling
+    the unimodular constants (an origin zero's -1 and w too): a step norm is
+    max |1 - |g||, with no trace.  ``check_boundary_clearance`` raises where one would."""
     ts = choose_partition(pairs, alpha)
     nodes = circle_nodes(n_grid)
     start = from_pts = interpolate_points(pairs, 0.0)
     zeros = ZeroList.from_points(start)
-    from_trace = eval_boundary(zeros, n_grid).samples
+    check_boundary_clearance(zeros)
     phase = 0.0
     vertices = [PathVertex(zeros, 0.0, tuple(zip(start, start)), phase, n_grid)]
     steps: list[PathStep] = []
@@ -277,14 +281,14 @@ def _build_once(
         step_pairs = tuple(zip(from_pts, to_pts))
         step = PathStep(step_pairs, gamma_constant(step_pairs), math.nan)
         zeros = ZeroList.from_points(to_pts)
-        to_trace = eval_boundary(zeros, n_grid).samples
-        step_norm = float(np.abs(from_trace - to_trace * step.g_interior(nodes)).max())
+        check_boundary_clearance(zeros)
+        step_norm = float(np.abs(1.0 - np.abs(step.g_interior(nodes))).max())
         if step_norm >= start_margin / 2.0:
             return f"step {j} of {len(ts) - 1}: norm {step_norm:.3e} >= m0/2 = {start_margin / 2.0:.3e}"
         phase += float(np.angle(step.gamma))
         vertices.append(PathVertex(zeros, t1, tuple(zip(start, to_pts)), phase, n_grid))
         steps.append(replace(step, step_norm=step_norm))
-        from_pts, from_trace = to_pts, to_trace
+        from_pts = to_pts
 
     # Cross-check of the closed form: 2 Im C(sigma_total) - (log |g|)~.  Within
     # cauchy._SERIES_RADIUS, C(sigma_total) comes from power sums and one FFT,

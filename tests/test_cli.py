@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from blaschkelab import blaschke, cauchy, pathbuild
+from blaschkelab.blaschke import ZeroList
 from blaschkelab.carleson import BOX_NORM_SLACK
 from blaschkelab.cli import main
 from blaschkelab.config import RunConfig
 from blaschkelab.geometry import hyper_distance, pseudo_distance
+from blaschkelab.gridfn import circle_nodes
+from blaschkelab.matching import bottleneck_match
 
 # interior points whose pseudohyperbolic distance rounds to 1
 NEAR_ANTIPODES = (1.0 - 2e-12, -(1.0 - 2e-12))
@@ -135,6 +138,39 @@ class TestSubcommands:
             for c in doc["certification"]["checks"]
         ]
         assert all(0.0 < c["slack"] <= c["margin"] for c in doc["certification"]["checks"])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ([0.3], [0.4]),
+            ([0.3, -0.2 + 0.4j, 0.5 - 0.1j, -0.45j], [0.35 + 0.05j, -0.25 + 0.35j, 0.45 - 0.2j, -0.1 - 0.4j]),
+        ],
+    )
+    def test_path_moduli_equal_the_segment_distances(self, tmp_path, points):
+        # the boundary moduli of f_s = A + s (B - A), A = b_{t_j} and
+        # B = b_{t_{j+1}} g, by both traces: min dist(0, [A, B]) and max(|A|, |B|)
+        files = [
+            _write(tmp_path / f"{name}.json", ZeroList.from_points(p).to_json())
+            for name, p in zip(("zeros", "zeros_star"), points)
+        ]
+        assert main(["--out", str(tmp_path), "--grid", "1024", "path", "--zeros", files[0], "--zeros-star", files[1]]) == 0
+        za, zb = (ZeroList.from_points(p) for p in points)
+        pts = zb.expanded_points()
+        zb_ord = ZeroList.from_points([pts[j] for j in bottleneck_match(za, zb).permutation])
+        path = pathbuild.build_path(za, zb_ord, n_grid=1024)
+        assert json.loads((tmp_path / "path.json").read_text())["step_norms"] == [s.step_norm for s in path.steps]
+        header, *rows = (tmp_path / "path_moduli.csv").read_text().splitlines()
+        assert len(rows) == len(path.steps) > 1
+        nodes = circle_nodes(1024)
+        for row, (j, step) in zip(rows, enumerate(path.steps)):
+            a = blaschke.eval_boundary(path.vertices[j].zeros_t, 1024).samples
+            b = blaschke.eval_boundary(path.vertices[j + 1].zeros_t, 1024).samples * step.g_interior(nodes)
+            d, dd = b - a, np.abs(b - a) ** 2
+            t = np.clip((-a * np.conj(d)).real / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)  # where B = A: |A|
+            low, high = np.abs(a + t * d).min(), np.maximum(np.abs(a), np.abs(b)).max()
+            got = [float(x) for x in row.split(",")]
+            assert got[0] == j
+            assert abs(got[1] - low) <= 1e-12 and abs(got[2] - high) <= 1e-12
 
     def test_contour(self, tmp_path, zeros_file):
         code = main(

@@ -17,7 +17,7 @@ from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
 from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, gamma_constant, outer_correction
 from blaschkelab.config import DEFAULT_TOLERANCES, RunConfig
-from blaschkelab.errors import ContourThroughZeroError, RefinementExhaustedError
+from blaschkelab.errors import ContourThroughZeroError, IllConditionedBoundaryError, RefinementExhaustedError
 from blaschkelab.fixtures import adversarial_pair, random_matched_pair, random_point
 from blaschkelab.geometry import ORIGIN_FOLD, hyper_distance, rho_from_beta
 from blaschkelab.gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate
@@ -1285,3 +1285,62 @@ class TestStartMarginBound:
         assert info.value.alphas == (0.5, 0.25)
         (reason,) = info.value.last_failures
         assert re.fullmatch(r"step \d+ of 16: norm \S+ >= m0/2 = \S+", reason)
+
+
+def _two_trace_norm(path, j):
+    """Step j's norm by the route the identity replaced: both vertices'
+    boundary traces, max |b_{t_j} - b_{t_{j+1}} g| on the grid."""
+    n = path.grid_size
+    a = eval_boundary(path.vertices[j].zeros_t, n).samples
+    b = eval_boundary(path.vertices[j + 1].zeros_t, n).samples * path.steps[j].g_interior(circle_nodes(n))
+    return float(np.abs(a - b).max())
+
+
+# -0.1 -> 0.1 passes exactly through the origin at t = 1/2, beside 0.3i -> 0.35i
+_THROUGH_ORIGIN = (ZeroList.from_points([-0.1, 0.3j]), ZeroList.from_points([0.1, 0.35j]))
+
+
+class TestStepNormIdentity:
+    """On the circle b_{t_{j+1}} g / b_{t_j} = |g|, so a step norm is
+    max |1 - |g|| and the build evaluates no boundary trace."""
+
+    def test_end_over_start_is_the_modulus_of_g(self):
+        through = build_path(*_THROUGH_ORIGIN, n_grid=2048)
+        assert [v.zeros_t.m for v in through.vertices if v.t == 0.5] == [1]
+        n_steps = 0
+        for path in [*_criterion_five_paths(), through]:
+            n = path.grid_size
+            for j, step in enumerate(path.steps):
+                g = step.g_interior(circle_nodes(n))
+                ratio = eval_boundary(path.vertices[j + 1].zeros_t, n).samples * g
+                ratio = ratio / eval_boundary(path.vertices[j].zeros_t, n).samples
+                assert np.abs(ratio.imag).max() <= 1e-13
+                assert np.abs(ratio.real - np.abs(g)).max() <= 1e-13
+                n_steps += 1
+        assert n_steps > 500
+
+    def test_step_norms_equal_the_two_trace_route(self):
+        paths = [*_criterion_five_paths(), build_path(*_THROUGH_ORIGIN, n_grid=2048)]
+        for alpha in (1.0, 0.25):
+            paths += [*_seeded_paths(5, alpha=alpha), build_path(*_THROUGH_ORIGIN, alpha=alpha, n_grid=2048)]
+        n_steps = 0
+        for path in paths:
+            for j, step in enumerate(path.steps):
+                assert abs(step.step_norm - _two_trace_norm(path, j)) <= 1e-12
+                n_steps += 1
+        assert n_steps > 500
+
+    @pytest.mark.parametrize(
+        "pair",
+        [([1 - 5e-11], [1 - 5e-11 - 1e-12j]), ([1 - 5e-11, 0.3j], [1 - 5e-11, 0.35j])],
+        ids=["lone", "beside-a-moving-zero"],
+    )
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_a_zero_near_the_circle_raises_before_the_round(self, pair, alpha, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pathbuild.PathStep, "g_interior", lambda *args: calls.append(args))
+        za, zb = (ZeroList.from_points(p) for p in pair)
+        with pytest.raises(IllConditionedBoundaryError) as info:
+            build_path(za, zb, alpha=alpha, n_grid=1024)
+        assert str(info.value) == "a zero lies within 1e-10 of the circle (max |z_n| = 0.99999999995)"
+        assert calls == []
