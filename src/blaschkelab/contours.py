@@ -7,12 +7,15 @@ measures take coupled pairs of walkers: a pair close enough to meet steps in
 maximally coupled balls and fuses when they land on one point, a pair too far
 apart to meet takes two sphere jumps in mirrored directions.  The contour
 logarithm reconstructs log(u/b) outside the curves from the cumulative
-difference measure.
+difference measure: by closed-form edge integrals, or, at points far from
+round-disk fixtures (q <= 0.9), by one far-field moment series per curve
+whose tail is bounded by 2^-53.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -738,10 +741,10 @@ class HarmonicMeasureAtlas:
     """Per-curve edge masses of the zero measures of the products u and b.
 
     The masses are held as read-only copies, so what is cached from them and
-    the two products (the zero counts, the contour-integral coefficients and
-    the calibration constant of ``log_quotient_via_contour``) cannot go
-    stale.  ``walk_stragglers`` counts the walkers that settled at the step
-    cap.
+    the two products (the hypothesis check, the contour-integral
+    coefficients, their far-field moments on disk fixtures and the
+    calibration constant of ``log_quotient_via_contour``) cannot go stale.
+    ``walk_stragglers`` counts the walkers that settled at the step cap.
     """
 
     u: ZeroList
@@ -768,15 +771,30 @@ class HarmonicMeasureAtlas:
         return self.nu_u[i] - self.nu_b[i]
 
     @cached_property
-    def _counts(self) -> tuple[tuple[float, float], ...]:
-        return tuple((self.u_count(i), self.b_count(i)) for i in range(len(self.curves)))
+    def _mismatch(self) -> str | None:
+        """Why u/b has no logarithm outside the curves, or None: a curve
+        inside which u and b have different zero counts, or zeros of u and b
+        outside every curve that differ as multisets, the origin included."""
+        for i, c in enumerate(self.curves):
+            uc, bc = self.u_count(i), self.b_count(i)
+            if abs(uc - bc) > 1e-3:
+                return f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
+        u_out, b_out = (
+            Counter(p for p in f.expanded_points() if not any(c.contains(p) for c in self.curves))
+            for f in (self.u, self.b)
+        )
+        only_u, only_b = list((u_out - b_out).elements()), list((b_out - u_out).elements())
+        return f"zeros outside every curve differ (u only: {only_u}, b only: {only_b})" if u_out != b_out else None
 
     @cached_property
-    def _tables(self) -> list[tuple[complex, np.ndarray, float]]:
+    def _tables(self) -> list[tuple[complex, np.ndarray, float, np.ndarray | None, float]]:
         """Per curve: const = sum(nu) + sum (c - nu conj(s/d)) M1, the real and
         imaginary parts of A = c - nu s/d and B = nu/d in vertex order, and
         sum(nu); c is the mass cumulated from the curve's ``start_vertex`` to
-        each edge."""
+        each edge.  On a disk fixture v_k = c + R x_k (else None, 0), the
+        far-field moments of A and B and their tail scale (``_integrals``):
+        alpha_m = (1/m) sum_k W_k x_k^m for W_k = A_{k-1} - A_k is
+        F[m mod n]/m, F = n ifft(W), for the m that q = ``_Q_MAX`` needs."""
         tables = []
         for i, curve in enumerate(self.curves):
             nu, order = self.nu(i), np.roll(np.arange(curve.n_edges), -curve.start_vertex())
@@ -785,17 +803,25 @@ class HarmonicMeasureAtlas:
             s, e = curve.edge_starts(), curve.edge_ends()
             coef = np.stack([cum - nu * (s / (e - s)), nu / (e - s)])
             const = nu.sum() + np.conj(coef[0]) @ np.log(np.conj(e) / np.conj(s))
-            tables.append((complex(const), np.concatenate([coef.real, coef.imag]), float(nu.sum())))
+            moments, scale = None, 0.0
+            if curve.is_disk_fixture:
+                weights = np.roll(coef, 1, axis=1) - coef
+                # |x_k| = 1, |z| < 1 and |k| <= R/(1 - |c|) bound the four series' m-th terms by scale q^(m-1)/m
+                s_a, s_b = np.abs(weights).sum(axis=1)
+                scale = float(2.0 * s_a + s_b * (1.0 + curve.disk_radius / (1.0 - abs(curve.disk_center))))
+                m = np.arange(1, _series_terms(_Q_MAX, scale) + 1)
+                moments = (curve.n_edges * np.fft.ifft(weights))[:, m % curve.n_edges] / m
+            tables.append((complex(const), np.concatenate([coef.real, coef.imag]), float(nu.sum()), moments, scale))
         return tables
 
     @cached_property
     def _c1(self) -> complex:
         """C1 = Log(u/b)(r) minus the contour integrals at r, at the reference
         point r = (1 + max |vertex|)/2 on the real axis, beyond every vertex
-        and so outside every curve."""
-        ref = complex(0.5 * (1.0 + max(float(np.abs(c.points).max()) for c in self.curves)))
+        and so outside every curve (r = 1/2 without curves)."""
+        ref = complex(0.5 * (1.0 + max((float(np.abs(c.points).max()) for c in self.curves), default=0.0)))
         direct = complex(np.log(evaluate_grid(self.u, np.array([ref]))[0] / evaluate_grid(self.b, np.array([ref]))[0]))
-        return direct - _contour_integrals(self, ref, _edge_logs(self, ref))
+        return direct - _integrals(self, ref)
 
     def u_count(self, i: int) -> float:
         return float(self.nu_u[i].sum())
@@ -878,21 +904,62 @@ def log_quotient_via_contour(u: ZeroList, b: ZeroList, atlas: HarmonicMeasureAtl
 
     Evaluates C1 - sum_j int nu(arc from the start point) [dxi/(xi - z)
     + dconj(xi)/((1 - conj(xi) z) conj(xi))], with the cumulative mass linear
-    within each edge, by closed-form edge integrals whose angles also give the
-    winding number that rejects a point inside or on a curve.  Each curve's
-    start point is its ``start_vertex``, of minimal principal argument.  C1
-    is calibrated once per atlas, from its own u and b (``_c1``).
+    within each edge, by closed-form edge integrals (``_integrals``).  Each
+    curve's start point is its ``start_vertex``, of minimal principal
+    argument.  C1 is calibrated once per atlas, from its own u and b
+    (``_c1``).  After a point inside or on a curve (``ValueError``), unequal
+    zero counts inside a curve or unequal zeros outside every curve raise
+    ``HypothesisViolationError`` (``HarmonicMeasureAtlas._mismatch``).
     """
     if u != atlas.u or b != atlas.b:
         raise ValueError("u and b must be the products the atlas was built from")
-    w = interior_value(z)
-    logs = _edge_logs(atlas, w)
-    for c, (uc, bc) in zip(atlas.curves, atlas._counts):
-        if abs(uc - bc) > 1e-3:
-            raise HypothesisViolationError(
-                f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
-            )
-    return atlas._c1 + _contour_integrals(atlas, w, logs)
+    integrals = _integrals(atlas, interior_value(z))
+    if atlas._mismatch is not None:
+        raise HypothesisViolationError(atlas._mismatch)
+    return atlas._c1 + integrals
+
+
+# the far-field series is taken where q <= this on every curve: at most about 350 terms
+_Q_MAX = 0.9
+
+
+def _series_terms(q: float, scale: float) -> int:
+    """The M for which scale q^M/(1 - q) <= 2^-53, which bounds the tail of a
+    series whose m-th term is at most scale q^(m-1)/m."""
+    return max(1, math.ceil(math.log(2.0**-53 * (1.0 - q) / scale) / math.log(q))) if scale else 0
+
+
+def _integrals(atlas: HarmonicMeasureAtlas, z: complex) -> complex:
+    """Minus the sum of the edge integrals at z: by far-field series where
+    every curve is a disk fixture with q = max(|zeta|, |t|) <= ``_Q_MAX``,
+    else by ``_contour_integrals``, whose ``_edge_logs`` reject z inside or on a curve.
+
+    On v_k = c + R x_k, summation by parts gives A.L = sum_k W_k Log(1 - zeta
+    x_k) = -sum_m alpha_m zeta^m with zeta = R/(z - c), A.conj(M) = -sum_m
+    alpha_m t^m with t = k conj(z), k = R/(1 - conj(z) c), and conj(B).M / z
+    = -conj(sum_m alpha^B_m k t^(m-1)), each cut at ``_series_terms``; the
+    constants Log(c - z) and Log(1 - conj(z) c) drop out as sum W_k = 0.
+    |zeta| <= 0.9 puts z beyond radius R/0.9, outside the polyline and off it.
+    """
+    zc, total = z.conjugate(), 0.0j
+    for curve, (const, _, _, alpha, scale) in zip(atlas.curves, atlas._tables):
+        if alpha is None:
+            break
+        c, r = curve.disk_center, curve.disk_radius
+        zeta, k = r / (z - c), r / (1.0 - zc * c)
+        q = max(abs(zeta), abs(zc * k))
+        if q > _Q_MAX:
+            break
+        n = min(_series_terms(q, scale), alpha.shape[1])
+        powers = np.empty((3, n), dtype=np.complex128)  # zeta^m, t^m and t^(m-1)
+        powers[0], powers[1], powers[2, :1] = zeta, zc * k, 1.0
+        np.cumprod(powers[:2], axis=1, out=powers[:2])
+        powers[2, 1:] = powers[1, :-1]
+        (a_l, a_m, _), (b_l, _, b_m) = (alpha[:, :n] @ powers.T).tolist()
+        total -= const - a_l - z * b_l + a_m.conjugate() + (k * b_m).conjugate()
+    else:
+        return total
+    return _contour_integrals(atlas, z, _edge_logs(atlas, z))
 
 
 def _edge_logs(atlas: HarmonicMeasureAtlas, z: complex) -> list[np.ndarray]:
@@ -931,7 +998,7 @@ def _contour_integrals(atlas: HarmonicMeasureAtlas, z: complex, logs: list[np.nd
     - conj(A).M - conj(B).M / z; the last term tends to sum(nu) as z -> 0.
     """
     total = 0.0j
-    for steps, (const, coef, nu_total) in zip(logs, atlas._tables):
+    for steps, (const, coef, nu_total, _, _) in zip(logs, atlas._tables):
         g = coef @ steps.T
         g = g[:2] + 1j * g[2:]  # A and B times each row of steps
         (a_l, a_m), (b_l, b_m) = (0.5 * g[:, :2] + 1j * g[:, :1:-1]).tolist()  # A.L, A.conj(M); B...

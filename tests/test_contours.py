@@ -24,6 +24,7 @@ from blaschkelab.contours import (
     _dense_distance,
     _distance_to_curve,
     _edge_logs,
+    _integrals,
     _level_values,
     _poisson_edge_masses,
     JordanCurveApprox,
@@ -1011,6 +1012,126 @@ class TestLogQuotient:
             log_quotient_via_contour(u, b, atlas, 0.7)
         assert isinstance(info.value, HypothesisViolationError) and not isinstance(info.value, ValueError)
         assert info.value.to_json()["type"] == "HypothesisViolationError"
+
+    def test_unequal_zeros_outside_every_curve_rejected(self):
+        # equal counts inside, but u/b keeps a zero and a pole outside the curve
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=1024)
+        u, b = ZeroList.from_points([0.1, 0.8j]), ZeroList.from_points([0.12, 0.85j])
+        atlas = build_atlas(u, b, [circ], method="exact")
+        with pytest.raises(ValueError, match="outside every curve"):
+            log_quotient_via_contour(u, b, atlas, 0.1)
+        for z in (0.6 + 0.1j, -0.5j, 0.9, -0.45 + 0.3j):
+            with pytest.raises(HypothesisViolationError, match="zeros outside every curve differ"):
+                log_quotient_via_contour(u, b, atlas, z)
+        # the origin counts as a zero outside too
+        u, b = ZeroList(m=1), ZeroList(m=2)
+        ring = JordanCurveApprox.circle(0.5, 0.2, n=256)
+        with pytest.raises(HypothesisViolationError, match="outside"):
+            log_quotient_via_contour(u, b, build_atlas(u, b, [ring], method="exact"), -0.5)
+
+    def test_equal_zeros_outside_every_curve_cancel(self):
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=1024)
+        u, b = ZeroList.from_points([0.1, -0.6]), ZeroList.from_points([0.12, -0.6])
+        atlas = build_atlas(u, b, [circ], method="exact")
+        for z in (0.6 + 0.1j, -0.5j, 0.9, -0.45 + 0.3j):
+            ratio = evaluate_grid(u, np.array([z]))[0] / evaluate_grid(b, np.array([z]))[0]
+            assert abs(np.exp(log_quotient_via_contour(u, b, atlas, z)) - ratio) < 1e-6
+
+    def test_atlas_without_curves(self):
+        # a product without zeros has no level curves; with the same zeros
+        # outside every curve, L is log(lam_u / lam_b)
+        curves = level_set_components(ZeroList(), 0.2)
+        assert curves == []
+        u, b = ZeroList.from_points([0.3, -0.2j]), ZeroList(((0.3, 1), (-0.2j, 1)), lam=1j)
+        atlas = build_atlas(u, b, curves, method="exact")
+        for z in (0.0, 0.6 + 0.1j, -0.9j):
+            assert abs(np.exp(log_quotient_via_contour(u, b, atlas, z)) - (-1j)) < 1e-14
+        u, b = ZeroList.from_points([0.3]), ZeroList.from_points([0.2])
+        with pytest.raises(HypothesisViolationError, match="outside every curve"):
+            log_quotient_via_contour(u, b, build_atlas(u, b, [], method="exact"), 0.5j)
+
+
+_SERIES_CASES = ["circle-256", "circle-1024", "circle-4096", "walk-256", "off-centre", "two-curves", "equal-products"]
+
+
+def _series_case(name):
+    """(atlas, points) on which every curve is a disk fixture with q <= 0.9."""
+    rng = np.random.default_rng(29)
+    far = [cmath.rect(0.45 + 0.5 * rng.random(), 2.0 * math.pi * rng.random()) for _ in range(20)]
+    u, b = ZeroList(m=1), ZeroList.from_points([0.1])
+    if name.startswith("circle-"):
+        return build_atlas(u, b, [JordanCurveApprox.circle(0.0, 0.4, n=int(name[7:]))], method="exact"), far
+    if name == "walk-256":
+        # 5,000 paired samples on 256 edges: more terms than edges, so the moments alias
+        u, b, circ = contour_log_fixture_mc()
+        atlas = build_atlas(u, b, [circ], n_samples=5_000, rng=np.random.default_rng(7), method="walk", paired=True)
+        assert atlas._tables[0][3].shape[1] > circ.n_edges
+        return atlas, far
+    if name == "off-centre":
+        circ = JordanCurveApprox.circle(0.5, 0.2, n=256)
+        atlas = build_atlas(ZeroList.from_points([0.5]), ZeroList.from_points([0.55]), [circ], method="exact")
+        return atlas, [0.0, 1e-12, 1e-9j, -0.3]
+    if name == "two-curves":
+        u, b = ZeroList.from_points([0.5, 0.1]), ZeroList.from_points([0.55, -0.05j])
+        return build_atlas(u, b, _two_curves(), method="exact"), [0.2 + 0.6j, -0.7, 0.1 - 0.8j, -0.5 - 0.5j]
+    return build_atlas(b, b, [JordanCurveApprox.circle(0.0, 0.4, n=256)], method="exact"), far
+
+
+def _spy_edge_logs(monkeypatch):
+    """Record every point that takes the edge-integral route."""
+    direct = []
+    edge_logs = contours._edge_logs
+    monkeypatch.setattr(contours, "_edge_logs", lambda atlas, z: direct.append(z) or edge_logs(atlas, z))
+    return direct
+
+
+class TestFarFieldSeries:
+    @pytest.mark.parametrize("name", _SERIES_CASES)
+    def test_matches_the_edge_integrals(self, name, monkeypatch):
+        atlas, points = _series_case(name)
+        for z in map(complex, points):
+            direct = _spy_edge_logs(monkeypatch)
+            series = _integrals(atlas, z)
+            assert direct == []
+            monkeypatch.undo()
+            assert abs(series - _contour_integrals(atlas, z, _edge_logs(atlas, z))) < 1e-14
+
+    def test_equal_products_need_no_terms(self, monkeypatch):
+        # every vertex weight is zero, so the tail bound has nothing to bound
+        u = ZeroList.from_points([0.1])
+        atlas = build_atlas(u, u, [JordanCurveApprox.circle(0.0, 0.4, n=256)], method="exact")
+        ((const, _, _, alpha, scale),) = atlas._tables
+        assert scale == 0.0 and alpha.shape == (2, 0)
+        direct = _spy_edge_logs(monkeypatch)
+        assert _integrals(atlas, 0.6 + 0.1j) == -const and direct == []
+
+    def test_polylines_and_near_points_take_the_edge_integrals(self, monkeypatch):
+        direct = _spy_edge_logs(monkeypatch)
+        u, b = ZeroList(m=1), ZeroList.from_points([0.1])
+        circ = JordanCurveApprox.circle(0.0, 0.4, n=256)
+        atlas = build_atlas(u, b, [circ], method="exact")
+        log_quotient_via_contour(u, b, atlas, 0.6)
+        assert direct == []  # neither the point nor the calibration
+        # |zeta| = 0.4/|z| just above and just below 0.9
+        for z, took_direct in ((0.4 / 0.9 * (1.0 - 1e-9), True), (0.4 / 0.9 * (1.0 + 1e-9), False)):
+            direct.clear()
+            log_quotient_via_contour(u, b, atlas, z)
+            assert direct == ([z] if took_direct else [])
+        # the interior, on-curve and beside-the-curve points of the tests above
+        pts = circ.points
+        mid = 0.5 * (pts[10] + pts[11])
+        for z in (0.1, pts[5], mid, pts[3] + (pts[4] - pts[3]) / 3.0, mid * (1.0 + 1e-9)):
+            direct.clear()
+            try:
+                log_quotient_via_contour(u, b, atlas, z)
+            except ValueError:
+                pass
+            assert direct == [complex(z)]
+        # a polyline takes the edge integrals everywhere, its calibration included
+        poly = build_atlas(u, b, [JordanCurveApprox(circ.points)], method="walk", n_samples=200)
+        direct.clear()
+        log_quotient_via_contour(u, b, poly, 0.9)
+        assert len(direct) == 2 and poly._tables[0][3] is None
 
 
 class TestArcDiameterInequality:
