@@ -15,15 +15,13 @@ import numpy as np
 
 from .blaschke import ZeroList, derivative_grid, evaluate_grid
 from .errors import RegionEmptyError
-from .geometry import beta_from_rho, beta_matrix, clamped_beta, rho_from_beta, rho_matrix
+from .geometry import INTERIOR_GUARD, _hyperbolic_disks, _sample_arcs, _uncovered_spans, beta_matrix, rho_matrix
 
 #: Absolute-constant slack between the dyadic-box estimator and the duality
 #: Carleson norm; every acceptance check involving the norm carries it.
 BOX_NORM_SLACK = 8.0
-# alpha_b's resolution: the hyperbolic cell of its sample rings, and the
-# excluded band 1 - edge_gap < |z| < 1
-_CELL_BETA = 0.1
-_EDGE_GAP = 1e-4
+# alpha_b's samples per full circle of its arcs
+_PTS_PER_CIRCLE = 256
 
 
 @dataclass(frozen=True)
@@ -166,50 +164,47 @@ def separation_split(zeros: ZeroList, s: float) -> list[ZeroList]:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Sampled infimum of |b| over {beta(z, Z(b)) > r}, with its resolution."""
+    """The infimum of |b| over {beta(z, Z(b)) > r}, certified to lie in [lower, value]."""
 
     value: float
+    lower: float
     r: float
-    cell_beta: float
-    edge_gap: float
-    n_samples: int
-    argmin: complex
 
 
 def alpha_b(zeros: ZeroList, r: float) -> AlphaEstimate:
-    """min |b| over a hyperbolically quasi-uniform sample of the far-from-zeros
-    region, restricted to |z| <= 1 - ``_EDGE_GAP``: rings ``_CELL_BETA`` apart
-    in beta, each sampled about every ``_CELL_BETA`` along it.
+    """inf {|b(z)| : beta(z, Z(b)) > r} by the minimum modulus principle:
+    b has no zeros there and |b| -> 1 at the circle, so the infimum is
+    attained on the arcs bounding the union of the disks beta(z, a_k) <= r.
+    ``value`` is the least |b| over their samples inside 1 - ``INTERIOR_GUARD``
+    (``_PTS_PER_CIRCLE`` per full circle); ``RegionEmptyError`` if there are none.
 
-    An upper bound for the true infimum over the sampled region; nondecreasing
-    in r at fixed resolution.
+    ``lower`` holds on the whole arcs.  Arc points within half an angular step
+    D of a sample q on an arc (o, R) lie within delta = R D / (2 (1 - (|o| + R)^2))
+    of it in rho, so each factor rho(p, a_j) is at least
+    (rho(q, a_j) - delta) / (1 - delta rho(q, a_j)) where delta < rho(q, a_j),
+    and at least tanh(r/2) anyway, p lying outside every disk.  ``lower`` is
+    the least product of these bounds, less 8 (n + 1) eps relative.
     """
     if not r > 0.0:
         raise ValueError(f"threshold must be positive, got {r}")
-    pts = np.array(zeros.expanded_points())
-    if pts.size == 0:
+    centers = np.array(zeros.expanded_points(), dtype=np.complex128)
+    if centers.size == 0:
         raise ValueError("alpha functional needs at least one zero")
-    cell_beta, edge_gap = _CELL_BETA, _EDGE_GAP
-    beta_max = beta_from_rho(1.0 - edge_gap)
-    n_rings = int(math.ceil(beta_max / cell_beta))
-    best = math.inf
-    best_at = 0.0j
-    total = 0
-    for i in range(n_rings + 1):
-        beta_i = min(i * cell_beta, beta_max)
-        rad = rho_from_beta(beta_i)
-        n_i = max(8, int(math.ceil(2.0 * math.pi * math.sinh(beta_i) / cell_beta))) if beta_i > 0 else 1
-        total += n_i
-        ring = rad * np.exp(2j * math.pi * np.arange(n_i) / n_i)
-        beta_to_set = clamped_beta(rho_matrix(ring, pts).min(axis=1))
-        keep = ring[beta_to_set > r]
-        if keep.size == 0:
-            continue
-        vals = np.abs(evaluate_grid(zeros, keep))
-        j = int(vals.argmin())
-        if vals[j] < best:
-            best = float(vals[j])
-            best_at = complex(keep[j])
-    if not math.isfinite(best):
-        raise RegionEmptyError(f"no sample point satisfies beta(z, Z) > {r} within |z| <= 1 - {edge_gap}")
-    return AlphaEstimate(best, r, cell_beta, edge_gap, total, best_at)
+    o, rad = _hyperbolic_disks(centers[None, :], r)
+    disk, a, b = _uncovered_spans(o, rad)
+    o, rad = o.ravel()[disk], rad.ravel()[disk]
+    pts, arc_ends = _sample_arcs(o, rad, a, b, _PTS_PER_CIRCLE)
+    inside = np.abs(pts) < 1.0 - INTERIOR_GUARD
+    if not inside.any():
+        raise RegionEmptyError(f"the disks beta(z, Z) <= {r} cover |z| < 1 - {INTERIOR_GUARD}")
+    value = float(np.abs(evaluate_grid(zeros, pts[inside])).min())
+    sizes = np.diff(arc_ends, prepend=0)
+    den = 1.0 - (np.abs(o) + rad) ** 2
+    half_chord = 0.5 * rad * (b - a) / (sizes - 1)
+    delta = np.repeat(np.divide(half_chord, den, out=np.full(den.shape, np.inf), where=den > 0.0), sizes)[:, None]
+    rho = rho_matrix(pts, centers)
+    near = delta < rho
+    d = np.where(near, delta, 0.0)
+    factors = np.maximum(np.where(near, (rho - d) / (1.0 - d * rho), 0.0), math.tanh(r / 2.0))
+    lower = float(factors.prod(axis=1).min()) * (1.0 - 8.0 * (centers.size + 1) * float(np.finfo(float).eps))
+    return AlphaEstimate(value, lower, r)

@@ -93,7 +93,7 @@ def _cmd_carleson(args, config: RunConfig, out: Path) -> int:
         payload["separation_classes"] = [c.to_json() for c in classes]
     if args.alpha_r is not None:
         est = alpha_b(zeros, args.alpha_r)
-        payload["alpha_b"] = {"value": est.value, "r": est.r, "cell_beta": est.cell_beta, "samples": est.n_samples}
+        payload["alpha_b"] = {"value": est.value, "lower": est.lower, "r": est.r}
     _write_json(out / "carleson.json", config, payload)
     print(f"carleson report -> {out / 'carleson.json'}")
     return 0
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeros", required=True)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--sep", type=float, default=None, help="separation split threshold")
-    p.add_argument("--alpha-r", type=float, default=None, help="evaluate the modulus infimum at this radius")
+    p.add_argument("--alpha-r", type=float, default=None, help="bracket inf |b| beyond this hyperbolic radius of the zeros")
     p.set_defaults(func=_cmd_carleson)
 
     p = sub.add_parser("cauchy", help="product identity and outer correction")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -771,6 +771,14 @@ class HarmonicMeasureAtlas:
         return self.nu_u[i] - self.nu_b[i]
 
     @cached_property
+    def _outside(self) -> tuple[Counter, Counter]:
+        """The zeros of u and of b outside every curve, the origin included."""
+        return tuple(
+            Counter(p for p in f.expanded_points() if not any(c.contains(p) for c in self.curves))
+            for f in (self.u, self.b)
+        )
+
+    @cached_property
     def _mismatch(self) -> str | None:
         """Why u/b has no logarithm outside the curves, or None: a curve
         inside which u and b have different zero counts, or zeros of u and b
@@ -779,10 +787,7 @@ class HarmonicMeasureAtlas:
             uc, bc = self.u_count(i), self.b_count(i)
             if abs(uc - bc) > 1e-3:
                 return f"curve {c.component_id}: zero counts differ (u: {uc}, b: {bc})"
-        u_out, b_out = (
-            Counter(p for p in f.expanded_points() if not any(c.contains(p) for c in self.curves))
-            for f in (self.u, self.b)
-        )
+        u_out, b_out = self._outside
         only_u, only_b = list((u_out - b_out).elements()), list((b_out - u_out).elements())
         return f"zeros outside every curve differ (u only: {only_u}, b only: {only_b})" if u_out != b_out else None
 
@@ -818,9 +823,14 @@ class HarmonicMeasureAtlas:
     def _c1(self) -> complex:
         """C1 = Log(u/b)(r) minus the contour integrals at r, at the reference
         point r = (1 + max |vertex|)/2 on the real axis, beyond every vertex
-        and so outside every curve (r = 1/2 without curves)."""
+        and so outside every curve (r = 1/2 without curves).  The zeros outside
+        every curve, equal in u and b past ``_mismatch``, are left out of u/b."""
         ref = complex(0.5 * (1.0 + max((float(np.abs(c.points).max()) for c in self.curves), default=0.0)))
-        direct = complex(np.log(evaluate_grid(self.u, np.array([ref]))[0] / evaluate_grid(self.b, np.array([ref]))[0]))
+        u, b = self.u, self.b
+        if out := self._outside[0]:
+            inside = (ZeroList.from_points((Counter(f.expanded_points()) - out).elements()) for f in (u, b))
+            u, b = (replace(f, lam=g.lam) for f, g in zip(inside, (u, b)))
+        direct = complex(np.log(evaluate_grid(u, np.array([ref]))[0] / evaluate_grid(b, np.array([ref]))[0]))
         return direct - _integrals(self, ref)
 
     def u_count(self, i: int) -> float:

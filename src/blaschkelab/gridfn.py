@@ -112,14 +112,14 @@ def winding_number(
     group, a ContourThroughZeroError in its group's place.
 
     No edge joins one arc's last point to the next arc's first.  One pass over
-    all the groups finds the moduli, the relative jumps
-    |f(p_{k+1}) - f(p_k)| / min(|f|) and the phase increments.  A group with
-    a sample on a zero of f gives (0.0, 0); one whose jumps all stay within
-    ``_ETA`` and whose phase sum lies within 0.05 of an integer is counted
-    from that pass.  Every other group runs ``_refined_count`` alone, which
+    all the groups finds the moduli, the relative jumps |f(p_{k+1}) - f(p_k)| /
+    min(|f|) and the phase increments.  A group with a sample on a zero of f
+    gives (0.0, 0); one whose jumps all stay within ``_ETA`` is counted from
+    that pass, or fails with a phase sum farther than 0.1 from an integer
+    (``_phase_count``).  Every other group runs ``_refined_count`` alone, which
     bisects its edges while a jump exceeds ``_ETA`` (so every phase increment
-    stays below arcsin(eta) and the sum is unambiguous) and evaluates its f
-    at the inserted midpoints only.
+    stays below arcsin(eta) and the sum is unambiguous) and evaluates its f at
+    the inserted midpoints only.
     """
     last = np.zeros(pts.size, dtype=bool)  # marks each arc's last point
     last[np.asarray(arc_ends) - 1] = True
@@ -133,30 +133,38 @@ def winding_number(
         bad = np.add.reduceat(edges & (jump > _ETA), starts)
         total = np.add.reduceat(np.where(edges, np.angle(vals[1:] / vals[:-1]), 0.0), starts) / (2.0 * np.pi)
     count = np.rint(total)
-    plain = (bad == 0) & (np.abs(total - count) <= 0.05)
     out: list[tuple[float, int] | ContourThroughZeroError] = []
     for g, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if low[g] == 0.0:
-            out.append((0.0, 0))
-        elif plain[g]:
-            out.append((float(low[g]), int(count[g])))
-        else:
-            try:
+        try:
+            if low[g] == 0.0:
+                out.append((0.0, 0))
+            elif bad[g]:
                 out.append(_refined_count(fs[g], pts[s:e], vals[s:e], last[s:e]))
-            except ContourThroughZeroError as exc:
-                out.append(exc)
+            elif abs(total[g] - count[g]) <= 0.1:
+                out.append((float(low[g]), int(count[g])))
+            else:  # refused on the group's own sum, which does not depend on its neighbours
+                out.append((float(low[g]), _phase_count(vals[s:e], edges[s : e - 1])))
+        except ContourThroughZeroError as exc:
+            out.append(exc)
     return out
+
+
+def _phase_count(vals: np.ndarray, edges: np.ndarray) -> int:
+    """The nearest integer to the phase increments over ``edges`` summed in
+    turns; ContourThroughZeroError when the sum lies farther than 0.1 from it."""
+    total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
+    count = round(total)
+    if abs(total - count) > 0.1:
+        raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
+    return count
 
 
 def _refined_count(
     f: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, vals: np.ndarray, last: np.ndarray
 ) -> tuple[float, int]:
     """``winding_number`` for one group, ``last`` marking its arcs' last
-    points, by bisection.  A sample on a zero of f gives (0.0, 0).  Needing
-    more than ``_MAX_PTS_PER_LOOP`` distinct points (the arcs' shared ends
-    count once), or a phase sum farther than 0.1 from an integer, raises
-    ContourThroughZeroError."""
-    eta, max_pts = _ETA, _MAX_PTS_PER_LOOP
+    points, by bisection.  Needing more than ``_MAX_PTS_PER_LOOP`` distinct
+    points (the arcs' shared ends count once) raises ContourThroughZeroError."""
     n_arcs = int(np.count_nonzero(last))
     while True:
         mods = np.abs(vals)
@@ -165,16 +173,12 @@ def _refined_count(
             return 0.0, 0
         edges = ~last[:-1]
         jump = np.abs(vals[1:] - vals[:-1]) / np.minimum(mods[:-1], mods[1:])
-        bad = np.flatnonzero(edges & (jump > eta))
+        bad = np.flatnonzero(edges & (jump > _ETA))
         if bad.size == 0:
-            total = float(np.angle(vals[1:][edges] / vals[:-1][edges]).sum() / (2.0 * np.pi))
-            count = round(total)
-            if abs(total - count) > 0.1:
-                raise ContourThroughZeroError(f"phase sum {total} over the contour is not near an integer")
-            return low, count
-        if pts.size - n_arcs + bad.size > max_pts:
+            return low, _phase_count(vals, edges)
+        if pts.size - n_arcs + bad.size > _MAX_PTS_PER_LOOP:
             raise ContourThroughZeroError(
-                f"modulus {low:.3e} needs more than {max_pts} points for a safe winding count"
+                f"modulus {low:.3e} needs more than {_MAX_PTS_PER_LOOP} points for a safe winding count"
             )
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         pts = np.insert(pts, bad + 1, mids)

@@ -20,7 +20,7 @@ import numpy as np
 from .blaschke import ZeroList, _rational_product, check_boundary_clearance, eval_boundary, evaluate_grid
 from .cauchy import PathMeasure, _segment_grid, cauchy_on_circle, gamma_constant
 from .errors import CardinalityError, ContourThroughZeroError, RefinementExhaustedError
-from .geometry import ORIGIN_FOLD
+from .geometry import ORIGIN_FOLD, _hyperbolic_disks, _sample_arcs, _uncovered_spans
 from .gridfn import BoundaryGridFunction, circle_nodes, harmonic_conjugate, winding_number
 
 _PARTITION_CAP = 1 << 20
@@ -191,8 +191,7 @@ def build_path(
     is computed when first read, within about 1e-12 of the per-step FFT route.
     No step runs a Cauchy transform or FFT, so none raises ``GridTooCoarseError``;
     the FFT route cross-checks each completed round: sup |2 Im C(sigma_total) -
-    (Re outer_log_total)~| must stay below ``functional_tol``.  Certification
-    takes the steps in blocks (see ``certify_path``).
+    (Re outer_log_total)~| must stay below ``functional_tol``.
 
     A round that provably fails that rule is dropped before it is finished
     or certified.  Let m0 be the start vertex's margin: the minimum over the
@@ -307,117 +306,6 @@ def _build_once(
 # contours of hyperbolic unit neighborhoods and winding certification
 
 
-def _unit_disks(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean centres and radii of the disks {beta(z, c) <= 1} about
-    ``centers``: with rho = tanh(1/2), the centre c (1 - rho^2) / (1 - rho^2 |c|^2)
-    and the radius rho (1 - |c|^2) / (1 - rho^2 |c|^2).  Each array operation
-    repeats a scalar complex one's bits: |c| is a hypot, its square a pow,
-    and the centre a complex times a real, then over a real, part by part."""
-    rho = math.tanh(0.5)
-    cr, ci = centers.real, centers.imag
-    ac2 = np.array([h**2 for h in np.hypot(cr, ci).ravel().tolist()]).reshape(centers.shape)
-    den = 1.0 - rho * rho * ac2
-    f = 1.0 - rho * rho
-    re, im = cr * f - ci * 0.0, cr * 0.0 + ci * f
-    o = np.empty(centers.shape, dtype=np.complex128)
-    o.real, o.imag = (re + im * 0.0) / den, (im - re * 0.0) / den
-    return o, rho * (1.0 - ac2) / den
-
-
-def _uncovered_spans(
-    r: np.ndarray, dist: np.ndarray, diff: np.ndarray, label: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arcs bounding the union of each row's disks, as flat arrays
-    (row * n + disk, start angle, end angle), from the radii ``r`` (rows, n),
-    the pair distances ``dist`` and differences ``diff`` [row, i, j] =
-    o_j - o_i of their centres; an uncovered circle is the span (0, 2 pi).
-
-    Every arc runs counterclockwise on its own circle, so the union lies on
-    its left, holes included: phase increments of f summed over all the arcs
-    give the signed count of zeros of f in the union.  A disk within 1e-13
-    of a kept earlier one is dropped, and so is a disk inside a larger one,
-    or inside an equal one listed first.  Each kept disk's covered intervals
-    are reduced mod 2 pi, split at 0, sorted and merged while the next one
-    starts within 1e-12 of the running end; a first merged interval starting
-    within 1e-12 of 0 takes in a last one ending within 1e-12 of 2 pi, and
-    the gaps wider than 1e-12 are the arcs.  They come row by row, then by
-    the ``label`` of their disk's component, disk by disk, gap by gap.
-    """
-    two_pi = 2.0 * math.pi
-    rows, n = r.shape
-    ri, rj = r[:, :, None], r[:, None, :]
-    earlier = np.tri(n, k=-1, dtype=bool)  # [i, j]: j < i
-    keep = np.ones((rows, n), dtype=bool)
-    same = (dist < 1e-13) & (np.abs(ri - rj) < 1e-13) & earlier
-    if same.any():
-        for i in range(1, n):
-            keep[:, i] = ~(same[:, i, :i] & keep[:, :i]).any(axis=1)
-    larger = (rj > ri) | ((rj == ri) & earlier)
-    active = keep & ~((dist + ri <= rj + 1e-15) & larger & keep[:, None, :]).any(axis=2)
-    cover = active[:, :, None] & active[:, None, :] & (dist < ri + rj - 1e-15) & (dist + rj > ri)
-
-    # disk i's covered interval (phi - half, phi + half) under each overlapping j, by libm as the scalars are
-    row, i, j = np.nonzero(cover)
-    d, r1, r2, dij = dist[cover], r[row, i], r[row, j], diff[cover]
-    phi = np.array(list(map(math.atan2, dij.imag.tolist(), dij.real.tolist())))
-    cos_half = np.minimum(1.0, np.maximum(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)))
-    half = np.array(list(map(math.acos, cos_half.tolist())))
-    a = np.mod(phi - half, two_pi)
-    b = a + ((phi + half) - (phi - half))
-    wraps = b > two_pi
-    disk = np.concatenate((row * n + i, (row * n + i)[wraps]))
-    a = np.concatenate((a, np.zeros(np.count_nonzero(wraps))))
-    b = np.concatenate((np.minimum(b, two_pi), b[wraps] - two_pi))
-
-    # per disk, by start: a run goes on while a start is within 1e-12 of its running end
-    order = np.lexsort((a, disk))
-    disk, a, b = disk[order], a[order], b[order]
-    first = np.flatnonzero(np.diff(disk, prepend=-1))
-    count = np.diff(np.append(first, disk.size))
-    at = (np.repeat(np.arange(first.size), count), np.arange(disk.size) - np.repeat(first, count))
-    padded = np.full((first.size, count.max(initial=0)), -np.inf)
-    padded[at] = b
-    reach = np.maximum.accumulate(padded, axis=1)[at]
-    run = np.flatnonzero((at[1] == 0) | (a > np.concatenate(([0.0], reach[:-1])) + 1e-12))
-    m_disk, m_lo, m_hi = disk[run], a[run], reach[np.append(run, disk.size)[1:] - 1]
-
-    # the wrap-around join, then the gap after each merged interval
-    head = np.flatnonzero(np.diff(m_disk, prepend=-1))
-    tail = np.append(head, m_disk.size)[1:] - 1
-    join = (tail > head) & (m_lo[head] <= 1e-12) & (m_hi[tail] >= two_pi - 1e-12)
-    m_lo[head[join]] = m_lo[tail[join]] - two_pi
-    live = np.ones(m_disk.size, dtype=bool)
-    live[tail[join]] = False
-    tail[join] -= 1
-    nxt, turn = np.minimum(np.arange(1, m_disk.size + 1), m_disk.size - 1), np.zeros(m_disk.size)
-    nxt[tail], turn[tail] = head, two_pi
-    gap_hi = m_lo[nxt] + turn
-    arc = live & (gap_hi > m_hi + 1e-12)
-
-    lone = np.flatnonzero(active.ravel() & (np.bincount(disk, minlength=rows * n) == 0))
-    disk = np.concatenate((m_disk[arc], lone))
-    start = np.concatenate((m_hi[arc], np.zeros(lone.size)))
-    end = np.concatenate((gap_hi[arc], np.full(lone.size, two_pi)))
-    order = np.lexsort((disk, label.ravel()[disk], disk // n))
-    return disk[order], start[order], end[order]
-
-
-def _sample_arcs(
-    o: np.ndarray, r: np.ndarray, a: np.ndarray, b: np.ndarray, pts_per_circle: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each span (centre o, radius r, start a, end b) sampled with both of its
-    ends, at ``pts_per_circle`` points per full circle, in one array pass and
-    one ``exp``: the points laid end to end, and the offset after each span."""
-    two_pi = 2.0 * math.pi
-    n_pts = np.maximum(2, np.ceil(pts_per_circle * ((b - a) / two_pi)).astype(np.int64))
-    sizes = n_pts + 1
-    ends = np.cumsum(sizes)
-    k = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - sizes, sizes)
-    theta = np.repeat(a, sizes) + np.repeat(b - a, sizes) * k / np.repeat(n_pts, sizes)
-    # ufunc calls, not operators: numpy would reuse a large temporary in place, which rounds differently
-    return np.add(np.repeat(o, sizes), np.multiply(np.repeat(r, sizes), np.exp(1j * theta))), ends
-
-
 @dataclass(frozen=True, eq=False)
 class ContourBlock:
     """The neighborhood contours of several zero sets, laid end to end: set
@@ -434,26 +322,26 @@ class ContourBlock:
 
 def neighborhood_contours(o: np.ndarray, r: np.ndarray) -> ContourBlock:
     """Boundary arcs of the union of each row's disks (centres ``o``, radii
-    ``r``, both of shape (sets, n)), grouped by component, in one geometry
-    pass over all the rows: the pair distances, the components (disks within
-    1e-12 of touching are joined), the arcs (``_uncovered_spans``), each
-    counterclockwise on its own circle, and one sampling pass
-    (``_sample_arcs``) at ``_PTS_PER_CIRCLE`` points per full circle.  The
-    rows of ``_unit_disks(centers)`` give the hyperbolic unit neighborhoods
-    {beta(z, C) <= 1} of the rows C of ``centers``."""
+    ``r``, both of shape (sets, n)), grouped by component (disks within 1e-12
+    of touching are joined), in one pass over all the rows: the arcs of
+    ``geometry._uncovered_spans``, sampled by ``geometry._sample_arcs`` at
+    ``_PTS_PER_CIRCLE`` points per full circle.  The rows of
+    ``geometry._hyperbolic_disks(centers, 1.0)`` are the hyperbolic unit
+    neighborhoods {beta(z, C) <= 1} of the rows C of ``centers``."""
     sets, n = r.shape
     diff = o[:, None, :] - o[:, :, None]
-    dist = np.hypot(diff.real, diff.imag)
-    near = dist <= r[:, :, None] + r[:, None, :] + 1e-12
+    near = np.hypot(diff.real, diff.imag) <= r[:, :, None] + r[:, None, :] + 1e-12
     labels = np.broadcast_to(np.arange(n), (sets, n))
     while not np.array_equal(nxt := np.where(near, labels[:, None, :], n).min(axis=2), labels):
         labels = nxt
-    disk, a, b = _uncovered_spans(r, dist, diff, labels)
+    disk, a, b = _uncovered_spans(o, r)
+    # a group is named by (set, smallest member); arcs go by group, its disks in order
+    arc_key = (disk // n) * n + labels.ravel()[disk]
+    order = np.lexsort((disk, arc_key))
+    disk, a, b, arc_key = disk[order], a[order], b[order], arc_key[order]
     pts, arc_ends = _sample_arcs(o.ravel()[disk], r.ravel()[disk], a, b, _PTS_PER_CIRCLE)
-    # a group is named by (set, smallest member), ascending
     group_set, root = np.nonzero(labels == np.arange(n))
     group_key = group_set * n + root
-    arc_key = (disk // n) * n + labels.ravel()[disk]
     group_ends = np.append(0, arc_ends)[np.searchsorted(arc_key, group_key, side="right")]
     group_size = np.bincount((np.arange(sets)[:, None] * n + labels).ravel(), minlength=sets * n)[group_key]
     return ContourBlock(pts, arc_ends, group_ends, group_set, group_size, labels)
@@ -490,16 +378,8 @@ def certify_path(path: PolygonalPath) -> CertificationReport:
     so each f_s has the zeros of A in each component (Henrici, Applied and
     Computational Complex Analysis vol. 1, 4.10); the inequality is checked
     at the samples, not between them.  A constant path certifies its one
-    vertex the same way, as a step with B = A.
-
-    The steps are taken in blocks (``_step_margins``): one
-    ``neighborhood_contours`` pass gives the arcs of every component of a
-    block's steps, A is evaluated once per step on its arcs and B once as the
-    fused rational function ``PathStep.target``, and one
-    ``gridfn.winding_number`` call counts every component of the block on A,
-    bisecting an edge of a component while the relative jump across it
-    exceeds ``gridfn._ETA`` = 0.5 and capping a component's distinct
-    boundary points at ``gridfn._MAX_PTS_PER_LOOP``.
+    vertex the same way, as a step with B = A.  The steps are taken in
+    blocks (``_step_margins``).
     """
     checks: list[SampleCheck] = []
     failures: list[str] = []
@@ -541,15 +421,13 @@ def _step_margins(
     one ``neighborhood_contours`` call lays out every group's arcs; A and B
     are evaluated once per step, on that step's arcs; the slacks are reduced
     per group; and one ``gridfn.winding_number`` call counts every group on
-    A's values: a sample on a zero of A gives (0.0, 0), and needing more than
-    ``gridfn._MAX_PTS_PER_LOOP`` distinct points, or a phase sum not near an
-    integer, gives the error.
+    A's values.
     """
     centers = np.array([z.expanded_points() for z in zero_sets], dtype=np.complex128).reshape(len(zero_sets), -1)
     n = centers.shape[1]
     if n == 0:
         return []
-    o, r = _unit_disks(centers)
+    o, r = _hyperbolic_disks(centers, 1.0)
     per_block = max(1, _BLOCK_POINTS // (n * (_PTS_PER_CIRCLE + 1)))
     out = []
     for lo in range(0, len(steps), per_block):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blaschkelab import carleson
-from blaschkelab.blaschke import ZeroList
+from blaschkelab.blaschke import ZeroList, evaluate_grid
 from blaschkelab.carleson import (
     AlphaEstimate,
     DiscreteMeasure,
@@ -312,53 +312,90 @@ class TestSeparationSplit:
             assert exact <= greedy <= zl.degree
 
 
-def _resolution(monkeypatch, cell_beta, edge_gap):
-    """Set ``alpha_b``'s sample resolution."""
-    monkeypatch.setattr(carleson, "_CELL_BETA", cell_beta)
-    monkeypatch.setattr(carleson, "_EDGE_GAP", edge_gap)
+def _ring_scan(zeros, r, cell_beta, edge_gap):
+    """min |b| over rings ``cell_beta`` apart in beta, each sampled about every
+    ``cell_beta`` along it, of {beta(z, Z) > r, |z| <= 1 - edge_gap}: the
+    library's former 2-D sampler, an independent upper bound of the infimum."""
+    pts = np.array(zeros.expanded_points())
+    beta_max = 2.0 * math.atanh(1.0 - edge_gap)
+    best = math.inf
+    for i in range(int(math.ceil(beta_max / cell_beta)) + 1):
+        beta_i = min(i * cell_beta, beta_max)
+        n_i = max(8, int(math.ceil(2.0 * math.pi * math.sinh(beta_i) / cell_beta))) if beta_i > 0 else 1
+        ring = rho_from_beta(beta_i) * np.exp(2j * math.pi * np.arange(n_i) / n_i)
+        keep = ring[beta_matrix(ring, pts).min(axis=1) > r]
+        if keep.size:
+            best = min(best, float(np.abs(evaluate_grid(zeros, keep)).min()))
+    return best
+
+
+def _alpha_instance(n):
+    """n zeros of modulus at most 0.9, drawn with seed 11."""
+    return random_zerolist(np.random.default_rng(11), n, r_max=0.9)
 
 
 class TestAlphaB:
-    def test_monomial_matches_tanh(self, monkeypatch):
-        _resolution(monkeypatch, 0.05, 1e-2)
-        zl = ZeroList(m=1)
-        for r in (0.5, 1.0, 2.0):
-            est = alpha_b(zl, r)
-            assert est.value == pytest.approx(math.tanh(r / 2.0), abs=0.05)
-            assert est.value >= rho_from_beta(r)  # sampled min cannot undershoot
+    def test_monomial_matches_tanh(self):
+        # the region is |z| > tanh(r/2), where |z| has its infimum tanh(r/2)
+        for r in (0.05, 0.5, 1.0, 2.0, 5.0):
+            est = alpha_b(ZeroList(m=1), r)
+            exact = math.tanh(r / 2.0)
+            assert est.lower <= exact
+            assert abs(est.value - exact) <= 4.0 * math.ulp(exact)
 
-    def test_nondecreasing_in_r(self, monkeypatch):
-        _resolution(monkeypatch, 0.1, 1e-3)
-        zl = ZeroList.from_points([0.2, -0.3 + 0.4j])
-        vals = [alpha_b(zl, r).value for r in (0.5, 1.0, 1.5, 2.0)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+    @pytest.mark.parametrize("n", [3, 10, 20])
+    def test_lower_below_the_ring_reference(self, n):
+        zl = _alpha_instance(n)
+        est = alpha_b(zl, 1.0)
+        # the former defaults had edge_gap 1e-4, 14 times the samples and the
+        # same minima on these instances; either is a second upper bound, a worse one here
+        ring = _ring_scan(zl, 1.0, 0.1, 1e-3)
+        assert est.lower <= est.value <= ring
 
-    def test_small_r_near_zero_set(self, monkeypatch):
-        _resolution(monkeypatch, 0.02, 5e-2)
+    def test_lower_below_a_denser_pass(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        cases = [(_alpha_instance(n), 1.0) for n in (3, 10, 20, 50)] + [(geometric_zeros(25), 1.0)]
+        cases += [(random_zerolist(rng, int(rng.integers(1, 30)), 0.97), float(rng.uniform(0.1, 4.0))) for _ in range(20)]
+        coarse = [alpha_b(zl, r) for zl, r in cases]
+        monkeypatch.setattr(carleson, "_PTS_PER_CIRCLE", 16 * carleson._PTS_PER_CIRCLE)
+        for (zl, r), est in zip(cases, coarse):
+            dense = alpha_b(zl, r)
+            assert est.lower <= dense.value <= est.value
+            assert est.lower <= dense.lower
+
+    def test_nondecreasing_in_r(self):
+        # the region shrinks as r grows, so lower(r1) <= inf(r1) <= inf(r2) <= value(r2)
+        rs = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+        for zl in (ZeroList.from_points([0.2, -0.3 + 0.4j]), _alpha_instance(10)):
+            ests = [alpha_b(zl, r) for r in rs]
+            assert all(e1.lower <= e2.value for i, e1 in enumerate(ests) for e2 in ests[i + 1 :])
+
+    def test_small_r_near_zero_set(self):
         est = alpha_b(ZeroList(m=1), 0.05)
         assert est.value < 0.06
+
+    def test_far_threshold_keeps_the_order(self):
+        # at r = 25 the arcs lie within 3e-11 of the circle, where an
+        # unguarded triangle-inequality bound exceeds 1
+        for zl in (ZeroList(m=1), _alpha_instance(3)):
+            est = alpha_b(zl, 25.0)
+            assert 0.0 <= est.lower <= est.value <= 1.0
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
     def test_nonpositive_or_nan_threshold_rejected(self, r):
         with pytest.raises(ValueError, match="threshold must be positive"):
             alpha_b(ZeroList.from_points([0.3, 0.31, -0.5 + 0.1j]), r)
 
-    def test_region_empty(self, monkeypatch):
-        _resolution(monkeypatch, 0.5, 1e-2)
+    def test_no_zeros_rejected(self):
+        with pytest.raises(ValueError, match="at least one zero"):
+            alpha_b(ZeroList(), 1.0)
+
+    def test_region_empty(self):
+        # tanh(15) is within 2e-13 of 1: the one disk covers |z| < 1 - 1e-12
         with pytest.raises(RegionEmptyError):
-            alpha_b(ZeroList(m=1), 25.0)
+            alpha_b(ZeroList(m=1), 30.0)
 
-    def test_equals_the_arctanh_transform(self, monkeypatch):
-        # beta = 2 artanh(rho) of the clamped minimum, as the ring scan wrote it
-        rng = np.random.default_rng(41)
-        _resolution(monkeypatch, 0.1, 1e-3)
-        cases = [(random_zerolist(rng, int(rng.integers(1, 6)), 0.9), float(rng.uniform(0.3, 1.5))) for _ in range(6)]
-        got = [alpha_b(zl, r) for zl, r in cases]
-        monkeypatch.setattr(carleson, "clamped_beta", lambda rho: 2.0 * np.arctanh(np.minimum(rho, 1.0 - 1e-16)))
-        assert got == [alpha_b(zl, r) for zl, r in cases]
-
-    def test_reports_resolution(self, monkeypatch):
-        _resolution(monkeypatch, 0.2, 1e-3)
+    def test_reports_the_interval(self):
         est = alpha_b(ZeroList(m=1), 0.5)
         assert isinstance(est, AlphaEstimate)
-        assert (est.cell_beta, est.edge_gap) == (0.2, 1e-3) and est.n_samples > 0
+        assert (est.r, type(est.value), type(est.lower)) == (0.5, float, float)

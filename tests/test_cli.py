@@ -88,6 +88,10 @@ class TestSubcommands:
         assert doc["box_norm"] > 0
         assert doc["slack_constant"] == BOX_NORM_SLACK
         assert "slack_constant" not in doc["config"]
+        # one zero at 0.3: the region is {rho(z, 0.3) > tanh(1/4)}, whose infimum of |b| is tanh(1/4)
+        alpha = doc["alpha_b"]
+        assert sorted(alpha) == ["lower", "r", "value"] and alpha["r"] == 0.5
+        assert alpha["lower"] <= math.tanh(0.25) <= alpha["value"] + 4.0 * math.ulp(alpha["value"])
 
     def test_cauchy(self, tmp_path, zeros_file, zeros_star_file):
         code = main(

@@ -1037,6 +1037,20 @@ class TestLogQuotient:
             ratio = evaluate_grid(u, np.array([z]))[0] / evaluate_grid(b, np.array([z]))[0]
             assert abs(np.exp(log_quotient_via_contour(u, b, atlas, z)) - ratio) < 1e-6
 
+    def test_shared_zero_at_the_reference_point(self):
+        # the calibration point (1 + max |vertex|)/2 is 0.7000000000000001 on
+        # this circle and 1/2 without curves: a zero shared there cancels in u/b
+        circ = JordanCurveApprox.circle(0.0, 0.4, 256)
+        u, b = ZeroList.from_points([0.1, 0.7000000000000001]), ZeroList.from_points([0.12, 0.7000000000000001])
+        atlas = build_atlas(u, b, [circ], method="exact")
+        for z in (0.5, 0.9j, -0.6, -0.45 + 0.3j):
+            ratio = evaluate_grid(u, np.array([z]))[0] / evaluate_grid(b, np.array([z]))[0]
+            assert abs(np.exp(log_quotient_via_contour(u, b, atlas, z)) - ratio) < 1e-5
+        u, b = ZeroList(((0.5, 1),), lam=1j), ZeroList.from_points([0.5])
+        atlas = build_atlas(u, b, [], method="exact")
+        for z in (0.0, 0.3, 0.6 + 0.1j):
+            assert log_quotient_via_contour(u, b, atlas, z) == pytest.approx(0.5j * math.pi, abs=1e-15)
+
     def test_atlas_without_curves(self):
         # a product without zeros has no level curves; with the same zeros
         # outside every curve, L is log(lam_u / lam_b)

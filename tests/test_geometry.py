@@ -12,6 +12,7 @@ from blaschkelab.errors import DegenerateInputError
 from blaschkelab import matching
 from blaschkelab.geometry import (
     RHO_CAP,
+    _hyperbolic_disks,
     beta_from_rho,
     beta_matrix,
     clamped_beta,
@@ -123,6 +124,17 @@ class TestMetrics:
             assert beta_from_rho(rho_from_beta(beta)) == pytest.approx(beta, abs=1e-12)
         for rho in (0.0, 0.3, 0.9, 0.999):
             assert rho_from_beta(beta_from_rho(rho)) == pytest.approx(rho, abs=1e-12)
+
+
+class TestHyperbolicDisks:
+    @pytest.mark.parametrize("radius", [0.05, 1.0, 2.5])
+    def test_circles_lie_at_the_hyperbolic_radius(self, radius):
+        rng = np.random.default_rng(4)
+        centers = _random_disk_points(rng, 30, 0.95).reshape(3, 10)
+        o, r = _hyperbolic_disks(centers, radius)
+        circles = o[..., None] + r[..., None] * np.exp(2j * np.pi * np.arange(16) / 16)
+        for c, pts in zip(centers.ravel(), circles.reshape(-1, 16)):
+            np.testing.assert_allclose(beta_matrix([c], pts)[0], radius, rtol=1e-9)
 
 
 def _near_boundary_points(rng, n):

@@ -224,6 +224,25 @@ class TestGroupedWinding:
         monkeypatch.setattr(gridfn, "_MAX_PTS_PER_LOOP", 257)
         assert winding_number(*_lay_out(cases[2:]))[0][1] == 12
 
+    def test_only_bisecting_groups_are_refined(self, monkeypatch):
+        # a jump-free group is counted in the first pass, or refused there
+        # when its phase sum is off an integer, as the half circles' are
+        rng = np.random.default_rng(7)
+        cases = [_group_case(rng, ("plain", "near", "open")[k % 3]) for k in range(60)]
+        refined = []
+        real = gridfn._refined_count
+        monkeypatch.setattr(gridfn, "_refined_count", lambda f, *rest: refined.append(f) or real(f, *rest))
+        got = winding_number(*_lay_out(cases))
+        bisecting = []
+        for f, arcs in cases:
+            vals = [f(arc) for arc in arcs]
+            jumps = [np.abs(np.diff(v)) / np.minimum(np.abs(v[1:]), np.abs(v[:-1])) for v in vals]
+            bisecting.append(max(float(j.max()) for j in jumps) > gridfn._ETA)
+        assert refined == [f for (f, _), b in zip(cases, bisecting) if b]
+        assert 0 < len(refined) < len(cases)
+        off = [r for r, b in zip(got, bisecting) if not b and isinstance(r, ContourThroughZeroError)]
+        assert len(off) > 10 and all("not near an integer" in str(r) for r in off)
+
 
 class TestSerialization:
     def test_csv(self, tmp_path):

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from blaschkelab import gridfn, pathbuild
+from blaschkelab import geometry, gridfn, pathbuild
 from blaschkelab.acceptance import path_certification_instances
 from blaschkelab.blaschke import ZeroList, eval_boundary, evaluate_grid
 from blaschkelab.cauchy import PathMeasure, cauchy_on_circle, gamma_constant, outer_correction
@@ -236,7 +236,7 @@ def _groups_of(block):
 
 def _groups(centers):
     """The groups of one zero set's neighborhood contours."""
-    disks = pathbuild._unit_disks(np.array(centers, dtype=complex).reshape(1, -1))
+    disks = geometry._hyperbolic_disks(np.array(centers, dtype=complex).reshape(1, -1), 1.0)
     return _groups_of(pathbuild.neighborhood_contours(*disks))[0]
 
 
@@ -388,14 +388,14 @@ class TestNeighborhoodContours:
         assert abs(a[-1] - b[0]) < 1e-9 and abs(b[-1] - a[0]) < 1e-9
 
     def test_euclid_circle_formula(self):
-        o, r = pathbuild._unit_disks(np.zeros((1, 1), dtype=complex))
+        o, r = geometry._hyperbolic_disks(np.zeros((1, 1), dtype=complex), 1.0)
         assert o[0, 0] == 0.0
         assert r[0, 0] == pytest.approx(rho_from_beta(1.0))
         # every disk has the scalar formula's bits, signed zeros included
         rng = np.random.default_rng(8)
         centers = np.array([[random_point(rng, 0.99) for _ in range(7)] for _ in range(50)])
         centers[0, :3] = [0.3, -0.4, complex(-0.0, -0.0)]
-        o, r = pathbuild._unit_disks(centers)
+        o, r = geometry._hyperbolic_disks(centers, 1.0)
         for row_o, row_r, row_c in zip(o, r, centers):
             want = _unit_disks(row_c)
             assert [(x.real.hex(), x.imag.hex(), y.hex()) for x, y in zip(row_o, row_r)] == [
@@ -428,7 +428,7 @@ class TestNeighborhoodContours:
 def _reference_arcs(disks, pts_per_circle):
     """The arcs bounding the union of Euclidean disks, each sampled on its
     own with both of its ends: the library's first arc builder, kept as the
-    reference for ``_uncovered_spans`` and ``_sample_arcs``."""
+    reference for ``geometry._uncovered_spans`` and ``geometry._sample_arcs``."""
     two_pi = 2.0 * math.pi
     uniq = []
     for o, r in disks:
@@ -1194,7 +1194,7 @@ class TestCertificationBlocks:
         steps = 0
         for path in _block_test_paths():
             centers = np.array([v.zeros_t.expanded_points() for v in path.vertices])
-            block = pathbuild.neighborhood_contours(*pathbuild._unit_disks(centers))
+            block = pathbuild.neighborhood_contours(*geometry._hyperbolic_disks(centers, 1.0))
             for vertex, got in zip(path.vertices, _groups_of(block)):
                 disks = _unit_disks(vertex.zeros_t.expanded_points())
                 _assert_same_groups(got, _scalar_contours(disks, pathbuild._PTS_PER_CIRCLE))
